@@ -50,10 +50,12 @@ class SparseMatrix:
         if nnz:
             if self.col_indices.min() < 0 or self.col_indices.max() >= self.n_cols:
                 raise ValueError("column index out of range")
-        for i in range(self.n_rows):
-            row = self.col_indices[off[i]:off[i + 1]]
-            if row.shape[0] > 1 and np.any(np.diff(row) <= 0):
-                raise ValueError("col_indices must be strictly increasing within row %d" % i)
+        rows = self.row_indices()
+        # columns may fall only where a new row starts
+        bad = (rows[1:] == rows[:-1]) & (np.diff(self.col_indices) <= 0)
+        if np.any(bad):
+            raise ValueError("col_indices must be strictly increasing within row %d"
+                             % rows[1:][bad][0])
         if not np.all(np.isfinite(self.values)):
             raise ValueError("matrix values must be finite")
         if self.symmetric:
@@ -112,11 +114,13 @@ class SparseMatrix:
     def nnz(self):
         return int(self.row_offsets[-1])
 
+    def row_indices(self):
+        """Row index of every stored entry, in storage order."""
+        return np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))
+
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols))
-        for i in range(self.n_rows):
-            s, e = self.row_offsets[i], self.row_offsets[i + 1]
-            out[i, self.col_indices[s:e]] = self.values[s:e]
+        out[self.row_indices(), self.col_indices] = self.values
         return out
 
     def scaled(self, alpha):
@@ -127,30 +131,20 @@ class SparseMatrix:
 
     def diagonal(self):
         d = np.zeros(min(self.n_rows, self.n_cols))
-        for i in range(d.shape[0]):
-            s, e = self.row_offsets[i], self.row_offsets[i + 1]
-            hit = np.searchsorted(self.col_indices[s:e], i)
-            if hit < e - s and self.col_indices[s + hit] == i:
-                d[i] = self.values[s + hit]
+        on_diag = self.row_indices() == self.col_indices
+        d[self.col_indices[on_diag]] = self.values[on_diag]
         return d
 
 
 def _transpose_csr(n_rows, n_cols, offsets, cols, vals):
-    nnz = vals.shape[0]
+    """CSR arrays of the transpose.  A stable sort by column keeps each
+    column's entries in row order, so the column indices come out sorted."""
     counts = np.bincount(cols, minlength=n_cols)
     t_off = np.zeros(n_cols + 1, dtype=np.int64)
     np.cumsum(counts, out=t_off[1:])
-    t_col = np.empty(nnz, dtype=np.int64)
-    t_val = np.empty(nnz)
-    cursor = t_off[:-1].copy()
-    for i in range(n_rows):
-        for p in range(offsets[i], offsets[i + 1]):
-            j = cols[p]
-            q = cursor[j]
-            t_col[q] = i
-            t_val[q] = vals[p]
-            cursor[j] = q + 1
-    return t_off, t_col, t_val
+    order = np.argsort(cols, kind="stable")
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(offsets))
+    return t_off, rows[order], vals[order]
 
 
 def matvec(M, x):
@@ -168,6 +162,17 @@ def quadratic_form(M, x):
         raise ValueError("quadratic form requires a square matrix")
     x = np.asarray(x, dtype=np.float64)
     return float(np.dot(x, matvec(M, x)))
+
+
+def gershgorin_lower_bound(M):
+    """min_i (m_ii - sum_{j != i} |m_ij|), a lower bound on every eigenvalue
+    of a symmetric M (Gershgorin's disc theorem); +inf when M is 0x0."""
+    if M.n_rows != M.n_cols:
+        raise ValueError("Gershgorin bound requires a square matrix")
+    rows = M.row_indices()
+    off = rows != M.col_indices
+    radius = np.bincount(rows[off], weights=np.abs(M.values[off]), minlength=M.n_rows)
+    return float(np.min(M.diagonal() - radius, initial=np.inf))
 
 
 def spectral_norm_estimate(M, tol=1e-6, max_iter=500, seed=0):

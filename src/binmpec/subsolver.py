@@ -24,13 +24,7 @@ class QuadraticObjective:
             raise ValueError("A must be square")
         if not A.symmetric:
             raise ValueError("A must carry the symmetric flag")
-        self.A = A
-        self.b = np.array(b, dtype=np.float64).reshape(-1)
-        if self.b.shape[0] != A.n_rows:
-            raise ValueError("b length must match A")
-        if not np.all(np.isfinite(self.b)):
-            raise ValueError("b must be finite")
-        self.c = float(c)
+        self._set_terms(A, b, c)
         self.spectral_est = spectral_norm_estimate(A) if A.nnz else 0.0
         if lipschitz is None:
             lipschitz = max(1.01 * self.spectral_est, 1e-9)
@@ -40,6 +34,31 @@ class QuadraticObjective:
         if self.lipschitz < 0.999 * self.spectral_est:
             raise ValueError("lipschitz %g below spectral estimate %g"
                              % (self.lipschitz, self.spectral_est))
+
+    def _set_terms(self, A, b, c):
+        self.A = A
+        self.b = np.array(b, dtype=np.float64).reshape(-1)
+        if self.b.shape[0] != A.n_rows:
+            raise ValueError("b length must match A")
+        if not np.all(np.isfinite(self.b)):
+            raise ValueError("b must be finite")
+        self.c = float(c)
+
+    def scaled(self, alpha, b, c=0.0):
+        """0.5 x'(alpha A)x + b'x + c for alpha > 0.
+
+        ||alpha A|| = alpha ||A||, so the spectral estimate and the
+        Lipschitz bound are carried over by the same factor instead of being
+        estimated again; for a power-of-two alpha both are exact.
+        """
+        alpha = float(alpha)
+        if not alpha > 0.0:
+            raise ValueError("scale must be positive")
+        out = QuadraticObjective.__new__(QuadraticObjective)
+        out._set_terms(self.A.scaled(alpha), b, c)
+        out.spectral_est = alpha * self.spectral_est
+        out.lipschitz = alpha * self.lipschitz
+        return out
 
     @property
     def n(self):

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own algorithms:
 eigenvalues come from cyclic Jacobi rotations, projections from
 active-set enumeration, QP solves from plain unaccelerated projected
-gradient, and the ball-constrained rank-one QP from a dense angular
-grid with golden-section refinement.
+gradient, the ball-constrained rank-one QP from a dense angular grid
+with golden-section refinement, and CSR transposes from a scatter loop
+over every stored entry.
 """
 
 import itertools
@@ -184,3 +185,23 @@ def ball_linear_max_oracle(x, radius, grid=400000):
     scores = vs @ x
     i = int(np.argmax(scores))
     return vs[i], float(scores[i])
+
+
+def transpose_csr_loop(n_rows, n_cols, offsets, cols, vals):
+    """CSR arrays of the transpose, scattering one stored entry at a time
+    in row-major order behind a per-column write cursor."""
+    nnz = vals.shape[0]
+    counts = np.bincount(cols, minlength=n_cols)
+    t_off = np.zeros(n_cols + 1, dtype=np.int64)
+    np.cumsum(counts, out=t_off[1:])
+    t_col = np.empty(nnz, dtype=np.int64)
+    t_val = np.empty(nnz)
+    cursor = t_off[:-1].copy()
+    for i in range(n_rows):
+        for p in range(offsets[i], offsets[i + 1]):
+            j = cols[p]
+            q = cursor[j]
+            t_col[q] = i
+            t_val[q] = vals[p]
+            cursor[j] = q + 1
+    return t_off, t_col, t_val

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binmpec.linalg import (SparseMatrix, matvec, quadratic_form,
-                            spectral_norm_estimate, vector)
+from binmpec.linalg import (SparseMatrix, _transpose_csr, gershgorin_lower_bound,
+                            matvec, quadratic_form, spectral_norm_estimate,
+                            vector)
 
-from reference import jacobi_spectral_norm
+from reference import jacobi_eigenvalues, jacobi_spectral_norm, transpose_csr_loop
 
 
 def dense_to_sparse(dense, symmetric=True):
@@ -77,6 +78,65 @@ class TestSparseMatrix:
         m = SparseMatrix.identity(2)
         with pytest.raises(ValueError):
             m.values[0] = 7.0
+
+    def test_unsorted_column_error_names_row(self):
+        with pytest.raises(ValueError, match="within row 1"):
+            SparseMatrix(3, 3, [0, 1, 3, 3], [2, 1, 1], [1.0, 1.0, 1.0])
+
+    def test_columns_may_fall_across_row_boundary(self):
+        m = SparseMatrix(2, 3, [0, 2, 3], [1, 2, 0], [1.0, 2.0, 3.0])
+        assert m.to_dense().tolist() == [[0.0, 1.0, 2.0], [3.0, 0.0, 0.0]]
+
+    def test_dense_and_diagonal_match_per_row_reads(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            r, c = (int(v) for v in rng.integers(0, 8, 2))
+            dense = rng.standard_normal((r, c)) * (rng.random((r, c)) < 0.4)
+            m = dense_to_sparse(dense, symmetric=False)
+            assert np.array_equal(m.to_dense(), dense)
+            k = min(r, c)
+            assert np.array_equal(m.diagonal(), dense[np.arange(k), np.arange(k)])
+
+    def test_transpose_matches_loop_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            half = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
+            m = dense_to_sparse(half + half.T)
+            got = _transpose_csr(n, n, m.row_offsets, m.col_indices, m.values)
+            want = transpose_csr_loop(n, n, m.row_offsets, m.col_indices, m.values)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
+            assert np.array_equal(got[0], m.row_offsets)
+            assert np.array_equal(got[1], m.col_indices)
+
+
+class TestGershgorinLowerBound:
+    def test_laplacian_is_certified(self):
+        assert gershgorin_lower_bound(dense_to_sparse(P3_LAPLACIAN)) == 0.0
+
+    def test_non_dominant_value(self):
+        m = dense_to_sparse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert gershgorin_lower_bound(m) == -1.0
+
+    def test_empty_and_zero_matrices(self):
+        assert gershgorin_lower_bound(SparseMatrix(0, 0, [0], [], [])) == np.inf
+        zero = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
+        assert gershgorin_lower_bound(zero) == 0.0
+
+    def test_bounds_every_eigenvalue(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            n = int(rng.integers(1, 8))
+            half = np.triu(rng.standard_normal((n, n)))
+            dense = half + half.T
+            lam_min = jacobi_eigenvalues(dense)[0]
+            assert gershgorin_lower_bound(dense_to_sparse(dense)) <= lam_min + 1e-12
+
+    def test_rejects_rectangular(self):
+        with pytest.raises(ValueError, match="square"):
+            gershgorin_lower_bound(SparseMatrix(2, 3, [0, 1, 2], [0, 2], [1.0, 1.0]))
 
 
 class TestMatvec:

@@ -3,7 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import binmpec.linalg
+import binmpec.problems
+import binmpec.subsolver
 from binmpec.epm import solve_epm
+from binmpec.linalg import SparseMatrix, gershgorin_lower_bound
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, ProblemInstance, SolverView,
                               build_bisection, build_constrained_segmentation,
@@ -12,6 +16,7 @@ from binmpec.problems import (Graph, ProblemInstance, SolverView,
                               laplacian, modularity_value, round_feasible,
                               subgraph_weight)
 from binmpec.projections import FeasibleSet
+from binmpec.report import SolveReport
 from binmpec.subsolver import QuadraticObjective
 
 P3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
@@ -19,6 +24,42 @@ C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
 K3 = Graph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
 STAR4 = Graph(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
 TWO_K2 = Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+
+
+def grid_graph(rows, cols):
+    """4-neighbour grid with varied positive weights."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            i = r * cols + c
+            if c + 1 < cols:
+                edges.append((i, i + 1, 0.5 + 0.1 * ((i * 7) % 5)))
+            if r + 1 < rows:
+                edges.append((i, i + cols, 0.5 + 0.1 * ((i * 3) % 4)))
+    return Graph(rows * cols, tuple(edges))
+
+
+GRID34 = grid_graph(3, 4)
+GRID_BUILDS = {
+    "bisection": lambda: build_bisection(GRID34),
+    "segmentation": lambda: build_constrained_segmentation(GRID34, fg=[0], bg=[11]),
+    "mrf": lambda: build_mrf(GRID34, np.linspace(-1.0, 1.0, 12)),
+}
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    """Count spectral_norm_estimate calls under every name it is bound to."""
+    real = binmpec.linalg.spectral_norm_estimate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (binmpec.linalg, binmpec.subsolver, binmpec.problems):
+        monkeypatch.setattr(module, "spectral_norm_estimate", counting)
+    return calls
 
 
 class TestGraph:
@@ -318,12 +359,67 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="positive semidefinite"):
             ProblemInstance(obj, fs, "pm1")
 
+    def test_non_dominant_indefinite_rejected(self):
+        # eigenvalues 3 and -1; the Gershgorin bound fails, so the
+        # shifted power check must reject it
+        A = SparseMatrix.from_coo(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
+                                  [1.0, 2.0, 2.0, 1.0], symmetric=True)
+        obj = QuadraticObjective(A, np.zeros(2))
+        fs = FeasibleSet(np.full(2, -1.0), np.full(2, 1.0))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            ProblemInstance(obj, fs, "pm1")
+
+    @pytest.mark.parametrize("kind", sorted(GRID_BUILDS))
+    def test_grid_builds_certified_with_one_estimate(self, kind, spectral_calls):
+        prob = GRID_BUILDS[kind]()
+        assert prob.meta["psd_check"] == "gershgorin"
+        # the Lipschitz estimate of the builder's objective, nothing else
+        assert spectral_calls == [prob.objective.A]
+
+    def test_non_dominant_psd_modularity_accepted(self):
+        g = generate("four_gauss_knn", {"n": 8, "knn": 3}, seed=2)
+        prob = build_modularity(g, 4)
+        assert gershgorin_lower_bound(prob.objective.A) < 0.0
+        assert prob.meta["psd_check"] == "power_estimate"
+        assert np.linalg.eigvalsh(prob.objective.A.to_dense())[0] >= -1e-12
+
+    def test_zero_matrix_certified(self):
+        A = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
+        prob = ProblemInstance(QuadraticObjective(A, np.ones(2)),
+                               FeasibleSet(np.zeros(2), np.ones(2)), "zeroone")
+        assert prob.meta["psd_check"] == "gershgorin"
+
+    def test_psd_check_in_report_survives_json(self):
+        prob = build_bisection(C4)
+        rep = solve_epm(prob)
+        assert rep.problem["psd_check"] == "gershgorin"
+        text = rep.to_json()
+        back = SolveReport.from_json(text)
+        assert back == rep
+        assert back.to_json() == text
+
 
 class TestSolverView:
     def test_pm1_passthrough(self):
         prob = build_bisection(C4)
         view = SolverView(prob)
         assert view.objective is prob.objective
+
+    @pytest.mark.parametrize("kind", sorted(GRID_BUILDS))
+    def test_view_runs_no_spectral_estimate(self, kind, spectral_calls):
+        prob = GRID_BUILDS[kind]()
+        del spectral_calls[:]
+        SolverView(prob)
+        assert spectral_calls == []
+
+    def test_zeroone_constants_scale_exactly(self):
+        prob = build_mrf(GRID34, np.linspace(-1.0, 1.0, 12))
+        src = prob.objective
+        obj = SolverView(prob).objective
+        assert obj.lipschitz == src.lipschitz / 4.0
+        assert obj.spectral_est == src.spectral_est / 4.0
+        assert np.array_equal(obj.A.values, src.A.values / 4.0)
+        assert np.array_equal(obj.A.col_indices, src.A.col_indices)
 
     def test_zeroone_value_identity(self):
         rng = np.random.default_rng(79)

@@ -53,6 +53,26 @@ class TestQuadraticObjective:
         with pytest.raises(ValueError):
             QuadraticObjective(SparseMatrix.identity(2), np.zeros(3))
 
+    def test_scaled_carries_bounds_without_estimating(self):
+        src = QuadraticObjective(dense_to_sparse([[2.0, -1.0], [-1.0, 2.0]]),
+                                 np.zeros(2))
+        obj = src.scaled(0.25, np.array([1.0, 2.0]), c=-3.0)
+        assert obj.lipschitz == src.lipschitz / 4.0
+        assert obj.spectral_est == src.spectral_est / 4.0
+        assert np.array_equal(obj.A.to_dense(), src.A.to_dense() / 4.0)
+        x = np.array([0.5, -1.0])
+        want = 0.125 * float(x @ src.A.to_dense() @ x) + float(x @ [1.0, 2.0]) - 3.0
+        assert obj.value(x) == pytest.approx(want, abs=1e-12)
+
+    def test_scaled_validates(self):
+        src = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
+        with pytest.raises(ValueError, match="positive"):
+            src.scaled(0.0, np.zeros(2))
+        with pytest.raises(ValueError, match="length"):
+            src.scaled(0.5, np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            src.scaled(0.5, [np.nan, 0.0])
+
 
 class TestSolveQp:
     def test_unconstrained_minimum_inside_box(self):
