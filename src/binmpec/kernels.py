@@ -1,7 +1,9 @@
 """Hot numerical kernels with two interchangeable backends.
 
-The compiled backend wraps the loop kernels in numba's ``@njit``; the
-fallback backend is vectorized numpy.  Selection order:
+The compiled backend wraps the CSR matvec and binary scan loops in
+numba's ``@njit``; the fallback backend is vectorized numpy.  The
+capped-simplex walk has only the numpy form, which also walks many rows
+at once.  Selection order:
 
   1. the ``BINMPEC_BACKEND`` environment variable ("numba" or "numpy"),
   2. otherwise "numba" when numba imports, else "numpy".
@@ -91,22 +93,6 @@ def csr_matvec(row_offsets, col_indices, values, x):
 # pre-sorted ascending by the caller together with their +1/-1 slope deltas.
 # The walk locates the segment where g crosses k and interpolates tau.
 
-def _simplex_walk_loop(bvals, deltas, n, k):
-    g = float(n)
-    active = 0
-    last = bvals.shape[0] - 1
-    for t in range(last):
-        active += deltas[t]
-        seg = bvals[t + 1] - bvals[t]
-        gnext = g - active * seg
-        if gnext <= k:
-            if active > 0:
-                return bvals[t] + (g - k) / active
-            return bvals[t]
-        g = gnext
-    return bvals[last]
-
-
 def _simplex_walk_vec(bvals, deltas, n, k):
     active = np.cumsum(deltas[:-1])
     drops = active * np.diff(bvals)
@@ -122,9 +108,25 @@ def _simplex_walk_vec(bvals, deltas, n, k):
     return bvals[t]
 
 
+def _simplex_walk_rows(bvals, deltas, n, k):
+    # the same walk along every row at once; row i stops at its own k[i]
+    active = np.cumsum(deltas[:, :-1], axis=1)
+    drops = active * np.diff(bvals, axis=1)
+    g_at = np.empty(bvals.shape, dtype=np.float64)
+    g_at[:, 0] = float(n)
+    g_at[:, 1:] = float(n) - np.cumsum(drops, axis=1)
+    hit = g_at[:, 1:] <= k[:, None]
+    t = np.argmax(hit, axis=1)
+    rows = np.arange(bvals.shape[0])
+    b_t, act_t, g_t = bvals[rows, t], active[rows, t], g_at[rows, t]
+    tau = np.where(act_t > 0, b_t + (g_t - k) / np.maximum(act_t, 1), b_t)
+    return np.where(hit.any(axis=1), tau, bvals[:, -1])
+
+
 def simplex_walk(bvals, deltas, n, k):
-    if _BACKEND == "numba":
-        return _simplex_walk_loop_nb(bvals, deltas, n, float(k))
+    """Crossing tau of g(tau) = k; 2-D inputs walk row by row, k per row."""
+    if bvals.ndim == 2:
+        return _simplex_walk_rows(bvals, deltas, n, np.asarray(k, dtype=np.float64))
     return _simplex_walk_vec(bvals, deltas, n, float(k))
 
 
@@ -285,7 +287,6 @@ def binary_scan(A, b, c0, lo, hi, mode, k_ones, block_id, block_target):
 
 if HAS_NUMBA:
     _csr_matvec_loop_nb = numba.njit(cache=True)(_csr_matvec_loop)
-    _simplex_walk_loop_nb = numba.njit(cache=True)(_simplex_walk_loop)
     _gray_scan_loop_nb = numba.njit(cache=True)(_gray_scan_loop)
 
 
@@ -298,7 +299,6 @@ def warmup():
     val = np.array([1.0])
     out = np.empty(1)
     _csr_matvec_loop_nb(off, col, val, np.array([1.0]), out)
-    _simplex_walk_loop_nb(np.array([-1.0, 0.0]), np.array([1, -1], dtype=np.int64), 1, 0.5)
     _gray_scan_loop_nb(
         np.eye(1),
         np.zeros(1),

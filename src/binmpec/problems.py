@@ -232,16 +232,14 @@ def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
     lhat = 1.01 * spectral_norm_estimate(Qs)
     dim = g.n * k
     scale = 1.0 / (4.0 * m)
-    rows, cols, vals = [], [], []
-    for i in range(g.n):
-        for j in range(g.n):
-            w = (lhat if i == j else 0.0) - Q[i, j]
-            if w == 0.0:
-                continue
-            for c in range(k):
-                rows.append(i * k + c)
-                cols.append(j * k + c)
-                vals.append(scale * w)
+    # node pair (i, j) with weight w != 0 couples coordinates i*k + c and
+    # j*k + c for every cluster c; triplets in row-major pair order
+    w = np.diag(np.full(g.n, lhat)) - Q
+    ii, jj = np.nonzero(w)
+    cl = np.arange(k)
+    rows = (ii[:, None] * k + cl).reshape(-1)
+    cols = (jj[:, None] * k + cl).reshape(-1)
+    vals = np.repeat(scale * w[ii, jj], k)
     A = SparseMatrix.from_coo(dim, dim, rows, cols, vals, symmetric=True)
     obj = QuadraticObjective(A, np.zeros(dim))
     lo, hi = _box(dim, "zeroone")
@@ -391,15 +389,16 @@ def round_feasible(y, fset, domain):
     y = np.asarray(y, dtype=np.float64)
     lo, hi = (-1.0, 1.0) if domain == "pm1" else (0.0, 1.0)
     x = round_sign(y, domain)
-    pin = fset.pin_mask()
-    for i, v in fset.pinned:
-        x[i] = v
+    for stop, (_, v) in enumerate(fset.pinned, 1):
         if abs(v - lo) > 1e-9 and abs(v - hi) > 1e-9:
+            # pins are written in order up to the first non-binary one
+            x[fset.pin_index[:stop]] = fset.pin_value[:stop]
             return x, False
+    x[fset.pin_index] = fset.pin_value
 
     if fset.sum_constraint is not None:
-        target = fset.sum_constraint - sum(v for _, v in fset.pinned)
-        free = np.nonzero(~pin)[0]
+        target = fset.sum_constraint - fset.pinned_total
+        free = np.flatnonzero(~fset.pin_mask())
         t_ones = (target - lo * free.shape[0]) / (hi - lo)
         t_int = round(t_ones)
         if abs(t_ones - t_int) > 1e-6 or not 0 <= t_int <= free.shape[0]:
@@ -412,20 +411,26 @@ def round_feasible(y, fset, domain):
 
     if fset.simplex_blocks is not None:
         r = fset.simplex_blocks
-        for q in range(fset.n // r):
-            sl = np.arange(q * r, (q + 1) * r)
-            blk_pin = pin[sl]
-            need = 1.0 - x[sl[blk_pin]].sum()
-            free_idx = sl[~blk_pin]
-            x[free_idx] = 0.0
-            if abs(need - 1.0) < 1e-9:
-                if free_idx.shape[0] == 0:
-                    return x, False
-                best = free_idx[np.argmax(y[free_idx])]
-                x[best] = 1.0
-            elif abs(need) > 1e-9:
-                return x, False
-        return x, True
+        nb = fset.n // r
+        X = x.reshape(nb, r)
+        pin2 = fset.pin_mask().reshape(nb, r)
+        free2 = ~pin2
+        need = np.empty(nb)
+        for blocks, _, pin_idx in fset.block_groups:
+            need[blocks] = 1.0 - x[pin_idx].sum(axis=1)
+        one = np.abs(need - 1.0) < 1e-9
+        bad = np.where(one, ~free2.any(axis=1), np.abs(need) > 1e-9)
+        # blocks are repaired in order up to and including the first bad
+        # one, whose free coordinates are cleared before it fails
+        last = int(np.argmax(bad)) if bad.any() else nb - 1
+        X[:last + 1][free2[:last + 1]] = 0.0
+        # argmax over the free coordinates; lowest index on ties
+        pick = np.argmax(np.where(pin2, -np.inf, y.reshape(nb, r)), axis=1)
+        rows = np.arange(nb)
+        pick = np.where(pin2[rows, pick], np.argmax(free2, axis=1), pick)
+        set_one = np.flatnonzero(one & ~bad & (rows <= last))
+        X[set_one, pick[set_one]] = 1.0
+        return X.reshape(-1), not bad.any()
 
     return x, True
 

@@ -15,6 +15,11 @@ class FeasibleSet:
     partitions the coordinates into consecutive blocks of that size, each
     summing to 1 (requires a [0, 1] box).  ``pinned`` freezes individual
     coordinates.  At most one of the two coupling constraints may be set.
+
+    Construction also caches what the projections and the rounding read
+    on every call: ``pin_index``/``pin_value`` (the pins in the given
+    order, read-only), ``pinned_total`` (their sum), the pin mask and,
+    for simplex blocks, ``block_groups`` (see ``_group_blocks``).
     """
 
     lower: np.ndarray
@@ -57,6 +62,17 @@ class FeasibleSet:
                 up_eff[i] = v
             if not (lo_eff.sum() - 1e-9 <= k <= up_eff.sum() + 1e-9):
                 raise ValueError("sum constraint %g infeasible for the box" % k)
+        pin_index = np.array([i for i, _ in self.pinned], dtype=np.int64)
+        pin_value = np.array([v for _, v in self.pinned], dtype=np.float64)
+        mask = np.zeros(n, dtype=bool)
+        mask[pin_index] = True
+        for arr in (pin_index, pin_value, mask):
+            arr.flags.writeable = False
+        object.__setattr__(self, "pin_index", pin_index)
+        object.__setattr__(self, "pin_value", pin_value)
+        object.__setattr__(self, "pinned_total", sum(v for _, v in self.pinned))
+        object.__setattr__(self, "_pin_mask", mask)
+        object.__setattr__(self, "block_groups", ())
         if self.simplex_blocks is not None:
             r = int(self.simplex_blocks)
             object.__setattr__(self, "simplex_blocks", r)
@@ -64,20 +80,38 @@ class FeasibleSet:
                 raise ValueError("block size %d does not partition %d coordinates" % (r, n))
             if np.any(lo != 0.0) or np.any(up != 1.0):
                 raise ValueError("simplex blocks require a [0, 1] box")
-            for q in range(n // r):
-                pinned_sum = sum(v for i, v in self.pinned if q * r <= i < (q + 1) * r)
-                if pinned_sum > 1.0 + 1e-12:
-                    raise ValueError("pinned values oversubscribe block %d" % q)
+            pinned_sums = np.bincount(pin_index // r, weights=pin_value, minlength=n // r)
+            over = np.flatnonzero(pinned_sums > 1.0 + 1e-12)
+            if over.shape[0]:
+                raise ValueError("pinned values oversubscribe block %d" % over[0])
+            object.__setattr__(self, "block_groups", _group_blocks(mask.reshape(-1, r)))
 
     @property
     def n(self):
         return self.lower.shape[0]
 
     def pin_mask(self):
-        mask = np.zeros(self.n, dtype=bool)
-        for i, _ in self.pinned:
-            mask[i] = True
-        return mask
+        """Read-only mask of the pinned coordinates."""
+        return self._pin_mask
+
+
+def _group_blocks(pin2):
+    """Blocks grouped by their number of free coordinates.
+
+    One (blocks, free_idx, pin_idx) triple per count f, ascending: the
+    block numbers, and a (blocks x f) and a (blocks x (r - f)) array of
+    the coordinates that are free and pinned in each, in index order.
+    """
+    nb, r = pin2.shape
+    coords = np.arange(nb * r, dtype=np.int64).reshape(nb, r)
+    n_free = r - pin2.sum(axis=1)
+    groups = []
+    for f in np.unique(n_free):
+        rows = np.flatnonzero(n_free == f)
+        sub, sub_pin = coords[rows], pin2[rows]
+        groups.append((rows, sub[~sub_pin].reshape(rows.shape[0], f),
+                       sub[sub_pin].reshape(rows.shape[0], r - f)))
+    return tuple(groups)
 
 
 def project_box(a, fset):
@@ -86,8 +120,7 @@ def project_box(a, fset):
     if a.shape[0] != fset.n:
         raise ValueError("dimension mismatch")
     x = np.clip(a, fset.lower, fset.upper)
-    for i, v in fset.pinned:
-        x[i] = v
+    x[fset.pin_index] = fset.pin_value
     return x
 
 
@@ -107,8 +140,12 @@ def project_capped_simplex(a, k):
 
     O(n log n): the 2n break points are sorted once, then a single walk
     locates the crossing of the piecewise-linear coordinate-sum function.
+    A 2-D ``a`` projects each row onto its own capped simplex, with ``k``
+    one target per row (or one for all rows), by the same arithmetic.
     """
     a = np.asarray(a, dtype=np.float64)
+    if a.ndim == 2:
+        return _project_capped_rows(a, k)
     n = a.shape[0]
     k = float(k)
     if k < -1e-9 or k > n + 1e-9:
@@ -135,6 +172,33 @@ def project_capped_simplex(a, k):
     return x
 
 
+def _project_capped_rows(a, k):
+    m, n = a.shape
+    k = np.broadcast_to(np.asarray(k, dtype=np.float64), (m,))
+    bad = (k < -1e-9) | (k > n + 1e-9)
+    if bad.any():
+        raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]"
+                         % (k[bad][0], n))
+    if n == 0:
+        return a.copy()
+    bvals = np.concatenate((a - 1.0, a), axis=1)
+    deltas = np.concatenate((np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)))
+    order = np.argsort(bvals, axis=1, kind="stable")
+    tau = kernels.simplex_walk(np.take_along_axis(bvals, order, axis=1), deltas[order], n, k)
+    x = np.clip(a - tau[:, None], 0.0, 1.0)
+    # one exact correction over the strictly free coordinates of each row
+    miss = x.sum(axis=1) - k
+    fix = np.abs(miss) > 1e-13
+    if fix.any():
+        free = (x > 1e-12) & (x < 1.0 - 1e-12) & fix[:, None]
+        step = miss / np.maximum(free.sum(axis=1), 1)
+        x -= np.where(free, step[:, None], 0.0)
+        np.clip(x, 0.0, 1.0, out=x)
+    x[k <= 1e-13] = 0.0
+    x[k >= n - 1e-13] = 1.0
+    return x
+
+
 def _project_uniform_box_sum(a, lo, hi, k):
     # affine map to [0, 1]: projection commutes with coordinate-wise
     # scaling plus shift, so the capped simplex routine serves any
@@ -151,17 +215,17 @@ def project_feasible(a, fset):
     a = np.asarray(a, dtype=np.float64)
     if a.shape[0] != fset.n:
         raise ValueError("dimension mismatch")
+    if fset.sum_constraint is None and fset.simplex_blocks is None:
+        return project_box(a, fset)
     x = np.empty_like(a)
-    pin = fset.pin_mask()
-    for i, v in fset.pinned:
-        x[i] = v
-    free = ~pin
-    af = a[free]
-    lof = fset.lower[free]
-    upf = fset.upper[free]
+    x[fset.pin_index] = fset.pin_value
 
     if fset.sum_constraint is not None:
-        kf = fset.sum_constraint - sum(v for _, v in fset.pinned)
+        free = ~fset.pin_mask()
+        af = a[free]
+        lof = fset.lower[free]
+        upf = fset.upper[free]
+        kf = fset.sum_constraint - fset.pinned_total
         if af.shape[0] == 0:
             if abs(kf) > 1e-9:
                 raise ValueError("pins contradict the sum constraint")
@@ -173,23 +237,8 @@ def project_feasible(a, fset):
         x[free] = _project_uniform_box_sum(af, lo, hi, kf)
         return x
 
-    if fset.simplex_blocks is not None:
-        r = fset.simplex_blocks
-        xf = np.clip(af, lof, upf)
-        x[free] = xf
-        for q in range(fset.n // r):
-            sl = slice(q * r, (q + 1) * r)
-            block_pin = pin[sl]
-            target = 1.0 - x[sl][block_pin].sum()
-            if not block_pin.any():
-                x[sl] = project_capped_simplex(a[sl], target)
-            else:
-                free_in_block = ~block_pin
-                seg = project_capped_simplex(a[sl][free_in_block], target)
-                tmp = x[sl]
-                tmp[free_in_block] = seg
-                x[sl] = tmp
-        return x
-
-    x[free] = np.clip(af, lof, upf)
+    # simplex blocks: one row-wise projection per count of free coordinates
+    for _, free_idx, pin_idx in fset.block_groups:
+        target = 1.0 - x[pin_idx].sum(axis=1)
+        x[free_idx] = project_capped_simplex(a[free_idx], target)
     return x

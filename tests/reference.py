@@ -6,6 +6,9 @@ active-set enumeration, QP solves from plain unaccelerated projected
 gradient, the ball-constrained rank-one QP from a dense angular grid
 with golden-section refinement, and CSR transposes from a scatter loop
 over every stored entry.
+
+The ``*_loop`` functions at the end are the one-block-at-a-time loops
+that the library's batched code replaced, kept to check it bit for bit.
 """
 
 import itertools
@@ -205,3 +208,73 @@ def transpose_csr_loop(n_rows, n_cols, offsets, cols, vals):
             t_val[q] = vals[p]
             cursor[j] = q + 1
     return t_off, t_col, t_val
+
+
+def project_blocks_loop(a, fset):
+    """Simplex-block projection with one 1-D capped-simplex call per block."""
+    from binmpec.projections import project_capped_simplex
+
+    a = np.asarray(a, dtype=np.float64)
+    r = fset.simplex_blocks
+    x = np.empty_like(a)
+    pin = np.zeros(fset.n, dtype=bool)
+    for i, v in fset.pinned:
+        x[i] = v
+        pin[i] = True
+    for q in range(fset.n // r):
+        sl = slice(q * r, (q + 1) * r)
+        block_pin = pin[sl]
+        target = 1.0 - x[sl][block_pin].sum()
+        if not block_pin.any():
+            x[sl] = project_capped_simplex(a[sl], target)
+        else:
+            free_in_block = ~block_pin
+            seg = project_capped_simplex(a[sl][free_in_block], target)
+            tmp = x[sl]
+            tmp[free_in_block] = seg
+            x[sl] = tmp
+    return x
+
+
+def round_blocks_loop(y, fset, domain):
+    """Binary rounding of a simplex-block set, one block at a time: pins
+    first, then a per-block argmax over the free coordinates."""
+    y = np.asarray(y, dtype=np.float64)
+    lo, hi = (-1.0, 1.0) if domain == "pm1" else (0.0, 1.0)
+    x = np.where(y >= 0.0, 1.0, -1.0) if domain == "pm1" else np.where(y >= 0.5, 1.0, 0.0)
+    pin = np.zeros(fset.n, dtype=bool)
+    for i, v in fset.pinned:
+        pin[i] = True
+        x[i] = v
+        if abs(v - lo) > 1e-9 and abs(v - hi) > 1e-9:
+            return x, False
+    r = fset.simplex_blocks
+    for q in range(fset.n // r):
+        sl = np.arange(q * r, (q + 1) * r)
+        blk_pin = pin[sl]
+        need = 1.0 - x[sl[blk_pin]].sum()
+        free_idx = sl[~blk_pin]
+        x[free_idx] = 0.0
+        if abs(need - 1.0) < 1e-9:
+            if free_idx.shape[0] == 0:
+                return x, False
+            x[free_idx[np.argmax(y[free_idx])]] = 1.0
+        elif abs(need) > 1e-9:
+            return x, False
+    return x, True
+
+
+def modularity_triplets_loop(Q, lhat, scale, k):
+    """COO triplets of scale * (lhat I - Q) kron I_k, node pair by node pair."""
+    n = Q.shape[0]
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        for j in range(n):
+            w = (lhat if i == j else 0.0) - Q[i, j]
+            if w == 0.0:
+                continue
+            for c in range(k):
+                rows.append(i * k + c)
+                cols.append(j * k + c)
+                vals.append(scale * w)
+    return rows, cols, vals

@@ -84,22 +84,6 @@ class TestCrossBackendAgreement:
             assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
             assert np.allclose(a, dense @ x, rtol=1e-9, atol=1e-12)
 
-    def test_simplex_walk(self):
-        rng = np.random.default_rng(67)
-        for _ in range(50):
-            n = int(rng.integers(1, 20))
-            av = rng.uniform(-2.0, 3.0, n)
-            k = float(rng.uniform(0.05, n - 0.05)) if n > 1 else 0.5
-            bvals = np.concatenate((av - 1.0, av))
-            deltas = np.concatenate((np.ones(n, dtype=np.int64),
-                                     -np.ones(n, dtype=np.int64)))
-            order = np.argsort(bvals, kind="stable")
-            bv, dl = bvals[order], deltas[order]
-            a, b = run_both(lambda: simplex_walk(bv, dl, n, k))
-            assert a == pytest.approx(b, abs=1e-10)
-            x = np.clip(av - a, 0.0, 1.0)
-            assert x.sum() == pytest.approx(k, abs=1e-8)
-
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_binary_scan_identical(self, mode):
         rng = np.random.default_rng(71 + mode)
@@ -127,6 +111,38 @@ class TestCrossBackendAgreement:
                 lambda: binary_scan(A, b, 0.25, lo, hi, mode, k_ones,
                                     block_id, block_target))
             assert got_np == got_nb  # identical (index, count) pairs
+
+
+def sorted_break_points(a):
+    n = a.shape[-1]
+    bvals = np.concatenate((a - 1.0, a), axis=-1)
+    deltas = np.concatenate((np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)))
+    order = np.argsort(bvals, axis=-1, kind="stable")
+    return np.take_along_axis(bvals, order, axis=-1), deltas[order]
+
+
+class TestSimplexWalkRows:
+    def test_rows_match_one_dimensional_walk(self):
+        rng = np.random.default_rng(67)
+        for n in (1, 3, 4, 19):
+            a = rng.uniform(-2.0, 3.0, (30, n))
+            a[0] = 0.25  # every break point tied
+            k = rng.uniform(0.0, n, 30)
+            k[1], k[2] = 0.0, float(n)
+            bv, dl = sorted_break_points(a)
+            tau = simplex_walk(bv, dl, n, k)
+            assert tau.shape == (30,)
+            for i in range(30):
+                want = simplex_walk(bv[i], dl[i], n, k[i])
+                assert tau[i].tobytes() == np.float64(want).tobytes(), (n, i)
+
+    def test_crossing_meets_target(self):
+        rng = np.random.default_rng(68)
+        a = rng.uniform(-2.0, 3.0, (50, 6))
+        k = rng.uniform(0.05, 5.95, 50)
+        tau = simplex_walk(*sorted_break_points(a), 6, k)
+        sums = np.clip(a - tau[:, None], 0.0, 1.0).sum(axis=1)
+        assert np.allclose(sums, k, atol=1e-8)
 
 
 class TestBinaryScanSemantics:

@@ -19,6 +19,8 @@ from binmpec.projections import FeasibleSet
 from binmpec.report import SolveReport
 from binmpec.subsolver import QuadraticObjective
 
+from reference import modularity_triplets_loop, round_blocks_loop
+
 P3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
 C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
 K3 = Graph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
@@ -270,6 +272,21 @@ class TestModularity:
             want = (lam * g.n - 2.0 * m * mod) / (8.0 * m)
             assert f == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("graph,k", [
+        (TWO_K2, 2), (STAR4, 3),
+        (generate("four_gauss_knn", {"n": 12, "knn": 3}, seed=3), 4)])
+    def test_matrix_matches_pair_loop(self, graph, k):
+        prob = build_modularity(graph, k)
+        m = graph.total_weight()
+        d = graph.degrees()
+        Q = graph.adjacency().to_dense() - np.outer(d, d) / (2.0 * m)
+        rows, cols, vals = modularity_triplets_loop(
+            Q, prob.meta["lambda_shift"], 1.0 / (4.0 * m), k)
+        want = SparseMatrix.from_coo(prob.n, prob.n, rows, cols, vals, symmetric=True)
+        got = prob.objective.A
+        for attr in ("row_offsets", "col_indices", "values"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
 
 class TestMrf:
     def test_value_example(self):
@@ -514,6 +531,64 @@ class TestRoundFeasible:
                 x, ok = round_feasible(y, fs, domain)
                 if ok:
                     assert check_binary_feasible(x, fs, domain)
+
+
+class TestRoundBlocks:
+    def check(self, y, fs, domain="zeroone"):
+        x, ok = round_feasible(y, fs, domain)
+        want, want_ok = round_blocks_loop(y, fs, domain)
+        assert ok == want_ok
+        assert x.tobytes() == want.tobytes()
+        return x, ok
+
+    def test_random_against_block_loop(self):
+        rng = np.random.default_rng(99)
+        for trial in range(300):
+            r = int(rng.integers(1, 6))
+            nb = int(rng.integers(1, 7))
+            n = r * nb
+            pins = []
+            for q in range(nb):
+                kind = rng.integers(0, 4)
+                cols = rng.permutation(r)[:int(rng.integers(1, r + 1))]
+                if kind == 1:  # some pinned to zero
+                    pins += [(q * r + int(c), 0.0) for c in cols[:r - 1]]
+                elif kind == 2:  # one pinned hot
+                    pins.append((q * r + int(cols[0]), 1.0))
+                elif kind == 3:  # all pinned, maybe none hot
+                    hot = int(rng.integers(-1, r))
+                    pins += [(q * r + c, float(c == hot)) for c in range(r)]
+            pins = [pins[i] for i in rng.permutation(len(pins))]
+            if trial % 10 == 0 and n > 1:  # a non-binary pin in the mix
+                hot = {i // r for i, v in pins if v}
+                free = sorted(set(range(n)) - {i for i, _ in pins}
+                              - {i for i in range(n) if i // r in hot})
+                if free:
+                    pins.insert(len(pins) // 2, (free[0], 1e-3))
+            fs = FeasibleSet(np.zeros(n), np.ones(n), simplex_blocks=r, pinned=pins)
+            y = rng.choice([0.0, 0.5, 0.7, -np.inf], n) if trial % 3 == 0 \
+                else rng.uniform(-1.0, 2.0, n)
+            self.check(y, fs)
+
+    def test_ties_take_lowest_free_index(self):
+        fs = FeasibleSet(np.zeros(6), np.ones(6), simplex_blocks=3, pinned=((3, 0.0),))
+        x, ok = self.check(np.array([0.4, 0.4, 0.4, 0.9, 0.2, 0.2]), fs)
+        assert ok
+        assert x.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+
+    def test_all_free_minus_inf_picks_first_free(self):
+        fs = FeasibleSet(np.zeros(3), np.ones(3), simplex_blocks=3, pinned=((0, 0.0),))
+        x, ok = self.check(np.array([-np.inf, -np.inf, -np.inf]), fs)
+        assert ok
+        assert x.tolist() == [0.0, 1.0, 0.0]
+
+    def test_unsatisfiable_block_stops_repair(self):
+        # block 1 is pinned all-zero; block 2 is left as rounded
+        fs = FeasibleSet(np.zeros(6), np.ones(6), simplex_blocks=2,
+                         pinned=((2, 0.0), (3, 0.0)))
+        x, ok = self.check(np.array([0.9, 0.8, 0.1, 0.1, 0.7, 0.6]), fs)
+        assert not ok
+        assert x.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 1.0]
 
 
 class TestCheckBinaryFeasible:

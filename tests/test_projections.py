@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from binmpec import kernels, projections
 from binmpec.projections import (FeasibleSet, project_ball, project_box,
                                  project_capped_simplex, project_feasible)
 
-from reference import simplex_projection_oracle
+from reference import project_blocks_loop, simplex_projection_oracle
 
 
 def box_set(n, lo=-1.0, hi=1.0, **kw):
@@ -225,3 +226,150 @@ class TestProjectionInvariants:
             for _ in range(100):
                 y = sample_feasible(fs, rng)
                 assert float(np.dot(a - p, y - p)) <= 1e-9
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestFeasibleSetCache:
+    def test_pin_arrays_follow_pinned_order(self):
+        fs = box_set(5, pinned=((3, 0.5), (0, -1.0)))
+        assert fs.pin_index.tolist() == [3, 0]
+        assert fs.pin_value.tolist() == [0.5, -1.0]
+        assert fs.pinned_total == -0.5
+        assert fs.pin_mask().tolist() == [True, False, False, True, False]
+
+    def test_cached_arrays_read_only(self):
+        fs = box_set(3, pinned=((1, 0.0),))
+        for arr in (fs.pin_mask(), fs.pin_index, fs.pin_value):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_no_pins(self):
+        fs = box_set(3)
+        assert fs.pin_index.shape == (0,)
+        assert not fs.pin_mask().any()
+        assert fs.pinned_total == 0
+
+    def test_block_groups_by_free_count(self):
+        fs = box_set(9, lo=0.0, hi=1.0, simplex_blocks=3,
+                     pinned=((4, 0.0), (6, 1.0), (7, 0.0), (8, 0.0)))
+        groups = [(b.tolist(), f.tolist(), p.tolist()) for b, f, p in fs.block_groups]
+        assert groups == [([2], [[]], [[6, 7, 8]]),
+                          ([1], [[3, 5]], [[4]]),
+                          ([0], [[0, 1, 2]], [[]])]
+
+    def test_oversubscription_names_first_block(self):
+        with pytest.raises(ValueError, match="block 1"):
+            box_set(6, lo=0.0, hi=1.0, simplex_blocks=2,
+                    pinned=((5, 0.7), (2, 0.6), (3, 0.6)))
+
+    def test_project_box_matches_pin_loop(self):
+        rng = np.random.default_rng(8)
+        fs = box_set(6, pinned=((4, 0.25), (1, -1.0)))
+        a = rng.uniform(-3.0, 3.0, 6)
+        want = np.clip(a, -1.0, 1.0)
+        want[4], want[1] = 0.25, -1.0
+        assert same_bits(project_box(a, fs), want)
+
+
+class TestCappedSimplexRows:
+    def test_rows_match_one_dimensional_calls(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 4, 7, 8, 9, 16, 33, 130):
+            m = 12
+            a = rng.uniform(-2.0, 3.0, (m, n))
+            a[1] = 0.5  # all tied
+            a[2, : n // 2] = a[2, n - 1]  # partial ties
+            a[3] *= 1e3  # far outside [0, 1]
+            k = rng.uniform(0.0, n, m)
+            k[4], k[5], k[6] = 0.0, float(n), 1.0
+            k[7], k[8] = 5e-14, n - 5e-14
+            got = project_capped_simplex(a, k)
+            for i in range(m):
+                assert same_bits(got[i], project_capped_simplex(a[i], k[i])), (n, i)
+
+    def test_scalar_target_broadcasts(self):
+        rng = np.random.default_rng(24)
+        a = rng.uniform(-1.0, 2.0, (5, 4))
+        got = project_capped_simplex(a, 1.0)
+        for i in range(5):
+            assert same_bits(got[i], project_capped_simplex(a[i], 1.0))
+
+    def test_infeasible_row_target_same_error(self):
+        a = np.zeros((3, 3))
+        with pytest.raises(ValueError) as one_d:
+            project_capped_simplex(a[1], 4.0)
+        with pytest.raises(ValueError) as rows:
+            project_capped_simplex(a, [1.0, 4.0, 5.0])
+        assert str(rows.value) == str(one_d.value)
+        with pytest.raises(ValueError, match="-0.5 infeasible"):
+            project_capped_simplex(a, [1.0, 1.0, -0.5])
+
+    def test_empty_rows_and_columns(self):
+        assert project_capped_simplex(np.zeros((0, 4)), 1.0).shape == (0, 4)
+        assert project_capped_simplex(np.zeros((2, 0)), 0.0).shape == (2, 0)
+        with pytest.raises(ValueError, match="0 coordinates"):
+            project_capped_simplex(np.zeros((2, 0)), [0.0, 1.0])
+
+
+@st.composite
+def block_sets(draw):
+    """A simplex-block set with free, partly pinned and fully pinned
+    blocks, and a point to project with ties and far-out values."""
+    r = draw(st.integers(1, 6))
+    nb = draw(st.integers(1, 8))
+    pins = []
+    for q in range(nb):
+        kind = draw(st.sampled_from(["free", "free", "some", "full"]))
+        if kind == "free":
+            continue
+        if kind == "full":
+            hot = draw(st.integers(-1, r - 1))  # -1: all zero, infeasible
+            pins.extend((q * r + c, 1.0 if c == hot else 0.0) for c in range(r))
+            continue
+        cols = draw(st.lists(st.integers(0, r - 1), unique=True, max_size=r - 1))
+        left = 1.0
+        for c in cols:
+            v = draw(st.sampled_from([0.0, 0.0, 1.0, 0.25, 0.5, 1.0 / 3.0]))
+            v = v if v <= left else 0.0
+            left -= v
+            pins.append((q * r + c, v))
+    pins = draw(st.permutations(pins))
+    value = st.one_of(st.sampled_from([-40.0, -1.0, 0.0, 0.25, 0.5, 1.0, 3.0, 1e4]),
+                      st.floats(-1e4, 1e4, allow_nan=False))
+    a = np.array(draw(st.lists(value, min_size=r * nb, max_size=r * nb)))
+    fs = FeasibleSet(np.zeros(r * nb), np.ones(r * nb), simplex_blocks=r, pinned=pins)
+    return fs, a
+
+
+class TestBatchedBlocks:
+    @given(block_sets())
+    def test_matches_per_block_loop(self, case):
+        fs, a = case
+        try:
+            want = project_blocks_loop(a, fs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                project_feasible(a, fs)
+            assert str(got.value) == str(exc)
+            return
+        assert same_bits(project_feasible(a, fs), want)
+
+    def test_unpinned_blocks_one_call_each(self, monkeypatch):
+        calls = {"capped": 0, "walk": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(projections, "project_capped_simplex",
+                            counted("capped", projections.project_capped_simplex))
+        monkeypatch.setattr(kernels, "simplex_walk", counted("walk", kernels.simplex_walk))
+        fs = box_set(48 * 4, lo=0.0, hi=1.0, simplex_blocks=4)
+        x = project_feasible(np.random.default_rng(3).normal(size=fs.n), fs)
+        assert calls == {"capped": 1, "walk": 1}
+        assert np.allclose(x.reshape(-1, 4).sum(axis=1), 1.0, atol=1e-12)
