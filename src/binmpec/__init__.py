@@ -6,7 +6,7 @@ from .adm import AdmConfig, RankOneQp, adm_v_update, solve_adm, solve_rank_one_b
 from .baselines import (BaselineConfig, BaselineMethod, solve_iht,
                         solve_l2box_admm, solve_lp_round)
 from .epm import EpmConfig, epm_v_update, solve_epm
-from .kernels import active_backend, use_backend, warmup
+from .kernels import active_backend
 from .linalg import (SparseMatrix, matvec, quadratic_form,
                      spectral_norm_estimate, vector)
 from .oracle import SizeLimitError, brute_force, feasible_count_binomial
@@ -38,6 +38,5 @@ __all__ = [
     "project_feasible", "quadratic_form", "round_feasible", "round_sign",
     "solve_adm", "solve_epm", "solve_iht", "solve_l2box_admm",
     "solve_lp_round", "solve_qp", "solve_rank_one_ball_qp",
-    "spectral_norm_estimate", "subgraph_weight", "trace_to_csv",
-    "use_backend", "vector", "warmup",
+    "spectral_norm_estimate", "subgraph_weight", "trace_to_csv", "vector",
 ]

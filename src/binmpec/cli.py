@@ -5,25 +5,20 @@ Exit codes: 0 success, 1 usage errors, 2 infeasible or unparsable input,
 """
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
-import os
 import sys
-import time
 
 import numpy as np
 
-from . import kernels
 from .adm import solve_adm
 from .baselines import solve_iht, solve_l2box_admm, solve_lp_round
 from .epm import solve_epm
 from .oracle import SizeLimitError, brute_force
 from .problems import (Graph, build_bisection, build_constrained_segmentation,
                        build_dense_subgraph, build_modularity, build_mrf,
-                       generate, laplacian)
-from .projections import project_capped_simplex
+                       generate)
 from .report import trace_to_csv
 
 PROBLEMS = ("bisection", "densesub", "modularity", "mrf", "seg")
@@ -271,80 +266,13 @@ def _desk_cell(name, problem, method, seed):
     return row
 
 
-def _bench_desk(args):
-    tasks = [(name, problem, method)
-             for name, problem in _desk_instances()
-             for method in METHODS]
-    workers = int(os.environ.get("BINMPEC_THREADS", "0")) or min(
-        4, os.cpu_count() or 1)
-    rows = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(_desk_cell, name, problem, method, args.seed)
-                for name, problem, method in tasks]
-        for fut in futs:
-            rows.append(fut.result())
+def _cmd_bench(args):
+    rows = [_desk_cell(name, problem, method, args.seed)
+            for name, problem in _desk_instances()
+            for method in METHODS]
     rows.sort(key=lambda r: (r["problem"], r["method"]))
     fields = ["problem", "method", "n", "status", "objective", "gap",
               "outer", "feasible", "converged", "time_ms"]
-    return fields, rows
-
-
-def _time_reps(fn, reps):
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        fn()
-    return (time.perf_counter() - t0) * 1e3
-
-
-def _bench_kernels(args):
-    backends = ["numpy"]
-    if kernels.HAS_NUMBA:
-        backends.append("numba")
-    g = generate("erdos_renyi", {"n": 1200, "p": 0.01}, args.seed)
-    lap = laplacian(g)
-    rng = np.random.default_rng(args.seed)
-    xv = rng.standard_normal(lap.n_cols)
-    av = rng.uniform(0.0, 1.0, 60000)
-    n_scan = 16
-    half = np.triu(rng.standard_normal((n_scan, n_scan)), 1)
-    a_scan = half + half.T + np.diag(np.abs(rng.standard_normal(n_scan)) + n_scan)
-    b_scan = rng.standard_normal(n_scan)
-    no_blocks = np.full(n_scan, -1, dtype=np.int64)
-    no_targets = np.zeros(0, dtype=np.int64)
-    cases = (
-        ("csr_matvec", lap.n_rows, 200,
-         lambda: kernels.csr_matvec(lap.row_offsets, lap.col_indices,
-                                    lap.values, xv)),
-        ("project_capped_simplex", av.size, 20,
-         lambda: project_capped_simplex(av, av.size / 3.0)),
-        ("binary_scan", n_scan, 3,
-         lambda: kernels.binary_scan(a_scan, b_scan, 0.0, -1.0, 1.0, 0, 0,
-                                     no_blocks, no_targets)),
-    )
-    original = kernels.active_backend()
-    rows = []
-    try:
-        for backend in backends:
-            kernels.use_backend(backend)
-            if backend == "numba":
-                kernels.warmup()
-            for name, size, reps, fn in cases:
-                fn()
-                total = _time_reps(fn, reps)
-                rows.append({"kernel": name, "backend": backend, "n": size,
-                             "reps": reps, "total_ms": "%.3f" % total,
-                             "per_call_ms": "%.4f" % (total / reps)})
-    finally:
-        kernels.use_backend(original)
-    fields = ["kernel", "backend", "n", "reps", "total_ms", "per_call_ms"]
-    return fields, rows
-
-
-def _cmd_bench(args):
-    if args.suite == "desk":
-        fields, rows = _bench_desk(args)
-    else:
-        fields, rows = _bench_kernels(args)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
@@ -389,7 +317,7 @@ def build_parser():
     oracle.set_defaults(func=_cmd_oracle)
 
     bench = subs.add_parser("bench", help="benchmark suites")
-    bench.add_argument("--suite", default="desk", choices=("desk", "kernels"))
+    bench.add_argument("--suite", default="desk", choices=("desk",))
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default=None)
     bench.set_defaults(func=_cmd_bench)

@@ -37,6 +37,9 @@ class EpmConfig:
             raise ValueError("inner_T must be at least 1")
         if self.feas_tol <= 0 or self.max_outer < 1:
             raise ValueError("feas_tol must be positive and max_outer at least 1")
+        if self.lipschitz_override is not None and not (
+                np.isfinite(self.lipschitz_override) and self.lipschitz_override > 0):
+            raise ValueError("lipschitz_override must be finite and positive")
 
 
 @dataclass

@@ -1,88 +1,19 @@
-"""Hot numerical kernels with two interchangeable backends.
+"""Hot numerical kernels, vectorized numpy.
 
-The compiled backend wraps the CSR matvec and binary scan loops in
-numba's ``@njit``; the fallback backend is vectorized numpy.  The
-capped-simplex walk has only the numpy form, which also walks many rows
-at once.  Selection order:
-
-  1. the ``BINMPEC_BACKEND`` environment variable ("numba" or "numpy"),
-  2. otherwise "numba" when numba imports, else "numpy".
-
-``use_backend`` switches at runtime (used by tests and the kernel
-benchmark).  Both backends are deterministic; results agree to roundoff
-but are only guaranteed bit-identical within one backend.
+The capped-simplex walk locates a projection's threshold along one
+vector, or along every row of a matrix at once.  The binary scan
+enumerates every point of {lo, hi}^m in vectorized chunks.  Both are
+deterministic, so one seed always gives bit-identical answers.
 """
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:
-    numba = None
-    HAS_NUMBA = False
 
 _TIE_TOL = 1e-12
 
 
-def _pick_initial_backend():
-    req = os.environ.get("BINMPEC_BACKEND", "").strip().lower()
-    if req == "":
-        return "numba" if HAS_NUMBA else "numpy"
-    if req == "numpy":
-        return "numpy"
-    if req == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("BINMPEC_BACKEND=numba but numba is not importable")
-        return "numba"
-    raise ValueError("unknown BINMPEC_BACKEND value: %r" % req)
-
-
-_BACKEND = _pick_initial_backend()
-
-
 def active_backend():
-    return _BACKEND
-
-
-def use_backend(name):
-    """Switch kernel backend at runtime ("numba" or "numpy")."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError("backend must be 'numba' or 'numpy', got %r" % name)
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _BACKEND = name
-
-
-# ---------------------------------------------------------------------------
-# CSR matrix-vector product
-
-def _csr_matvec_loop(row_offsets, col_indices, values, x, out):
-    for i in range(out.shape[0]):
-        acc = 0.0
-        for p in range(row_offsets[i], row_offsets[i + 1]):
-            acc += values[p] * x[col_indices[p]]
-        out[i] = acc
-
-
-def _csr_matvec_vec(row_offsets, col_indices, values, x):
-    prod = values * x[col_indices]
-    csum = np.empty(prod.shape[0] + 1, dtype=np.float64)
-    csum[0] = 0.0
-    np.cumsum(prod, out=csum[1:])
-    return csum[row_offsets[1:]] - csum[row_offsets[:-1]]
-
-
-def csr_matvec(row_offsets, col_indices, values, x):
-    if _BACKEND == "numba":
-        out = np.empty(row_offsets.shape[0] - 1, dtype=np.float64)
-        _csr_matvec_loop_nb(row_offsets, col_indices, values, x, out)
-        return out
-    return _csr_matvec_vec(row_offsets, col_indices, values, x)
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -136,104 +67,14 @@ def simplex_walk(bvals, deltas, n, k):
 # Minimizes 0.5 x'Ax + b'x + c0 over x in {lo, hi}^m subject to an optional
 # cardinality constraint (mode 1: exactly k_ones coordinates at hi) or
 # block partition constraint (mode 2: block sums of hi-coordinates match
-# block_target).  The compiled path walks a Gray code and updates the
-# objective and the running products A x incrementally; the numpy path
-# evaluates candidate blocks in vectorized chunks.  Both report the
-# minimizer as the lexicographic integer of its hi-pattern (coordinate 0
-# is the most significant bit) so ties resolve identically.
+# block_target).  Candidates are evaluated in chunks of 2^14 counter
+# values.  The minimizer is reported as the lexicographic integer of its
+# hi-pattern (coordinate 0 is the most significant bit); ties within
+# _TIE_TOL resolve to the lowest index.
 
-def _gray_scan_loop(A, b, c0, lo, hi, mode, k_ones, block_id, block_target):
-    m = A.shape[0]
-    nb = block_target.shape[0]
-    total = 1 << m
-
-    x = np.full(m, lo, dtype=np.float64)
-    g = np.zeros(m, dtype=np.float64)
-    for i in range(m):
-        acc = 0.0
-        for j in range(m):
-            acc += A[i, j] * x[j]
-        g[i] = acc
-    f = 0.0
-    for i in range(m):
-        f += 0.5 * x[i] * g[i] + b[i] * x[i]
-    f += c0
-
-    ones = 0
-    cur = np.zeros(nb, dtype=np.int64)
-    bad = 0
-    for q in range(nb):
-        if block_target[q] != 0:
-            bad += 1
-
-    bits = np.zeros(m, dtype=np.int64)
-    count = 0
-    best_f = np.inf
-    best_idx = np.int64(-1)
-    idx = np.int64(0)
-    span = hi - lo
-
-    feasible = True
-    if mode == 1:
-        feasible = ones == k_ones
-    elif mode == 2:
-        feasible = bad == 0
-    if feasible:
-        count += 1
-        best_f = f
-        best_idx = idx
-
-    for code in range(1, total):
-        j = 0
-        cc = code
-        while cc & 1 == 0:
-            cc >>= 1
-            j += 1
-        if bits[j] == 0:
-            delta = span
-            bits[j] = 1
-            ones += 1
-        else:
-            delta = -span
-            bits[j] = 0
-            ones -= 1
-        f += delta * g[j] + 0.5 * delta * delta * A[j, j] + delta * b[j]
-        for i in range(m):
-            g[i] += delta * A[i, j]
-        idx ^= np.int64(1) << np.int64(m - 1 - j)
-        if mode == 2:
-            q = block_id[j]
-            old = cur[q]
-            if bits[j] == 1:
-                cur[q] = old + 1
-            else:
-                cur[q] = old - 1
-            was_bad = old != block_target[q]
-            is_bad = cur[q] != block_target[q]
-            if was_bad and not is_bad:
-                bad -= 1
-            elif is_bad and not was_bad:
-                bad += 1
-
-        if mode == 1:
-            feasible = ones == k_ones
-        elif mode == 2:
-            feasible = bad == 0
-        else:
-            feasible = True
-        if feasible:
-            count += 1
-            if f < best_f - _TIE_TOL:
-                best_f = f
-                best_idx = idx
-            elif f <= best_f + _TIE_TOL and idx < best_idx:
-                if f < best_f:
-                    best_f = f
-                best_idx = idx
-    return best_idx, count
-
-
-def _counter_scan_chunked(A, b, c0, lo, hi, mode, k_ones, block_id, block_target):
+def binary_scan(A, b, c0, lo, hi, mode, k_ones, block_id, block_target):
+    """(index, count): the minimizer's hi-pattern and the feasible points."""
+    c0, lo, hi = float(c0), float(lo), float(hi)
     m = A.shape[0]
     total = 1 << m
     shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
@@ -270,43 +111,4 @@ def _counter_scan_chunked(A, b, c0, lo, hi, mode, k_ones, block_id, block_target
         elif fmin <= best_f + _TIE_TOL and rep_idx < best_idx:
             best_f = min(best_f, fmin)
             best_idx = rep_idx
-    return np.int64(best_idx), count
-
-
-def binary_scan(A, b, c0, lo, hi, mode, k_ones, block_id, block_target):
-    if _BACKEND == "numba":
-        idx, count = _gray_scan_loop_nb(
-            A, b, float(c0), float(lo), float(hi), mode, k_ones, block_id, block_target
-        )
-        return int(idx), int(count)
-    idx, count = _counter_scan_chunked(
-        A, b, float(c0), float(lo), float(hi), mode, k_ones, block_id, block_target
-    )
-    return int(idx), int(count)
-
-
-if HAS_NUMBA:
-    _csr_matvec_loop_nb = numba.njit(cache=True)(_csr_matvec_loop)
-    _gray_scan_loop_nb = numba.njit(cache=True)(_gray_scan_loop)
-
-
-def warmup():
-    """Trigger jit compilation on tiny inputs (no-op on the numpy backend)."""
-    if not HAS_NUMBA:
-        return
-    off = np.array([0, 1], dtype=np.int64)
-    col = np.array([0], dtype=np.int64)
-    val = np.array([1.0])
-    out = np.empty(1)
-    _csr_matvec_loop_nb(off, col, val, np.array([1.0]), out)
-    _gray_scan_loop_nb(
-        np.eye(1),
-        np.zeros(1),
-        0.0,
-        -1.0,
-        1.0,
-        0,
-        0,
-        np.full(1, -1, dtype=np.int64),
-        np.zeros(0, dtype=np.int64),
-    )
+    return int(best_idx), count

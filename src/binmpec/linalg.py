@@ -4,8 +4,6 @@ import warnings
 
 import numpy as np
 
-from . import kernels
-
 
 def vector(values):
     """Validating vector constructor: float64 copy, finite entries only."""
@@ -148,12 +146,18 @@ def _transpose_csr(n_rows, n_cols, offsets, cols, vals):
 
 
 def matvec(M, x):
-    """M x via CSR row traversal; deterministic for a fixed backend."""
+    """M x: one prefix sum over the stored products, differenced at the
+    row boundaries.  Deterministic, but not bit-identical to a row-by-row
+    sum."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.n_cols,):
         raise ValueError("dimension mismatch: matrix is %dx%d, vector has length %d"
                          % (M.n_rows, M.n_cols, x.shape[0]))
-    return kernels.csr_matvec(M.row_offsets, M.col_indices, M.values, x)
+    prod = M.values * x[M.col_indices]
+    csum = np.empty(prod.shape[0] + 1, dtype=np.float64)
+    csum[0] = 0.0
+    np.cumsum(prod, out=csum[1:])
+    return csum[M.row_offsets[1:]] - csum[M.row_offsets[:-1]]
 
 
 def quadratic_form(M, x):

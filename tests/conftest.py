@@ -1,7 +1,4 @@
-import pytest
 from hypothesis import HealthCheck, settings
-
-from binmpec import kernels
 
 settings.register_profile(
     "package",
@@ -10,11 +7,3 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("package")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile jitted kernels up front so timed assertions never include
-    # compilation cost
-    kernels.warmup()
-    yield

@@ -7,8 +7,9 @@ gradient, the ball-constrained rank-one QP from a dense angular grid
 with golden-section refinement, and CSR transposes from a scatter loop
 over every stored entry.
 
-The ``*_loop`` functions at the end are the one-block-at-a-time loops
-that the library's batched code replaced, kept to check it bit for bit.
+The ``*_loop`` functions at the end are the one-row-, one-block- or
+one-point-at-a-time loops that the library's vectorized code replaced,
+kept to check it.
 """
 
 import itertools
@@ -278,3 +279,67 @@ def modularity_triplets_loop(Q, lhat, scale, k):
                 cols.append(j * k + c)
                 vals.append(scale * w)
     return rows, cols, vals
+
+
+def csr_matvec_loop(row_offsets, col_indices, values, x):
+    """M x summed row by row, left to right."""
+    out = np.empty(row_offsets.shape[0] - 1, dtype=np.float64)
+    for i in range(out.shape[0]):
+        acc = 0.0
+        for p in range(row_offsets[i], row_offsets[i + 1]):
+            acc += values[p] * x[col_indices[p]]
+        out[i] = acc
+    return out
+
+
+def gray_scan_loop(A, b, c0, lo, hi, mode, k_ones, block_id, block_target):
+    """(index, count) of ``kernels.binary_scan`` by a Gray-code walk.
+
+    One coordinate flips per step, and the objective and the running
+    products A x are updated incrementally.  The index is the hi-pattern
+    read as an integer with coordinate 0 the most significant bit; ties
+    within 1e-12 go to the lowest index.
+    """
+    tie_tol = 1e-12
+    m = A.shape[0]
+    nb = block_target.shape[0]
+    x = np.full(m, lo, dtype=np.float64)
+    g = A @ x
+    f = float(0.5 * x @ g + b @ x + c0)
+    ones = 0
+    cur = np.zeros(nb, dtype=np.int64)
+    bad = int(np.count_nonzero(block_target))
+    bits = np.zeros(m, dtype=np.int64)
+    span = hi - lo
+
+    def feasible():
+        if mode == 1:
+            return ones == k_ones
+        if mode == 2:
+            return bad == 0
+        return True
+
+    count, best_f, best_idx, idx = 0, math.inf, -1, 0
+    if feasible():
+        count, best_f, best_idx = 1, f, 0
+    for code in range(1, 1 << m):
+        j = (code & -code).bit_length() - 1
+        delta = span if bits[j] == 0 else -span
+        bits[j] ^= 1
+        ones += 1 if bits[j] else -1
+        f += delta * g[j] + 0.5 * delta * delta * A[j, j] + delta * b[j]
+        g += delta * A[:, j]
+        idx ^= 1 << (m - 1 - j)
+        if mode == 2:
+            q = block_id[j]
+            was_bad = cur[q] != block_target[q]
+            cur[q] += 1 if bits[j] else -1
+            is_bad = cur[q] != block_target[q]
+            bad += int(is_bad) - int(was_bad)
+        if feasible():
+            count += 1
+            if f < best_f - tie_tol:
+                best_f, best_idx = f, idx
+            elif f <= best_f + tie_tol and idx < best_idx:
+                best_f, best_idx = min(best_f, f), idx
+    return best_idx, count

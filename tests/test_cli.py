@@ -256,21 +256,6 @@ class TestBench:
         stdout_csv = capsys.readouterr().out
         assert stdout_csv.strip().split("\n")[0] == lines[0]
 
-    def test_kernel_suite_csv(self, capsys):
-        code = main(["bench", "--suite", "kernels"])
-        assert code == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0].split(",") == ["kernel", "backend", "n", "reps",
-                                       "total_ms", "per_call_ms"]
-        body = [line.split(",") for line in lines[1:]]
-        kernels_seen = {r[0] for r in body}
-        assert kernels_seen == {"csr_matvec", "project_capped_simplex",
-                                "binary_scan"}
-        backends = {r[1] for r in body}
-        assert "numpy" in backends
-        for row in body:
-            assert float(row[4]) > 0.0
-
 
 class TestGoldenTrace:
     def test_same_seed_byte_identical(self, c4_file, tmp_path):

@@ -175,3 +175,10 @@ class TestLipschitzOverride:
         rep = solve_epm(prob, EpmConfig(lipschitz_override=1e-6, max_outer=5))
         assert rep.outer_iterations <= 5
         assert max(row[3] for row in rep.trace) <= 2e-6 + 1e-18
+
+    @pytest.mark.parametrize("bad", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_rejected(self, bad):
+        # a cap of 2 * override <= 0 would drive the penalty negative or
+        # leave it at zero; either way the run would report nonsense
+        with pytest.raises(ValueError, match="lipschitz_override"):
+            EpmConfig(lipschitz_override=bad)
