@@ -16,7 +16,7 @@ import numpy as np
 
 from .problems import SolverView, round_feasible, check_binary_feasible
 from .report import SolveReport
-from .subsolver import minimize_fista
+from .subsolver import QuadraticModel, minimize_fista
 
 ALPHA_CAP = 1e6
 
@@ -40,6 +40,10 @@ class AdmConfig:
             raise ValueError("inner_T and max_outer must be at least 1")
         if self.feas_tol <= 0:
             raise ValueError("feas_tol must be positive")
+        if not (np.isfinite(self.inner_tol) and self.inner_tol > 0):
+            raise ValueError("inner_tol must be finite and positive")
+        if self.inner_max_iter < 1:
+            raise ValueError("inner_max_iter must be at least 1")
 
 
 @dataclass
@@ -155,24 +159,16 @@ def solve_adm(problem, config=None, seed=0):
     for outer in range(config.max_outer):
         outer_used = outer + 1
         for _ in range(config.inner_T):
-
-            def value(z, _rho=rho, _alpha=alpha, _v=v):
-                g = float(n) - float(np.dot(z, _v))
-                return obj.value(z) + _rho * g + 0.5 * _alpha * g * g
-
-            def grad(z, _rho=rho, _alpha=alpha, _v=v):
-                g = float(n) - float(np.dot(z, _v))
-                return obj.grad(z) - (_rho + _alpha * g) * _v
-
-            lip = obj.lipschitz + alpha * float(np.dot(v, v))
+            # the Lagrangian less its constant rho * n, which moves no step
+            model = QuadraticModel(obj, obj.b - rho * v, alpha=alpha, u=v, t=n)
             x, _, _, _ = minimize_fista(
-                value, grad, lip, view.project, x,
+                model, view.project, x,
                 tol=config.inner_tol, max_iter=config.inner_max_iter)
             v = adm_v_update(x, rho, alpha, n)
             gap = float(n) - float(np.dot(x, v))
             rho = min(rho + alpha * gap, rho_cap)
             t += 1
-            trace.append((t, obj.value(x), gap, rho))
+            trace.append((t, obj.value(x, model.product(x)), gap, rho))
             if gap <= config.feas_tol:
                 converged = True
                 break

@@ -10,7 +10,7 @@ import numpy as np
 from .problems import SolverView, round_feasible, check_binary_feasible
 from .projections import project_feasible
 from .report import SolveReport
-from .subsolver import minimize_fista, solve_qp
+from .subsolver import QuadraticModel, minimize_fista, solve_qp
 
 MU_CAP = 1e10
 
@@ -152,21 +152,12 @@ def solve_l2box_admm(problem, config=None):
     it = 0
     gap = float(n)
     for it in range(1, config.max_iter + 1):
-        w = z - u
-
-        def value(p, _mu=mu, _w=w):
-            d = p - _w
-            return obj.value(p) + 0.5 * _mu * float(np.dot(d, d))
-
-        def grad(p, _mu=mu, _w=w):
-            return obj.grad(p) + _mu * (p - _w)
-
-        x, _, _, _ = minimize_fista(value, grad, obj.lipschitz + mu,
-                                    view.project, x, tol=1e-7, max_iter=2000)
+        model = QuadraticModel(obj, mu=mu, w=z - u)
+        x, _, _, _ = minimize_fista(model, view.project, x, tol=1e-7, max_iter=2000)
         z = _sphere_step(x + u)
         u = u + x - z
         gap = float(n) - float(np.dot(x, z))
-        trace.append((it, obj.value(x), gap, mu))
+        trace.append((it, obj.value(x, model.product(x)), gap, mu))
         if float(np.linalg.norm(x - z)) <= config.tol:
             converged = True
             break

@@ -14,7 +14,7 @@ import numpy as np
 
 from .problems import SolverView, round_feasible, check_binary_feasible
 from .report import SolveReport
-from .subsolver import minimize_fista
+from .subsolver import QuadraticModel, minimize_fista
 
 
 @dataclass
@@ -40,6 +40,10 @@ class EpmConfig:
         if self.lipschitz_override is not None and not (
                 np.isfinite(self.lipschitz_override) and self.lipschitz_override > 0):
             raise ValueError("lipschitz_override must be finite and positive")
+        if not (np.isfinite(self.inner_tol) and self.inner_tol > 0):
+            raise ValueError("inner_tol must be finite and positive")
+        if self.inner_max_iter < 1:
+            raise ValueError("inner_max_iter must be at least 1")
 
 
 @dataclass
@@ -92,23 +96,16 @@ def solve_epm(problem, config=None, seed=0):
     for outer in range(config.max_outer):
         state.outer_iter = outer + 1
         for _ in range(config.inner_T):
-            rho = state.rho
-            v = state.v
-
-            def value(x, _rho=rho, _v=v):
-                return obj.value(x) - _rho * float(np.dot(x, _v))
-
-            def grad(x, _rho=rho, _v=v):
-                return obj.grad(x) - _rho * _v
-
             x_prev = state.x
+            model = QuadraticModel(obj, obj.b - state.rho * state.v)
             state.x, _, _, _ = minimize_fista(
-                value, grad, obj.lipschitz, view.project, x_prev,
+                model, view.project, x_prev,
                 tol=config.inner_tol, max_iter=config.inner_max_iter)
             state.v = epm_v_update(state.x)
             state.gap = float(n) - float(np.dot(state.x, state.v))
             t += 1
-            state.trace.append((t, obj.value(state.x), state.gap, state.rho))
+            state.trace.append((t, obj.value(state.x, model.product(state.x)),
+                                state.gap, state.rho))
             x_change = (np.linalg.norm(state.x - x_prev)
                         / max(np.linalg.norm(x_prev), 1.0))
             if state.gap <= config.feas_tol and x_change <= config.inner_tol:

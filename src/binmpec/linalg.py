@@ -21,7 +21,8 @@ class SparseMatrix:
     immutable after construction and safe to share between solves.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "symmetric")
+    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "symmetric",
+                 "_rows")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values, symmetric=False):
         self.n_rows = int(n_rows)
@@ -31,7 +32,7 @@ class SparseMatrix:
         self.values = np.asarray(values, dtype=np.float64)
         self.symmetric = bool(symmetric)
         self._validate()
-        for arr in (self.row_offsets, self.col_indices, self.values):
+        for arr in (self.row_offsets, self.col_indices, self.values, self._rows):
             arr.flags.writeable = False
 
     def _validate(self):
@@ -48,7 +49,8 @@ class SparseMatrix:
         if nnz:
             if self.col_indices.min() < 0 or self.col_indices.max() >= self.n_cols:
                 raise ValueError("column index out of range")
-        rows = self.row_indices()
+        # kept for matvec, which would otherwise rebuild it on every product
+        self._rows = rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(off))
         # columns may fall only where a new row starts
         bad = (rows[1:] == rows[:-1]) & (np.diff(self.col_indices) <= 0)
         if np.any(bad):
@@ -113,8 +115,8 @@ class SparseMatrix:
         return int(self.row_offsets[-1])
 
     def row_indices(self):
-        """Row index of every stored entry, in storage order."""
-        return np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))
+        """Row index of every stored entry, in storage order (read-only)."""
+        return self._rows
 
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols))
@@ -146,18 +148,16 @@ def _transpose_csr(n_rows, n_cols, offsets, cols, vals):
 
 
 def matvec(M, x):
-    """M x: one prefix sum over the stored products, differenced at the
-    row boundaries.  Deterministic, but not bit-identical to a row-by-row
-    sum."""
+    """M x: ``np.bincount`` adds the stored products into their rows in
+    storage order, so each entry is the row's sum taken left to right,
+    bit-identical to the sequential row-by-row loop."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.n_cols,):
         raise ValueError("dimension mismatch: matrix is %dx%d, vector has length %d"
                          % (M.n_rows, M.n_cols, x.shape[0]))
-    prod = M.values * x[M.col_indices]
-    csum = np.empty(prod.shape[0] + 1, dtype=np.float64)
-    csum[0] = 0.0
-    np.cumsum(prod, out=csum[1:])
-    return csum[M.row_offsets[1:]] - csum[M.row_offsets[:-1]]
+    # with no stored entries bincount ignores the weights and returns ints
+    return np.bincount(M.row_indices(), weights=M.values * x[M.col_indices],
+                       minlength=M.n_rows).astype(np.float64, copy=False)
 
 
 def quadratic_form(M, x):

@@ -29,8 +29,8 @@ class QuadraticObjective:
         if lipschitz is None:
             lipschitz = max(1.01 * self.spectral_est, 1e-9)
         self.lipschitz = float(lipschitz)
-        if self.lipschitz <= 0:
-            raise ValueError("lipschitz must be positive")
+        if not (np.isfinite(self.lipschitz) and self.lipschitz > 0):
+            raise ValueError("lipschitz must be finite and positive")
         if self.lipschitz < 0.999 * self.spectral_est:
             raise ValueError("lipschitz %g below spectral estimate %g"
                              % (self.lipschitz, self.spectral_est))
@@ -64,8 +64,11 @@ class QuadraticObjective:
     def n(self):
         return self.A.n_rows
 
-    def value(self, x):
-        return 0.5 * float(np.dot(x, matvec(self.A, x))) + float(np.dot(self.b, x)) + self.c
+    def value(self, x, Ax=None):
+        """f(x); ``Ax``, when given, is A x and saves the product."""
+        if Ax is None:
+            Ax = matvec(self.A, x)
+        return 0.5 * float(np.dot(x, Ax)) + float(np.dot(self.b, x)) + self.c
 
     def grad(self, x):
         return matvec(self.A, x) + self.b
@@ -79,34 +82,102 @@ class SubproblemResult:
     converged: bool
 
 
-def minimize_fista(value, grad, lipschitz, project, x0, tol=1e-5, max_iter=2000):
-    """FISTA with a monotone restart.
+class QuadraticModel:
+    """The x-subproblem of every solver, on a QuadraticObjective's A:
 
-    Accepts value/gradient callbacks so callers can add penalty or
-    augmented terms on top of a quadratic.  Whenever the accelerated
-    candidate raises the objective, the momentum is discarded and a plain
-    projected-gradient step is taken instead, so the objective sequence
-    never increases.  Stops when the relative iterate change drops below
-    tol.
+        f(x) = 0.5 x'Ax + <l, x> + c + 0.5 mu ||x - w||^2
+               + 0.5 alpha (t - <u, x>)^2
+
+    ``linear`` (l) defaults to the objective's b, and c is the objective's.
+    The two penalty terms are evaluated centred, as written: folded into
+    A + mu I + alpha uu' they would bring a constant such as 0.5 alpha t^2,
+    whose rounding alone exceeds FISTA's restart margin.  ``lipschitz`` =
+    L_A + mu + alpha ||u||^2 bounds the gradient's Lipschitz constant.
+
+    ``evaluate`` takes one product with A and ``grad`` reuses it; the
+    product at the last evaluated point stays available through
+    ``product``.
     """
-    step = 1.0 / float(lipschitz)
+
+    __slots__ = ("A", "linear", "c", "mu", "w", "alpha", "u", "t", "lipschitz",
+                 "_x", "_Ax")
+
+    def __init__(self, objective, linear=None, mu=0.0, w=None, alpha=0.0, u=None, t=0.0):
+        self.A = objective.A
+        self.linear = objective.b if linear is None else linear
+        self.c = objective.c
+        self.mu, self.w = float(mu), w
+        self.alpha, self.u, self.t = float(alpha), u, float(t)
+        if not (self.mu >= 0.0 and self.alpha >= 0.0):
+            raise ValueError("penalty weights must be nonnegative")
+        lipschitz = objective.lipschitz + self.mu
+        if self.alpha:
+            lipschitz += self.alpha * float(np.dot(u, u))
+        if not (np.isfinite(lipschitz) and lipschitz > 0.0):
+            raise ValueError("Lipschitz constant %r must be finite and positive"
+                             % lipschitz)
+        self.lipschitz = lipschitz
+        self._x = self._Ax = None
+
+    def evaluate(self, x):
+        """(f(x), A x) with one product."""
+        Ax = matvec(self.A, x)
+        self._x, self._Ax = x, Ax
+        f = 0.5 * float(np.dot(x, Ax)) + float(np.dot(self.linear, x)) + self.c
+        if self.mu:
+            d = x - self.w
+            f += 0.5 * self.mu * float(np.dot(d, d))
+        if self.alpha:
+            g = self.t - float(np.dot(self.u, x))
+            f += 0.5 * self.alpha * g * g
+        return f, Ax
+
+    def grad(self, x, Ax):
+        """Gradient at x from the product Ax; no product of its own."""
+        g = Ax + self.linear
+        if self.mu:
+            g += self.mu * (x - self.w)
+        if self.alpha:
+            g -= (self.alpha * (self.t - float(np.dot(self.u, x)))) * self.u
+        return g
+
+    def product(self, x):
+        """A x, reused when x is the point evaluated last."""
+        return self._Ax if x is self._x else matvec(self.A, x)
+
+
+def minimize_fista(model, project, x0, tol=1e-5, max_iter=2000):
+    """FISTA with a monotone restart on a QuadraticModel.
+
+    Whenever the accelerated candidate raises the objective, the momentum
+    is discarded and a plain projected-gradient step is taken instead, so
+    the objective sequence never increases.  Stops when the relative
+    iterate change drops below tol.  Each iteration takes one product with
+    A (two on a restart): the product at an iterate serves its value and
+    its next gradient, and the extrapolated point's follows by linearity,
+    A y = A x_new + beta (A x_new - A x).  The returned x is the model's
+    last evaluated point.
+    """
+    step = 1.0 / model.lipschitz
     x = project(np.asarray(x0, dtype=np.float64))
-    fx = value(x)
-    y = x
+    fx, Ax = model.evaluate(x)
+    y, Ay = x, Ax
     tk = 1.0
     iterations = 0
     converged = False
     for it in range(max_iter):
-        x_new = project(y - step * grad(y))
-        f_new = value(x_new)
+        x_new = project(y - step * model.grad(y, Ay))
+        f_new, Ax_new = model.evaluate(x_new)
         if f_new > fx + 1e-12:
-            x_new = project(x - step * grad(x))
-            f_new = value(x_new)
+            x_new = project(x - step * model.grad(x, Ax))
+            f_new, Ax_new = model.evaluate(x_new)
             tk = 1.0
         rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1.0)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        y = x_new + ((tk - 1.0) / t_next) * (x_new - x)
-        x, fx, tk = x_new, f_new, t_next
+        beta = (tk - 1.0) / t_next
+        y = x_new + beta * (x_new - x)
+        Ay = Ax_new + beta * (Ax_new - Ax)
+        x, Ax, fx, tk = x_new, Ax_new, f_new, t_next
         iterations = it + 1
         if rel <= tol:
             converged = True
@@ -118,20 +189,13 @@ def solve_qp(obj, linear_extra, fset, x0, tol=1e-5, max_iter=2000):
     """Minimize obj(x) + <linear_extra, x> over the feasible set."""
     if fset.n != obj.n:
         raise ValueError("feasible set dimension mismatch")
-    if linear_extra is None:
-        extra = np.zeros(obj.n)
-    else:
+    linear = obj.b
+    if linear_extra is not None:
         extra = np.asarray(linear_extra, dtype=np.float64)
         if extra.shape[0] != obj.n:
             raise ValueError("linear_extra length mismatch")
-
-    def value(x):
-        return obj.value(x) + float(np.dot(extra, x))
-
-    def grad(x):
-        return obj.grad(x) + extra
-
+        linear = obj.b + extra
     x, fx, iterations, converged = minimize_fista(
-        value, grad, obj.lipschitz, lambda z: project_feasible(z, fset),
+        QuadraticModel(obj, linear), lambda z: project_feasible(z, fset),
         x0, tol=tol, max_iter=max_iter)
     return SubproblemResult(x=x, objective=fx, iterations=iterations, converged=converged)

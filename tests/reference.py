@@ -9,7 +9,8 @@ over every stored entry.
 
 The ``*_loop`` functions at the end are the one-row-, one-block- or
 one-point-at-a-time loops that the library's vectorized code replaced,
-kept to check it.
+kept to check it, and ``minimize_fista_callbacks`` is the FISTA loop on
+value/gradient callbacks that the quadratic model replaced.
 """
 
 import itertools
@@ -343,3 +344,37 @@ def gray_scan_loop(A, b, c0, lo, hi, mode, k_ones, block_id, block_target):
             elif f <= best_f + tie_tol and idx < best_idx:
                 best_f, best_idx = min(best_f, f), idx
     return best_idx, count
+
+
+def minimize_fista_callbacks(value, grad, lipschitz, project, x0, tol=1e-5,
+                             max_iter=2000):
+    """FISTA with a monotone restart on value/gradient callbacks.
+
+    The loop ``subsolver.minimize_fista`` had before it took a quadratic
+    model: it evaluates the gradient at the extrapolated point and, on a
+    restart, at the current iterate, so a quadratic costs two or four
+    products per iteration.
+    """
+    step = 1.0 / float(lipschitz)
+    x = project(np.asarray(x0, dtype=np.float64))
+    fx = value(x)
+    y = x
+    tk = 1.0
+    iterations = 0
+    converged = False
+    for it in range(max_iter):
+        x_new = project(y - step * grad(y))
+        f_new = value(x_new)
+        if f_new > fx + 1e-12:
+            x_new = project(x - step * grad(x))
+            f_new = value(x_new)
+            tk = 1.0
+        rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1.0)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        y = x_new + ((tk - 1.0) / t_next) * (x_new - x)
+        x, fx, tk = x_new, f_new, t_next
+        iterations = it + 1
+        if rel <= tol:
+            converged = True
+            break
+    return x, fx, iterations, converged

@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from binmpec.adm import AdmConfig
 from binmpec.epm import EpmConfig, epm_v_update, solve_epm
 from binmpec.linalg import SparseMatrix
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, ProblemInstance, build_bisection,
                               build_mrf, generate)
 from binmpec.projections import FeasibleSet
-from binmpec.subsolver import QuadraticObjective
+from binmpec.subsolver import QuadraticModel, QuadraticObjective
 
 from reference import ball_linear_max_oracle
 
@@ -182,3 +185,29 @@ class TestLipschitzOverride:
         # leave it at zero; either way the run would report nonsense
         with pytest.raises(ValueError, match="lipschitz_override"):
             EpmConfig(lipschitz_override=bad)
+
+
+class TestInnerSolverSettings:
+    # FISTA would run silently to its cap (tol <= 0 or nan), stop at
+    # once (tol = inf) or not run at all (max_iter < 1)
+    @pytest.mark.parametrize("config", [EpmConfig, AdmConfig])
+    @pytest.mark.parametrize("kw", [
+        {"inner_tol": 0.0}, {"inner_tol": -1e-5}, {"inner_tol": float("nan")},
+        {"inner_tol": float("inf")}, {"inner_max_iter": 0}, {"inner_max_iter": -3},
+    ])
+    def test_rejected(self, config, kw):
+        with pytest.raises(ValueError, match="inner_"):
+            config(**kw)
+
+    @pytest.mark.parametrize("bad", [0.0, -4.0, float("nan"), float("inf")])
+    def test_model_rejects_bad_lipschitz(self, bad):
+        # 1/L is FISTA's step: 0 divides by zero, a negative L climbs
+        obj = SimpleNamespace(A=SparseMatrix.identity(2), b=np.zeros(2), c=0.0,
+                              lipschitz=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuadraticModel(obj)
+
+    def test_model_rejects_overflowing_lipschitz(self):
+        obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuadraticModel(obj, alpha=1e300, u=np.full(2, 1e10), t=2.0)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from binmpec.linalg import SparseMatrix
+from binmpec import subsolver
+from binmpec.linalg import SparseMatrix, matvec
 from binmpec.projections import FeasibleSet, project_feasible
-from binmpec.subsolver import QuadraticObjective, minimize_fista, solve_qp
+from binmpec.subsolver import QuadraticModel, QuadraticObjective, minimize_fista, solve_qp
 
-from reference import pgd_reference
+from reference import minimize_fista_callbacks, pgd_reference
 
 
 def dense_to_sparse(dense):
@@ -41,6 +42,12 @@ class TestQuadraticObjective:
         with pytest.raises(ValueError, match="below spectral"):
             QuadraticObjective(SparseMatrix.identity(2, scale=4.0),
                                np.zeros(2), lipschitz=1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_lipschitz_rejected(self, bad):
+        # nan slipped past both comparisons, and inf made iht's step 0
+        with pytest.raises(ValueError, match="finite and positive"):
+            QuadraticObjective(SparseMatrix.identity(2), np.zeros(2), lipschitz=bad)
 
     def test_requires_symmetric_sparse(self):
         asym = SparseMatrix(2, 2, [0, 1, 1], [1], [1.0])
@@ -177,35 +184,183 @@ class TestSolveQp:
             solve_qp(obj, np.zeros(3), box_set(2), np.zeros(2))
 
 
+def model_shapes(obj, rng):
+    """The four x-step models, each with the callback pair it replaced:
+    (name, model, value, grad, lipschitz, value(x) - model's f(x))."""
+    n = obj.n
+    rho = float(rng.uniform(0.5, 2.0))
+    v = rng.standard_normal(n)
+    v *= np.sqrt(n) / np.linalg.norm(v)
+    alpha = float(rng.uniform(0.1, 1.0))
+    mu = float(rng.uniform(0.1, 1.0))
+    w = rng.standard_normal(n)
+    extra = rng.standard_normal(n)
+
+    def adm_gap(z):
+        return float(n) - float(np.dot(z, v))
+
+    return [
+        ("epm", QuadraticModel(obj, obj.b - rho * v),
+         lambda z: obj.value(z) - rho * float(np.dot(z, v)),
+         lambda z: obj.grad(z) - rho * v, obj.lipschitz, 0.0),
+        ("adm", QuadraticModel(obj, obj.b - rho * v, alpha=alpha, u=v, t=n),
+         lambda z: obj.value(z) + rho * adm_gap(z) + 0.5 * alpha * adm_gap(z) ** 2,
+         lambda z: obj.grad(z) - (rho + alpha * adm_gap(z)) * v,
+         obj.lipschitz + alpha * float(np.dot(v, v)), rho * n),
+        ("l2box", QuadraticModel(obj, mu=mu, w=w),
+         lambda z: obj.value(z) + 0.5 * mu * float(np.dot(z - w, z - w)),
+         lambda z: obj.grad(z) + mu * (z - w), obj.lipschitz + mu, 0.0),
+        ("qp", QuadraticModel(obj, obj.b + extra),
+         lambda z: obj.value(z) + float(np.dot(extra, z)),
+         lambda z: obj.grad(z) + extra, obj.lipschitz, 0.0),
+    ]
+
+
+def random_objective(rng, n):
+    dense = rng.standard_normal((n, n))
+    return QuadraticObjective(dense_to_sparse(dense @ dense.T), rng.standard_normal(n))
+
+
+class TestQuadraticModel:
+    def test_value_and_grad_match_callbacks(self):
+        rng = np.random.default_rng(59)
+        obj = random_objective(rng, 7)
+        for name, model, value, grad, lip, offset in model_shapes(obj, rng):
+            x = rng.uniform(-1.0, 1.0, 7)
+            f, Ax = model.evaluate(x)
+            assert f + offset == pytest.approx(value(x), rel=1e-12), name
+            assert np.allclose(model.grad(x, Ax), grad(x), rtol=1e-12, atol=1e-12)
+            assert model.lipschitz == lip
+
+    def test_product_reuses_last_evaluation(self, monkeypatch):
+        obj = QuadraticObjective(SparseMatrix.identity(3, scale=2.0), np.zeros(3))
+        model = QuadraticModel(obj)
+        x = np.array([1.0, 2.0, 3.0])
+        _, Ax = model.evaluate(x)
+        calls = []
+        monkeypatch.setattr(subsolver, "matvec",
+                            lambda M, z: calls.append(1) or matvec(M, z))
+        assert model.product(x) is Ax
+        assert calls == []
+        assert np.array_equal(model.product(x.copy()), Ax)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("shape", ["adm", "l2box"])
+    def test_penalty_terms_stay_centred(self, shape):
+        # at the largest weights the solvers reach, a penalty folded into
+        # A + mu I + alpha uu' brings a constant (0.5 alpha n^2 = 4e11, or
+        # 0.5 mu ||w||^2 = 4.5e12) whose rounding alone is 1e-8 or more of
+        # the value here
+        n = 900
+        rng = np.random.default_rng(67)
+        obj = QuadraticObjective(SparseMatrix.identity(n, scale=2.0),
+                                 rng.standard_normal(n))
+        s = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+        x = np.clip(s + 1e-4 * rng.standard_normal(n), -1.0, 1.0)
+        if shape == "adm":
+            rho, alpha = 2.0, 1e6
+            model = QuadraticModel(obj, obj.b - rho * s, alpha=alpha, u=s, t=n)
+            gap = float(n) - float(np.dot(x, s))
+            # the model leaves out the Lagrangian's constant rho * n
+            want = obj.value(x) + rho * gap + 0.5 * alpha * gap * gap - rho * n
+        else:
+            mu = 1e10
+            w = s + 1e-4 * rng.standard_normal(n)
+            model = QuadraticModel(obj, mu=mu, w=w)
+            want = obj.value(x) + 0.5 * mu * float(np.dot(x - w, x - w))
+        assert model.evaluate(x)[0] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("kw", [{"mu": -1.0, "w": np.zeros(2)},
+                                    {"alpha": -1.0, "u": np.ones(2)}])
+    def test_negative_weights_rejected(self, kw):
+        obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            QuadraticModel(obj, **kw)
+
+
 class TestMinimizeFista:
-    def test_monotone_objective(self):
-        rng = np.random.default_rng(53)
-        dense = rng.standard_normal((6, 6))
-        dense = dense @ dense.T
-        b = rng.standard_normal(6)
-        lip = np.linalg.norm(dense, 2) * 1.01
+    def test_monotone_objective(self, monkeypatch):
+        # every evaluation is either an accepted iterate or a rejected
+        # accelerated candidate followed by the accepted restart step
         values = []
+        evaluate = QuadraticModel.evaluate
 
-        def value(x):
-            v = 0.5 * x @ dense @ x + b @ x
-            values.append(v)
-            return v
+        def recording(self, x):
+            f, Ax = evaluate(self, x)
+            values.append(f)
+            return f, Ax
 
-        minimize_fista(value, lambda x: dense @ x + b, lip,
-                       lambda z: np.clip(z, -1, 1),
-                       rng.uniform(-1, 1, 6), tol=1e-12, max_iter=500)
+        monkeypatch.setattr(QuadraticModel, "evaluate", recording)
+        rng = np.random.default_rng(53)
+        _, fx, iters, _ = minimize_fista(QuadraticModel(random_objective(rng, 6)),
+                                         lambda z: np.clip(z, -1, 1),
+                                         rng.uniform(-1, 1, 6), tol=1e-12,
+                                         max_iter=500)
         accepted = [values[0]]
-        for v in values[1:]:
-            if v <= accepted[-1] + 1e-12:
-                accepted.append(v)
-        # the accepted sequence is the nonincreasing hull; the restart rule
-        # guarantees the iterate objective itself never increases
-        assert len(accepted) >= 2
+        i = 1
+        while i < len(values):
+            if values[i] > accepted[-1] + 1e-12:
+                i += 1  # rejected candidate; the restart step follows
+            accepted.append(values[i])
+            i += 1
+        assert len(accepted) == iters + 1
+        assert len(values) > len(accepted)  # the restart branch ran
+        assert accepted[-1] == fx
+        # the restart rule's guarantee, up to its 1e-12 acceptance margin
+        assert np.all(np.diff(accepted) <= 1e-12)
 
     def test_reports_iterations_and_convergence(self):
+        # f = z'z from a far point
+        obj = QuadraticObjective(SparseMatrix.identity(2, scale=2.0), np.zeros(2),
+                                 lipschitz=2.0)
         x, fx, iters, conv = minimize_fista(
-            lambda z: float(z @ z), lambda z: 2.0 * z, 2.0,
-            lambda z: z, np.array([4.0, -4.0]), tol=1e-9, max_iter=1000)
+            QuadraticModel(obj), lambda z: z, np.array([4.0, -4.0]),
+            tol=1e-9, max_iter=1000)
         assert conv
         assert 0 < iters < 1000
         assert fx == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_callback_loop(self):
+        rng = np.random.default_rng(73)
+        for trial in range(6):
+            n = int(rng.integers(3, 12))
+            obj = random_objective(rng, n)
+            fs = box_set(n) if trial % 2 else box_set(n, sum_constraint=0.5)
+            x0 = rng.uniform(-1.0, 1.0, n)
+            for name, model, value, grad, lip, _ in model_shapes(obj, rng):
+                def project(z):
+                    return project_feasible(z, fs)
+                x, _, iters, conv = minimize_fista(model, project, x0, tol=1e-10,
+                                                   max_iter=20000)
+                rx, _, riters, rconv = minimize_fista_callbacks(
+                    value, grad, lip, project, x0, tol=1e-10, max_iter=20000)
+                assert np.allclose(x, rx, rtol=0.0, atol=1e-9), name
+                assert abs(iters - riters) <= 1, (name, iters, riters)
+                assert conv and rconv
+
+    def test_one_product_per_value_evaluation(self, monkeypatch):
+        counts = {"products": 0, "values": 0, "grads": 0}
+
+        def counting_matvec(M, x):
+            counts["products"] += 1
+            return matvec(M, x)
+
+        def counted(key, method):
+            def call(self, *args):
+                counts[key] += 1
+                return method(self, *args)
+            return call
+
+        monkeypatch.setattr(subsolver, "matvec", counting_matvec)
+        monkeypatch.setattr(QuadraticModel, "evaluate",
+                            counted("values", QuadraticModel.evaluate))
+        monkeypatch.setattr(QuadraticModel, "grad", counted("grads", QuadraticModel.grad))
+        rng = np.random.default_rng(79)
+        obj = random_objective(rng, 8)
+        iterations = 0
+        for _, model, _, _, _, _ in model_shapes(obj, rng):
+            iterations += minimize_fista(model, lambda z: np.clip(z, -1, 1),
+                                         rng.uniform(-1, 1, 8), tol=1e-10,
+                                         max_iter=5000)[2]
+        assert counts["grads"] >= iterations > 0
+        assert counts["products"] == counts["values"]
