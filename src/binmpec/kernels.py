@@ -2,8 +2,10 @@
 
 The capped-simplex walk locates a projection's threshold along one
 vector, or along every row of a matrix at once.  The binary scan
-enumerates every point of {lo, hi}^m in vectorized chunks.  Both are
-deterministic, so one seed always gives bit-identical answers.
+enumerates {lo, hi}^m by splitting the coordinates in two halves: each
+half is tabulated once, and the objective of every feasible pair comes
+from one matrix product per chunk.  Both are deterministic, so one seed
+always gives bit-identical answers.
 """
 
 import numpy as np
@@ -62,53 +64,111 @@ def simplex_walk(bvals, deltas, n, k):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive binary scan
+# Split-half binary scan
 #
 # Minimizes 0.5 x'Ax + b'x + c0 over x in {lo, hi}^m subject to an optional
 # cardinality constraint (mode 1: exactly k_ones coordinates at hi) or
 # block partition constraint (mode 2: block sums of hi-coordinates match
-# block_target).  Candidates are evaluated in chunks of 2^14 counter
-# values.  The minimizer is reported as the lexicographic integer of its
-# hi-pattern (coordinate 0 is the most significant bit); ties within
+# block_target).  The minimizer is reported as the lexicographic integer of
+# its hi-pattern (coordinate 0 is the most significant bit); ties within
 # _TIE_TOL resolve to the lowest index.
+#
+# Meet in the middle (Horowitz & Sahni 1974): H is the first m // 2
+# coordinates (the high bits of the index), L the rest, and
+#     f(x) = f_H(x_H) + f_L(x_L) + x_H' A_HL x_L,
+# so each half is enumerated once and the objective of every pair comes
+# from one BLAS product, T = (Y_H A_HL) Y_L' + f_H + f_L.  Feasibility is
+# settled by grouping, not masking: a row's key is its vector of per-block
+# hi counts in mixed radix, and an H row pairs only with the L rows whose
+# key completes the target's.  Mode 1 is one block holding every
+# coordinate; mode 0 gives every row key 0.  Each group's H rows are cut
+# into chunks so a table holds at most _CHUNK_CELLS entries (or one row,
+# if a row is longer); within a chunk rows and columns ascend by index, so
+# row-major order is index order.
+
+_CHUNK_CELLS = 1 << 16
+
+
+def _half_points(width, lo, hi):
+    """Bits of the codes 0 .. 2^width - 1 (first coordinate highest), as points."""
+    codes = np.arange(1 << width, dtype=np.int64)
+    bits = (codes[:, None] >> np.arange(width - 1, -1, -1, dtype=np.int64)) & 1
+    return bits, lo + bits * (hi - lo)
+
+
+def _half_values(Y, A, b, c0):
+    """0.5 y'Ay + b'y + c0 for every row y of Y."""
+    return 0.5 * np.einsum("ij,ij->i", Y @ A, Y) + Y @ b + c0
+
+
+def _objective_table(C, YLt, fH, fL):
+    """T[i, j] = f of H row i paired with L column j."""
+    return C @ YLt + fH[:, None] + fL[None, :]
+
+
+def _block_keys(m, mode, k_ones, block_id, block_target):
+    """Per-coordinate key weights and the target key; None when infeasible."""
+    if mode == 0:
+        return np.zeros(m, dtype=np.int64), 0
+    if mode == 1:
+        block_id = np.zeros(m, dtype=np.int64)
+        block_target = np.array([k_ones], dtype=np.int64)
+    sizes = np.bincount(block_id, minlength=block_target.shape[0])
+    if np.any(block_target < 0) or np.any(block_target > sizes):
+        return None
+    # mixed radix with digit j in 0..sizes[j], so count vectors never carry;
+    # the radix product is at most 2^m
+    radix = np.cumprod(sizes + 1) // (sizes + 1)
+    return radix[block_id], int(block_target @ radix)
+
 
 def binary_scan(A, b, c0, lo, hi, mode, k_ones, block_id, block_target):
     """(index, count): the minimizer's hi-pattern and the feasible points."""
     c0, lo, hi = float(c0), float(lo), float(hi)
     m = A.shape[0]
-    total = 1 << m
-    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-    if mode == 2:
-        nb = block_target.shape[0]
-        bmask = np.zeros((m, nb), dtype=np.float64)
-        bmask[np.arange(m), block_id] = 1.0
+    keys = _block_keys(m, mode, k_ones, block_id, block_target)
+    if keys is None:
+        return -1, 0
+    weight, target = keys
+    h = m // 2
+    l = m - h
+    bits_H, Y_H = _half_points(h, lo, hi)
+    bits_L, Y_L = _half_points(l, lo, hi)
+    # cross block of (A + A')/2, which is A_HL itself when A is symmetric
+    C = Y_H @ (0.5 * (A[:h, h:] + A[h:, :h].T))
+    f_H = _half_values(Y_H, A[:h, :h], b[:h], 0.0)
+    f_L = _half_values(Y_L, A[h:, h:], b[h:], c0)
 
-    chunk = 1 << 14
-    count = 0
+    # group both halves by key; stable sorts keep each group in index order
+    key_H = bits_H @ weight[:h]
+    key_L = bits_L @ weight[h:]
+    order_H = np.argsort(key_H, kind="stable")
+    order_L = np.argsort(key_L, kind="stable")
+    groups, first, size = np.unique(key_H[order_H], return_index=True,
+                                    return_counts=True)
+    sorted_L = key_L[order_L]
+    col_lo = np.searchsorted(sorted_L, target - groups, side="left")
+    col_hi = np.searchsorted(sorted_L, target - groups, side="right")
+    count = int(np.sum(size * (col_hi - col_lo)))
+
     best_f = np.inf
     best_idx = -1
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        if mode == 1:
-            mask = bits.sum(axis=1) == k_ones
-        elif mode == 2:
-            mask = np.all(bits @ bmask == block_target[None, :], axis=1)
-        else:
-            mask = np.ones(codes.shape[0], dtype=bool)
-        if not mask.any():
-            continue
-        count += int(mask.sum())
-        Y = lo + bits[mask] * (hi - lo)
-        G = Y @ A
-        f = 0.5 * np.einsum("ij,ij->i", G, Y) + Y @ b + c0
-        fmin = f.min()
-        cand = np.nonzero(f <= fmin + _TIE_TOL)[0][0]
-        rep_idx = int(codes[mask][cand])
-        if fmin < best_f - _TIE_TOL:
-            best_f = fmin
-            best_idx = rep_idx
-        elif fmin <= best_f + _TIE_TOL and rep_idx < best_idx:
-            best_f = min(best_f, fmin)
-            best_idx = rep_idx
+    for g in np.flatnonzero(col_hi > col_lo):
+        rows = order_H[first[g]:first[g] + size[g]]
+        cols = order_L[col_lo[g]:col_hi[g]]
+        YLt = Y_L[cols].T
+        f_cols = f_L[cols]
+        step = max(1, _CHUNK_CELLS // cols.shape[0])
+        for start in range(0, rows.shape[0], step):
+            part = rows[start:start + step]
+            T = _objective_table(C[part], YLt, f_H[part], f_cols)
+            fmin = T.min()
+            i, j = divmod(int(np.argmax(T.ravel() <= fmin + _TIE_TOL)), cols.shape[0])
+            rep_idx = int(part[i]) << l | int(cols[j])
+            if fmin < best_f - _TIE_TOL:
+                best_f = fmin
+                best_idx = rep_idx
+            elif fmin <= best_f + _TIE_TOL and rep_idx < best_idx:
+                best_f = min(best_f, fmin)
+                best_idx = rep_idx
     return int(best_idx), count

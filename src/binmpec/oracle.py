@@ -18,7 +18,7 @@ def brute_force(problem, limit_n=22):
     to a 1e-12 objective tolerance: ties resolve to the assignment whose
     hi-pattern reads as the smallest binary integer with coordinate 0 as
     the most significant bit.  Pinned coordinates are substituted out
-    before the scan.
+    before the scan; a pin that is neither bound raises ``ValueError``.
     """
     fset = problem.feasible_set
     obj = problem.objective
@@ -31,10 +31,14 @@ def brute_force(problem, limit_n=22):
     if m > limit_n:
         raise SizeLimitError("free dimension %d exceeds the enumeration limit %d"
                              % (m, limit_n))
+    off = np.flatnonzero((np.abs(fset.pin_value - lo) > 1e-9)
+                         & (np.abs(fset.pin_value - hi) > 1e-9))
+    if off.shape[0]:
+        raise ValueError("pinned value %g at index %d is not binary"
+                         % (fset.pin_value[off[0]], fset.pin_index[off[0]]))
 
     xpin = np.zeros(n)
-    for i, v in fset.pinned:
-        xpin[i] = v
+    xpin[fset.pin_index] = fset.pin_value
     Adense = obj.A.to_dense()
     A_ff = np.ascontiguousarray(Adense[np.ix_(free, free)])
     b_f = obj.b[free] + Adense[np.ix_(free, np.nonzero(pin)[0])] @ xpin[pin]
@@ -57,9 +61,8 @@ def brute_force(problem, limit_n=22):
         nb = n // r
         full_block = np.repeat(np.arange(nb, dtype=np.int64), r)
         block_id = full_block[free]
-        block_target = np.ones(nb, dtype=np.int64)
-        for i, v in fset.pinned:
-            block_target[i // r] -= int(round(v))
+        block_target = 1 - np.bincount(fset.pin_index // r, minlength=nb,
+                                       weights=np.rint(fset.pin_value)).astype(np.int64)
         if np.any(block_target < 0):
             raise ValueError("pins oversubscribe a simplex block")
 
@@ -68,7 +71,7 @@ def brute_force(problem, limit_n=22):
     if count == 0:
         raise ValueError("no feasible binary point")
 
-    bits = np.array([(best_idx >> (m - 1 - i)) & 1 for i in range(m)], dtype=np.float64)
+    bits = (best_idx >> np.arange(m - 1, -1, -1)) & 1
     x = xpin.copy()
     x[free] = lo + bits * (hi - lo)
     f_star = obj.value(x)

@@ -9,8 +9,10 @@ over every stored entry.
 
 The ``*_loop`` functions at the end are the one-row-, one-block- or
 one-point-at-a-time loops that the library's vectorized code replaced,
-kept to check it, and ``minimize_fista_callbacks`` is the FISTA loop on
-value/gradient callbacks that the quadratic model replaced.
+kept to check it; ``chunked_binary_scan`` is the full-width counter scan
+that the split-half scan replaced, and ``minimize_fista_callbacks`` is
+the FISTA loop on value/gradient callbacks that the quadratic model
+replaced.
 """
 
 import itertools
@@ -344,6 +346,54 @@ def gray_scan_loop(A, b, c0, lo, hi, mode, k_ones, block_id, block_target):
             elif f <= best_f + tie_tol and idx < best_idx:
                 best_f, best_idx = min(best_f, f), idx
     return best_idx, count
+
+
+def chunked_binary_scan(A, b, c0, lo, hi, mode, k_ones, block_id, block_target):
+    """(index, count) of ``kernels.binary_scan`` by a chunked counter scan.
+
+    The scan ``binary_scan`` was before the split-half tables: it decodes
+    2^14 consecutive indices at a time, masks out the infeasible points
+    and evaluates the rest with one product against the full A.
+    """
+    tie_tol = 1e-12
+    c0, lo, hi = float(c0), float(lo), float(hi)
+    m = A.shape[0]
+    total = 1 << m
+    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
+    if mode == 2:
+        nb = block_target.shape[0]
+        bmask = np.zeros((m, nb), dtype=np.float64)
+        bmask[np.arange(m), block_id] = 1.0
+
+    chunk = 1 << 14
+    count = 0
+    best_f = np.inf
+    best_idx = -1
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+        if mode == 1:
+            mask = bits.sum(axis=1) == k_ones
+        elif mode == 2:
+            mask = np.all(bits @ bmask == block_target[None, :], axis=1)
+        else:
+            mask = np.ones(codes.shape[0], dtype=bool)
+        if not mask.any():
+            continue
+        count += int(mask.sum())
+        Y = lo + bits[mask] * (hi - lo)
+        G = Y @ A
+        f = 0.5 * np.einsum("ij,ij->i", G, Y) + Y @ b + c0
+        fmin = f.min()
+        cand = np.nonzero(f <= fmin + tie_tol)[0][0]
+        rep_idx = int(codes[mask][cand])
+        if fmin < best_f - tie_tol:
+            best_f = fmin
+            best_idx = rep_idx
+        elif fmin <= best_f + tie_tol and rep_idx < best_idx:
+            best_f = min(best_f, fmin)
+            best_idx = rep_idx
+    return int(best_idx), count
 
 
 def minimize_fista_callbacks(value, grad, lipschitz, project, x0, tol=1e-5,

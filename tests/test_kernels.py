@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from binmpec import kernels
 from binmpec.kernels import binary_scan, simplex_walk
 from binmpec.linalg import SparseMatrix, matvec
 
-from reference import csr_matvec_loop, gray_scan_loop
+from reference import chunked_binary_scan, csr_matvec_loop, gray_scan_loop
 
 
 def random_csr(rng, n):
@@ -34,7 +35,8 @@ class TestAgainstReferenceLoops:
     def test_binary_scan_identical(self, mode):
         rng = np.random.default_rng(71 + mode)
         for _ in range(10):
-            m = int(rng.integers(1, 11))
+            # up to 13 coordinates: halves of 6 and 7 bits
+            m = int(rng.integers(1, 14))
             A = rng.standard_normal((m, m))
             A = A + A.T
             b = rng.standard_normal(m)
@@ -56,6 +58,120 @@ class TestAgainstReferenceLoops:
             args = (A, b, 0.25, lo, hi, mode, k_ones, block_id, block_target)
             # identical (index, count) pairs
             assert binary_scan(*args) == gray_scan_loop(*args)
+
+
+def no_blocks(m):
+    return np.full(m, -1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+
+
+def scan_cases(rng, m, lo, hi, A=None, b=None):
+    """One argument tuple per mode for an m-coordinate scan."""
+    if A is None:
+        A = rng.standard_normal((m, m))
+        A = A + A.T
+        b = rng.standard_normal(m)
+    c0 = float(rng.standard_normal())
+    r = int(rng.integers(1, 5))
+    block_id = np.arange(m, dtype=np.int64) // r
+    block_target = np.ones(-(-m // r), dtype=np.int64)
+    return [
+        (A, b, c0, lo, hi, 0, 0, *no_blocks(m)),
+        (A, b, c0, lo, hi, 1, int(rng.integers(0, m + 1)), *no_blocks(m)),
+        (A, b, c0, lo, hi, 2, 0, block_id, block_target),
+    ]
+
+
+class TestSplitHalfAgainstChunkedScan:
+    """(index, count) equal to the full-width scan it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0)])
+    def test_every_size_mode_and_domain(self, lo, hi):
+        rng = np.random.default_rng(83 if lo == 0.0 else 84)
+        for m in range(17):
+            for args in scan_cases(rng, m, lo, hi):
+                assert binary_scan(*args) == chunked_binary_scan(*args), (m, args[5])
+
+    @pytest.mark.parametrize("m, r", [(11, 3), (12, 4), (13, 4), (15, 5)])
+    def test_blocks_straddle_the_split(self, m, r):
+        rng = np.random.default_rng(m * r)
+        block_id = np.arange(m, dtype=np.int64) // r
+        assert block_id[m // 2 - 1] == block_id[m // 2]
+        for lo, hi in [(0.0, 1.0), (-1.0, 1.0)]:
+            A = rng.standard_normal((m, m))
+            args = (A + A.T, rng.standard_normal(m), 0.5, lo, hi, 2, 0,
+                    block_id, np.ones(-(-m // r), dtype=np.int64))
+            assert binary_scan(*args) == chunked_binary_scan(*args)
+
+    def test_pinned_blocks(self):
+        # the oracle drops pinned coordinates from their blocks and lowers
+        # a block's target to 0 where a pin sits at hi
+        rng = np.random.default_rng(89)
+        for _ in range(40):
+            r = int(rng.integers(2, 5))
+            nb = int(rng.integers(2, 6))
+            n = r * nb
+            pinned = rng.uniform(size=n) < 0.3
+            block_id = (np.arange(n, dtype=np.int64) // r)[~pinned]
+            block_target = np.ones(nb, dtype=np.int64)
+            for q in range(nb):
+                if pinned[q * r:(q + 1) * r].any() and rng.uniform() < 0.7:
+                    block_target[q] = 0
+            m = block_id.shape[0]
+            A = rng.standard_normal((m, m))
+            args = (A + A.T, rng.standard_normal(m), 0.0, 0.0, 1.0, 2, 0,
+                    block_id, block_target)
+            assert binary_scan(*args) == chunked_binary_scan(*args)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0)])
+    def test_exact_ties_return_lowest_index(self, lo, hi):
+        # small integer data: every objective is exact, and many points
+        # share the optimum
+        rng = np.random.default_rng(97)
+        many_optima = 0
+        for m in range(1, 13):
+            A = rng.integers(-1, 2, (m, m)) * (rng.uniform(size=(m, m)) < 0.3)
+            A = (A + A.T).astype(np.float64)
+            b = rng.integers(-1, 2, m) * (rng.uniform(size=m) < 0.3).astype(np.float64)
+            Y = lo + ((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1) * (hi - lo)
+            f = 0.5 * np.einsum("ij,jk,ik->i", Y, A, Y) + Y @ b
+            for args in scan_cases(rng, m, lo, hi, A, b):
+                got = binary_scan(*args)
+                assert got == chunked_binary_scan(*args)
+                if args[5] == 0:
+                    optima = np.flatnonzero(f == f.min())
+                    many_optima += optima.shape[0] > 1
+                    assert got == (optima[0], 1 << m)
+        assert many_optima >= 8
+
+    def test_near_tie_across_groups(self):
+        # two-hot points P = 001|001 (index 9, one hi in H) and
+        # Q = 110|000 (index 48, two hi in H) sit in different groups;
+        # f(Q) = f(P) - 5e-13 is within the tie tolerance, so P wins
+        A = np.zeros((6, 6))
+        for i, j in [(0, 2), (0, 5), (1, 2), (1, 5)]:
+            A[i, j] = A[j, i] = 10.0
+        b = np.array([-1.0, -1.0 - 5e-13, -1.0, 0.0, 0.0, -1.0])
+        args = (A, b, 0.0, 0.0, 1.0, 1, 2, *no_blocks(6))
+        assert binary_scan(*args) == chunked_binary_scan(*args) == (0b001001, 15)
+
+    def test_table_stays_under_the_chunk_cap(self, monkeypatch):
+        # an unchunked table at m = 20 would hold 2^20 cells
+        sizes = []
+        table = kernels._objective_table
+
+        def recording(*args):
+            T = table(*args)
+            sizes.append(T.size)
+            return T
+
+        monkeypatch.setattr(kernels, "_objective_table", recording)
+        rng = np.random.default_rng(101)
+        A = rng.standard_normal((20, 20))
+        _, count = binary_scan(A + A.T, rng.standard_normal(20), 0.0, -1.0, 1.0,
+                               0, 0, *no_blocks(20))
+        assert count == 1 << 20
+        assert sum(sizes) == 1 << 20
+        assert max(sizes) <= kernels._CHUNK_CELLS
 
 
 def sorted_break_points(a):

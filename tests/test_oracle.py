@@ -112,6 +112,37 @@ class TestCounts:
             brute_force(prob)
 
 
+class TestNonBinaryPins:
+    # a pin at neither bound used to be substituted as is, so the
+    # "binary" optimum held a fractional or out-of-domain coordinate
+    def test_zero_one_box(self):
+        fs = FeasibleSet(np.zeros(3), np.ones(3), pinned=((0, 0.5),))
+        prob = quadratic_instance(np.eye(3), np.zeros(3), 0.0, fs, "zeroone")
+        with pytest.raises(ValueError, match="pinned value 0.5 at index 0"):
+            brute_force(prob)
+
+    def test_simplex_blocks(self):
+        fs = FeasibleSet(np.zeros(4), np.ones(4), simplex_blocks=2,
+                         pinned=((0, 0.5),))
+        prob = quadratic_instance(np.eye(4), np.zeros(4), 0.0, fs, "zeroone")
+        with pytest.raises(ValueError, match="pinned value 0.5 at index 0"):
+            brute_force(prob)
+
+    def test_pm1_pin_at_zero(self):
+        fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0), pinned=((2, 0.0),))
+        prob = quadratic_instance(np.eye(3), np.zeros(3), 0.0, fs, "pm1")
+        with pytest.raises(ValueError, match="pinned value 0 at index 2"):
+            brute_force(prob)
+
+    def test_binary_pins_accepted(self):
+        fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0),
+                         pinned=((0, 1.0), (2, -1.0)))
+        prob = quadratic_instance(np.eye(3), np.zeros(3), 0.0, fs, "pm1")
+        x, _, count = brute_force(prob)
+        assert count == 2
+        assert x[0] == 1.0 and x[2] == -1.0
+
+
 def enumerate_reference(problem):
     """Plain itertools enumeration, sharing nothing with the scan kernels."""
     fset = problem.feasible_set
@@ -179,3 +210,25 @@ class TestCrossCheck:
             _, want_f, want_count = enumerate_reference(prob)
             assert count == want_count == 2 ** (n - 1)
             assert f == pytest.approx(want_f, abs=1e-9)
+
+    def test_pinned_blocks(self):
+        # pins at hi lower their block's target to 0, pins at lo shrink it
+        rng = np.random.default_rng(107)
+        for _ in range(12):
+            r = int(rng.integers(2, 4))
+            n = r * int(rng.integers(2, 4))
+            halfm = rng.standard_normal((n, n))
+            pins = {}
+            for q in range(n // r):
+                if rng.uniform() < 0.6:
+                    i = q * r + int(rng.integers(0, r))
+                    pins[i] = float(rng.integers(0, 2))
+            fs = FeasibleSet(np.zeros(n), np.ones(n), simplex_blocks=r,
+                             pinned=tuple(sorted(pins.items())))
+            prob = quadratic_instance(halfm @ halfm.T, rng.standard_normal(n), 0.0,
+                                      fs, "zeroone")
+            x, f, count = brute_force(prob)
+            _, want_f, want_count = enumerate_reference(prob)
+            assert count == want_count
+            assert f == pytest.approx(want_f, abs=1e-9)
+            assert check_binary_feasible(x, fs, "zeroone")
