@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SolverView, round_feasible, check_binary_feasible
-from .report import SolveReport
-from .subsolver import QuadraticModel, minimize_fista
+from .problems import SolverView, finish_solve
+from .subsolver import QuadraticModel, check_schedule, minimize_fista
 
 ALPHA_CAP = 1e6
 
@@ -32,18 +31,7 @@ class AdmConfig:
     inner_max_iter: int = 2000
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if self.sigma <= 1:
-            raise ValueError("sigma must exceed 1")
-        if self.inner_T < 1 or self.max_outer < 1:
-            raise ValueError("inner_T and max_outer must be at least 1")
-        if self.feas_tol <= 0:
-            raise ValueError("feas_tol must be positive")
-        if not (np.isfinite(self.inner_tol) and self.inner_tol > 0):
-            raise ValueError("inner_tol must be finite and positive")
-        if self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be at least 1")
+        check_schedule(self, "alpha0")
 
 
 @dataclass
@@ -132,11 +120,6 @@ def adm_v_update(x, rho, alpha, n):
     return (u_star / (nrm * nrm)) * x
 
 
-def _initial_x(view, seed):
-    rng = np.random.default_rng(seed)
-    return view.project(1e-6 * rng.uniform(-1.0, 1.0, view.n))
-
-
 def solve_adm(problem, config=None, seed=0):
     """Run the alternating direction iteration; returns a SolveReport."""
     config = config or AdmConfig()
@@ -146,7 +129,7 @@ def solve_adm(problem, config=None, seed=0):
     n = view.n
     l_hat = view.function_lipschitz()
 
-    x = _initial_x(view, seed)
+    x = view.initial_point(seed)
     v = np.zeros(n)
     rho = 0.0
     rho_cap = 2.0 * l_hat
@@ -176,23 +159,5 @@ def solve_adm(problem, config=None, seed=0):
             break
         alpha = min(alpha * config.sigma, ALPHA_CAP)
 
-    y = view.to_original(x)
-    x_binary, feasible = round_feasible(y, problem.feasible_set, problem.domain)
-    feasible = feasible and check_binary_feasible(
-        x_binary, problem.feasible_set, problem.domain)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    meta = dict(problem.meta)
-    meta.update({"domain": problem.domain, "l_hat": l_hat, "rho_cap": rho_cap})
-    return SolveReport(
-        method="adm",
-        problem=meta,
-        x_binary=tuple(x_binary),
-        objective_binary=problem.objective.value(x_binary),
-        complementarity_gap_final=gap,
-        outer_iterations=outer_used,
-        wall_time_ms=elapsed_ms,
-        trace=tuple(trace),
-        feasible=feasible,
-        converged=converged,
-        x_relaxed=tuple(x),
-    )
+    return finish_solve(problem, "adm", view.to_original(x), start, gap, outer_used,
+                        trace, converged, x_relaxed=x, l_hat=l_hat, rho_cap=rho_cap)

@@ -7,10 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SolverView, round_feasible, check_binary_feasible
+from .problems import SolverView, finish_solve, round_feasible
 from .projections import project_feasible
-from .report import SolveReport
-from .subsolver import QuadraticModel, minimize_fista, solve_qp
+from .subsolver import QuadraticModel, check_positive, minimize_fista, solve_qp
 
 MU_CAP = 1e10
 
@@ -30,30 +29,9 @@ class BaselineConfig:
     inner_T: int = 10
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter at least 1")
-        if self.penalty0 <= 0 or self.sigma <= 1 or self.inner_T < 1:
+        check_positive(self, "tol", "penalty0", "sigma")
+        if self.max_iter < 1 or self.sigma <= 1 or self.inner_T < 1:
             raise ValueError("invalid penalty schedule")
-
-
-def _finish(problem, method, x_binary, feasible, gap, outer, start, trace,
-            converged, f_rel=None, x_rel=None):
-    meta = dict(problem.meta)
-    meta["domain"] = problem.domain
-    return SolveReport(
-        method=method,
-        problem=meta,
-        x_binary=tuple(x_binary),
-        objective_binary=problem.objective.value(np.asarray(x_binary)),
-        complementarity_gap_final=gap,
-        outer_iterations=outer,
-        wall_time_ms=(time.perf_counter() - start) * 1e3,
-        trace=tuple(trace),
-        feasible=feasible,
-        converged=converged,
-        objective_relaxed=f_rel,
-        x_relaxed=None if x_rel is None else tuple(x_rel),
-    )
 
 
 def solve_lp_round(problem, tol=1e-7):
@@ -63,12 +41,12 @@ def solve_lp_round(problem, tol=1e-7):
     center = 0.5 * (fs.lower + fs.upper)
     x0 = project_feasible(center, fs)
     res = solve_qp(problem.objective, None, fs, x0, tol=tol, max_iter=20000)
-    x_binary, ok = round_feasible(res.x, fs, problem.domain)
-    feasible = ok and check_binary_feasible(x_binary, fs, problem.domain)
-    f_bin = problem.objective.value(x_binary)
-    trace = [(1, res.objective, 0.0, 0.0), (2, f_bin, 0.0, 0.0)]
-    return _finish(problem, "lp", x_binary, feasible, 0.0, 1, start, trace,
-                   res.converged, f_rel=res.objective, x_rel=res.x)
+    rep = finish_solve(problem, "lp", res.x, start, 0.0, 1,
+                       [(1, res.objective, 0.0, 0.0)], res.converged,
+                       x_relaxed=res.x, objective_relaxed=res.objective)
+    # the second trace row is the rounded answer's objective
+    rep.trace += ((2, rep.objective_binary, 0.0, 0.0),)
+    return rep
 
 
 def solve_iht(problem, config=None, x0=None):
@@ -110,9 +88,8 @@ def solve_iht(problem, config=None, x0=None):
             converged = True
             break
         x = xn
-    feasible = check_binary_feasible(best_x, fs, problem.domain)
-    return _finish(problem, "iht", best_x, feasible, 0.0, it, start, trace,
-                   converged)
+    # best_x is feasible binary, so the shared rounding returns it unchanged
+    return finish_solve(problem, "iht", best_x, start, 0.0, it, trace, converged)
 
 
 def _sphere_step(p):
@@ -164,10 +141,5 @@ def solve_l2box_admm(problem, config=None):
         if it % config.inner_T == 0:
             mu = min(mu * config.sigma, MU_CAP)
 
-    y = view.to_original(x)
-    x_binary, ok = round_feasible(y, problem.feasible_set, problem.domain)
-    feasible = ok and check_binary_feasible(x_binary, problem.feasible_set,
-                                            problem.domain)
-    rep = _finish(problem, "l2box", x_binary, feasible, gap, it, start, trace,
-                  converged, x_rel=x)
-    return rep
+    return finish_solve(problem, "l2box", view.to_original(x), start, gap, it, trace,
+                        converged, x_relaxed=x)

@@ -8,13 +8,12 @@ the box.  At the cap the penalty is exact: minimizers are binary.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SolverView, round_feasible, check_binary_feasible
-from .report import SolveReport
-from .subsolver import QuadraticModel, minimize_fista
+from .problems import SolverView, finish_solve
+from .subsolver import QuadraticModel, check_positive, check_schedule, minimize_fista
 
 
 @dataclass
@@ -29,31 +28,9 @@ class EpmConfig:
     inner_max_iter: int = 2000
 
     def __post_init__(self):
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
-        if self.sigma <= 1:
-            raise ValueError("sigma must exceed 1")
-        if self.inner_T < 1:
-            raise ValueError("inner_T must be at least 1")
-        if self.feas_tol <= 0 or self.max_outer < 1:
-            raise ValueError("feas_tol must be positive and max_outer at least 1")
-        if self.lipschitz_override is not None and not (
-                np.isfinite(self.lipschitz_override) and self.lipschitz_override > 0):
-            raise ValueError("lipschitz_override must be finite and positive")
-        if not (np.isfinite(self.inner_tol) and self.inner_tol > 0):
-            raise ValueError("inner_tol must be finite and positive")
-        if self.inner_max_iter < 1:
-            raise ValueError("inner_max_iter must be at least 1")
-
-
-@dataclass
-class SolverState:
-    x: np.ndarray
-    v: np.ndarray
-    rho: float
-    outer_iter: int
-    gap: float
-    trace: list = field(default_factory=list)
+        check_schedule(self, "rho0")
+        if self.lipschitz_override is not None:
+            check_positive(self, "lipschitz_override")
 
 
 def epm_v_update(x):
@@ -69,14 +46,6 @@ def epm_v_update(x):
     return np.sqrt(x.shape[0]) * x / nrm
 
 
-def _initial_x(view, seed):
-    # tiny seeded noise, projected; breaks the symmetry of the all-zero
-    # fixed point while keeping the first x-step within noise of the
-    # plain relaxation
-    rng = np.random.default_rng(seed)
-    return view.project(1e-6 * rng.uniform(-1.0, 1.0, view.n))
-
-
 def solve_epm(problem, config=None, seed=0):
     """Run the penalty iteration; returns a SolveReport."""
     config = config or EpmConfig()
@@ -89,49 +58,33 @@ def solve_epm(problem, config=None, seed=0):
              else view.function_lipschitz())
     rho_cap = 2.0 * l_hat
 
-    state = SolverState(x=_initial_x(view, seed), v=np.zeros(n),
-                        rho=min(config.rho0, rho_cap), outer_iter=0, gap=float(n))
+    x = view.initial_point(seed)
+    v = np.zeros(n)
+    rho = min(config.rho0, rho_cap)
+    gap = float(n)
+    trace = []
     t = 0
     converged = False
+    outer_used = 0
     for outer in range(config.max_outer):
-        state.outer_iter = outer + 1
+        outer_used = outer + 1
         for _ in range(config.inner_T):
-            x_prev = state.x
-            model = QuadraticModel(obj, obj.b - state.rho * state.v)
-            state.x, _, _, _ = minimize_fista(
+            x_prev = x
+            model = QuadraticModel(obj, obj.b - rho * v)
+            x, _, _, _ = minimize_fista(
                 model, view.project, x_prev,
                 tol=config.inner_tol, max_iter=config.inner_max_iter)
-            state.v = epm_v_update(state.x)
-            state.gap = float(n) - float(np.dot(state.x, state.v))
+            v = epm_v_update(x)
+            gap = float(n) - float(np.dot(x, v))
             t += 1
-            state.trace.append((t, obj.value(state.x, model.product(state.x)),
-                                state.gap, state.rho))
-            x_change = (np.linalg.norm(state.x - x_prev)
-                        / max(np.linalg.norm(x_prev), 1.0))
-            if state.gap <= config.feas_tol and x_change <= config.inner_tol:
+            trace.append((t, obj.value(x, model.product(x)), gap, rho))
+            x_change = np.linalg.norm(x - x_prev) / max(np.linalg.norm(x_prev), 1.0)
+            if gap <= config.feas_tol and x_change <= config.inner_tol:
                 converged = True
                 break
         if converged:
             break
-        state.rho = min(rho_cap, state.rho * config.sigma)
+        rho = min(rho_cap, rho * config.sigma)
 
-    y = view.to_original(state.x)
-    x_binary, feasible = round_feasible(y, problem.feasible_set, problem.domain)
-    feasible = feasible and check_binary_feasible(
-        x_binary, problem.feasible_set, problem.domain)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    meta = dict(problem.meta)
-    meta.update({"domain": problem.domain, "l_hat": l_hat, "rho_cap": rho_cap})
-    return SolveReport(
-        method="epm",
-        problem=meta,
-        x_binary=tuple(x_binary),
-        objective_binary=problem.objective.value(x_binary),
-        complementarity_gap_final=state.gap,
-        outer_iterations=state.outer_iter,
-        wall_time_ms=elapsed_ms,
-        trace=tuple(state.trace),
-        feasible=feasible,
-        converged=converged,
-        x_relaxed=tuple(state.x),
-    )
+    return finish_solve(problem, "epm", view.to_original(x), start, gap, outer_used,
+                        trace, converged, x_relaxed=x, l_hat=l_hat, rho_cap=rho_cap)

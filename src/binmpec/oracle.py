@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from . import kernels
+from .reformulations import domain_bounds
 
 
 class SizeLimitError(ValueError):
@@ -23,7 +24,7 @@ def brute_force(problem, limit_n=22):
     fset = problem.feasible_set
     obj = problem.objective
     n = problem.n
-    lo, hi = (-1.0, 1.0) if problem.domain == "pm1" else (0.0, 1.0)
+    lo, hi = domain_bounds(problem.domain)
 
     pin = fset.pin_mask()
     free = np.nonzero(~pin)[0]

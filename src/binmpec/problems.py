@@ -1,6 +1,7 @@
 """Problem builders: graphs to quadratic binary program instances."""
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -8,7 +9,8 @@ import numpy as np
 
 from .linalg import SparseMatrix, gershgorin_lower_bound, matvec, spectral_norm_estimate
 from .projections import FeasibleSet, project_feasible
-from .reformulations import round_sign
+from .reformulations import domain_bounds, round_sign
+from .report import SolveReport
 from .subsolver import QuadraticObjective
 
 
@@ -68,11 +70,9 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.domain not in ("pm1", "zeroone"):
-            raise ValueError("domain must be 'pm1' or 'zeroone'")
+        lo, hi = domain_bounds(self.domain)
         if self.feasible_set.n != self.objective.n:
             raise ValueError("feasible set and objective dimension mismatch")
-        lo, hi = (-1.0, 1.0) if self.domain == "pm1" else (0.0, 1.0)
         if np.any(self.feasible_set.lower != lo) or np.any(self.feasible_set.upper != hi):
             raise ValueError("box bounds inconsistent with domain %r" % self.domain)
         self.meta["psd_check"] = _validate_psd(self.objective)
@@ -136,7 +136,7 @@ def laplacian(g: Graph) -> SparseMatrix:
 
 
 def _box(n, domain):
-    lo, hi = (-1.0, 1.0) if domain == "pm1" else (0.0, 1.0)
+    lo, hi = domain_bounds(domain)
     return np.full(n, lo), np.full(n, hi)
 
 
@@ -367,6 +367,15 @@ class SolverView:
         y = project_feasible((z + 1.0) / 2.0, self.problem.feasible_set)
         return 2.0 * y - 1.0
 
+    def initial_point(self, seed):
+        """Tiny seeded noise, projected.
+
+        Breaks the symmetry of the all-zero fixed point while keeping the
+        first x-step within noise of the plain relaxation.
+        """
+        rng = np.random.default_rng(seed)
+        return self.project(1e-6 * rng.uniform(-1.0, 1.0, self.n))
+
     def to_original(self, x):
         if self.problem.domain == "pm1":
             return x
@@ -384,10 +393,14 @@ def round_feasible(y, fset, domain):
     Sum constraints are met by taking the coordinates with the largest
     values (equivalently: flipping the entries closest to the rounding
     threshold), simplex blocks by per-block argmax, ties by lowest index.
-    Returns (x_binary, feasible_flag).
+    Returns (x_binary, feasible_flag).  A feasible output is returned
+    unchanged when rounded again.
     """
     y = np.asarray(y, dtype=np.float64)
-    lo, hi = (-1.0, 1.0) if domain == "pm1" else (0.0, 1.0)
+    if y.shape != (fset.n,):
+        raise ValueError("point of shape %r, feasible set has %d coordinates"
+                         % (y.shape, fset.n))
+    lo, hi = domain_bounds(domain)
     x = round_sign(y, domain)
     for stop, (_, v) in enumerate(fset.pinned, 1):
         if abs(v - lo) > 1e-9 and abs(v - hi) > 1e-9:
@@ -438,7 +451,9 @@ def round_feasible(y, fset, domain):
 def check_binary_feasible(x, fset, domain, tol=1e-9):
     """True iff x is exactly binary and satisfies every constraint."""
     x = np.asarray(x, dtype=np.float64)
-    lo, hi = (-1.0, 1.0) if domain == "pm1" else (0.0, 1.0)
+    if x.shape != (fset.n,):
+        return False
+    lo, hi = domain_bounds(domain)
     if not np.all((np.abs(x - lo) <= tol) | (np.abs(x - hi) <= tol)):
         return False
     for i, v in fset.pinned:
@@ -453,3 +468,33 @@ def check_binary_feasible(x, fset, domain, tol=1e-9):
         if np.any(np.abs(sums - 1.0) > tol):
             return False
     return True
+
+
+def finish_solve(problem, method, y, start, gap, outer, trace, converged,
+                 x_relaxed=None, objective_relaxed=None, **meta):
+    """The ending every solver shares: round, certify, report.
+
+    ``y`` is the final iterate in the problem's own domain; it is rounded
+    and repaired by ``round_feasible`` and the result checked by
+    ``check_binary_feasible``.  ``meta`` (such as ``l_hat`` and
+    ``rho_cap``) is merged into a copy of the problem's meta together
+    with its domain.  ``start`` is the ``time.perf_counter()`` reading
+    the wall time is measured from.
+    """
+    fset = problem.feasible_set
+    x_binary, feasible = round_feasible(y, fset, problem.domain)
+    feasible = feasible and check_binary_feasible(x_binary, fset, problem.domain)
+    return SolveReport(
+        method=method,
+        problem=dict(problem.meta, domain=problem.domain, **meta),
+        x_binary=tuple(x_binary),
+        objective_binary=problem.objective.value(x_binary),
+        complementarity_gap_final=gap,
+        outer_iterations=outer,
+        wall_time_ms=(time.perf_counter() - start) * 1e3,
+        trace=tuple(trace),
+        feasible=feasible,
+        converged=converged,
+        objective_relaxed=objective_relaxed,
+        x_relaxed=None if x_relaxed is None else tuple(x_relaxed),
+    )

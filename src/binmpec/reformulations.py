@@ -55,21 +55,25 @@ def membership(variant, x, v, tol):
     raise TypeError("unknown variant: %r" % (variant,))
 
 
+def domain_bounds(domain):
+    """The two binary values (lo, hi) of ``"pm1"`` or ``"zeroone"``."""
+    if domain == "pm1":
+        return -1.0, 1.0
+    if domain == "zeroone":
+        return 0.0, 1.0
+    raise ValueError("domain must be 'pm1' or 'zeroone'")
+
+
 def round_sign(x, domain="pm1"):
     """Nearest binary point; sign(0) := +1, and 0.5 rounds up in {0, 1}."""
-    x = np.asarray(x, dtype=np.float64)
-    if domain == "pm1":
-        return np.where(x >= 0.0, 1.0, -1.0)
-    if domain == "zeroone":
-        return np.where(x >= 0.5, 1.0, 0.0)
-    raise ValueError("domain must be 'pm1' or 'zeroone'")
+    lo, hi = domain_bounds(domain)
+    return np.where(np.asarray(x, dtype=np.float64) >= 0.5 * (lo + hi), hi, lo)
 
 
 def domain_transform(x, from_domain, to_domain):
     """Affine bijection between the {-1,+1} and {0,1} representations."""
-    for d in (from_domain, to_domain):
-        if d not in ("pm1", "zeroone"):
-            raise ValueError("domain must be 'pm1' or 'zeroone'")
+    domain_bounds(from_domain)
+    domain_bounds(to_domain)
     if from_domain == to_domain:
         raise ValueError("domains must differ")
     x = np.asarray(x, dtype=np.float64)

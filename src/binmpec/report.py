@@ -1,7 +1,7 @@
 """Solve reports: a JSON-serializable record of one solver run."""
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 
 @dataclass

@@ -82,6 +82,29 @@ class SubproblemResult:
     converged: bool
 
 
+def check_positive(config, *names):
+    """Raise ValueError unless every named field of config is finite and positive."""
+    for name in names:
+        value = getattr(config, name)
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError("%s must be finite and positive" % name)
+
+
+def check_schedule(config, first):
+    """The settings check EpmConfig and AdmConfig share.
+
+    ``first`` names the schedule's starting weight (rho0 or alpha0).  The
+    weights and tolerances must be finite and positive, the growth factor
+    sigma must exceed 1 and every count must be at least 1.
+    """
+    check_positive(config, first, "sigma", "feas_tol", "inner_tol")
+    if config.sigma <= 1:
+        raise ValueError("sigma must exceed 1")
+    for name in ("inner_T", "max_outer", "inner_max_iter"):
+        if getattr(config, name) < 1:
+            raise ValueError("%s must be at least 1" % name)
+
+
 class QuadraticModel:
     """The x-subproblem of every solver, on a QuadraticObjective's A:
 

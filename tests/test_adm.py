@@ -32,6 +32,9 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"alpha0": 0.0}, {"alpha0": -0.5}, {"sigma": 1.0}, {"inner_T": 0},
         {"max_outer": 0}, {"feas_tol": 0.0},
+        {"alpha0": float("nan")}, {"alpha0": float("inf")},
+        {"sigma": float("nan")}, {"sigma": float("inf")},
+        {"feas_tol": float("nan")}, {"feas_tol": float("inf")},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

@@ -32,6 +32,9 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"tol": 0.0}, {"max_iter": 0}, {"penalty0": 0.0}, {"sigma": 1.0},
         {"inner_T": 0},
+        {"tol": float("nan")}, {"tol": float("inf")},
+        {"penalty0": float("nan")}, {"penalty0": float("inf")},
+        {"sigma": float("nan")}, {"sigma": float("inf")},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

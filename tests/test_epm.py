@@ -34,6 +34,9 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"rho0": 0.0}, {"rho0": -1.0}, {"sigma": 1.0}, {"inner_T": 0},
         {"feas_tol": 0.0}, {"max_outer": 0},
+        {"rho0": float("nan")}, {"rho0": float("inf")},
+        {"sigma": float("nan")}, {"sigma": float("inf")},
+        {"feas_tol": float("nan")}, {"feas_tol": float("inf")},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ import pytest
 import binmpec.linalg
 import binmpec.problems
 import binmpec.subsolver
+from binmpec.adm import solve_adm
+from binmpec.baselines import solve_iht, solve_l2box_admm, solve_lp_round
 from binmpec.epm import solve_epm
 from binmpec.linalg import SparseMatrix, gershgorin_lower_bound
 from binmpec.oracle import brute_force
@@ -406,17 +408,46 @@ class TestProblemInstanceValidation:
                                FeasibleSet(np.zeros(2), np.ones(2)), "zeroone")
         assert prob.meta["psd_check"] == "gershgorin"
 
-    def test_psd_check_in_report_survives_json(self):
+    @pytest.mark.parametrize("solve", [solve_epm, solve_adm, solve_lp_round,
+                                       solve_iht, solve_l2box_admm],
+                             ids=["epm", "adm", "lp", "iht", "l2box"])
+    def test_psd_check_in_report_survives_json(self, solve):
         prob = build_bisection(C4)
-        rep = solve_epm(prob)
+        rep = solve(prob)
         assert rep.problem["psd_check"] == "gershgorin"
+        assert rep.problem["domain"] == "pm1"
+        # only the penalty methods add their schedule's constants
+        assert ("rho_cap" in rep.problem) == (rep.method in ("epm", "adm"))
+        assert rep.feasible
         text = rep.to_json()
         back = SolveReport.from_json(text)
         assert back == rep
         assert back.to_json() == text
 
+    @pytest.mark.parametrize("solve", [solve_epm, solve_adm, solve_lp_round,
+                                       solve_l2box_admm],
+                             ids=["epm", "adm", "lp", "l2box"])
+    def test_failed_rounding_reported_infeasible(self, solve):
+        # three +-1 coordinates cannot sum to zero, so no rounding succeeds
+        fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0), sum_constraint=0.0)
+        prob = ProblemInstance(QuadraticObjective(SparseMatrix.identity(3), np.zeros(3)),
+                               fs, "pm1")
+        rep = solve(prob)
+        assert not rep.feasible
+        assert not check_binary_feasible(np.array(rep.x_binary), fs, "pm1")
+
 
 class TestSolverView:
+    @pytest.mark.parametrize("build", [lambda: build_bisection(C4),
+                                       lambda: build_dense_subgraph(K3, 2)],
+                             ids=["pm1", "zeroone"])
+    def test_initial_point_seeded_and_feasible(self, build):
+        view = SolverView(build())
+        x = view.initial_point(5)
+        assert np.array_equal(x, view.initial_point(5))
+        assert not np.array_equal(x, view.initial_point(6))
+        assert np.array_equal(x, view.project(x))
+
     def test_pm1_passthrough(self):
         prob = build_bisection(C4)
         view = SolverView(prob)
@@ -515,6 +546,12 @@ class TestRoundFeasible:
         _, ok = round_feasible(np.zeros(3), fs, "pm1")
         assert not ok
 
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 2)])
+    def test_wrong_shape_rejected(self, shape):
+        fs = FeasibleSet(np.full(4, -1.0), np.full(4, 1.0))
+        with pytest.raises(ValueError, match="4 coordinates"):
+            round_feasible(np.ones(shape), fs, "pm1")
+
     def test_output_always_feasible_when_flagged(self):
         rng = np.random.default_rng(97)
         sets = [
@@ -531,6 +568,11 @@ class TestRoundFeasible:
                 x, ok = round_feasible(y, fs, domain)
                 if ok:
                     assert check_binary_feasible(x, fs, domain)
+                    # a feasible output rounds to itself: the shared solve
+                    # epilogue passes hard thresholding's answer through
+                    again, ok_again = round_feasible(x, fs, domain)
+                    assert ok_again
+                    assert again.tobytes() == x.tobytes()
 
 
 class TestRoundBlocks:
@@ -602,3 +644,14 @@ class TestCheckBinaryFeasible:
         fs = FeasibleSet(np.full(2, -1.0), np.full(2, 1.0), pinned=((0, 1.0),))
         assert check_binary_feasible(np.array([1.0, -1.0]), fs, "pm1")
         assert not check_binary_feasible(np.array([-1.0, -1.0]), fs, "pm1")
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_wrong_length_is_infeasible(self, n):
+        fs = FeasibleSet(np.full(4, -1.0), np.full(4, 1.0))
+        assert check_binary_feasible(np.ones(4), fs, "pm1")
+        assert not check_binary_feasible(np.ones(n), fs, "pm1")
+
+    def test_longer_balanced_vector_fails_sum_set(self):
+        fs = FeasibleSet(np.full(4, -1.0), np.full(4, 1.0), sum_constraint=0.0)
+        assert not check_binary_feasible(np.array([1.0, -1.0] * 3), fs, "pm1")
+        assert not check_binary_feasible(np.array([[1.0, -1.0], [1.0, -1.0]]), fs, "pm1")

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binmpec.epm import epm_v_update
-from binmpec.reformulations import (MpecVariant, domain_transform, h_ratio,
-                                    membership, round_sign)
+from binmpec.reformulations import (MpecVariant, domain_bounds, domain_transform,
+                                    h_ratio, membership, round_sign)
 
 ALL_VARIANTS = tuple(MpecVariant)
 
@@ -79,6 +79,19 @@ class TestRoundSign:
     def test_bad_domain(self):
         with pytest.raises(ValueError):
             round_sign(np.zeros(1), domain="spin")
+
+    def test_domain_bounds(self):
+        assert domain_bounds("pm1") == (-1.0, 1.0)
+        assert domain_bounds("zeroone") == (0.0, 1.0)
+        with pytest.raises(ValueError, match="'pm1' or 'zeroone'"):
+            domain_bounds("spin")
+
+    def test_signed_zero_and_nan_round_as_before(self):
+        # the threshold midpoint(lo, hi) is 0.0 and 0.5 exactly
+        out = round_sign(np.array([-0.0, np.nan, -1e-300]))
+        assert out.tolist() == [1.0, -1.0, -1.0]
+        out = round_sign(np.array([0.5 - 1e-16, np.nan]), domain="zeroone")
+        assert out.tolist() == [0.0, 0.0]
 
 
 class TestDomainTransform:
