@@ -12,6 +12,7 @@ from .projections import project_feasible
 from .subsolver import QuadraticModel, check_positive, minimize_fista, solve_qp
 
 MU_CAP = 1e10
+LP_TOL = 1e-7  # FISTA tolerance of the lp relaxation
 
 
 class BaselineMethod(enum.Enum):
@@ -34,13 +35,13 @@ class BaselineConfig:
             raise ValueError("invalid penalty schedule")
 
 
-def solve_lp_round(problem, tol=1e-7):
+def solve_lp_round(problem):
     """Solve the box relaxation to high accuracy, then round feasibly."""
     start = time.perf_counter()
     fs = problem.feasible_set
     center = 0.5 * (fs.lower + fs.upper)
     x0 = project_feasible(center, fs)
-    res = solve_qp(problem.objective, None, fs, x0, tol=tol, max_iter=20000)
+    res = solve_qp(problem.objective, None, fs, x0, tol=LP_TOL, max_iter=20000)
     rep = finish_solve(problem, "lp", res.x, start, 0.0, 1,
                        [(1, res.objective, 0.0, 0.0)], res.converged,
                        x_relaxed=res.x, objective_relaxed=res.objective)

@@ -2,12 +2,11 @@
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SparseMatrix, gershgorin_lower_bound, matvec, spectral_norm_estimate
+from .linalg import SparseMatrix, gershgorin_lower_bound, matvec
 from .projections import FeasibleSet, project_feasible
 from .reformulations import domain_bounds, round_sign
 from .report import SolveReport
@@ -75,8 +74,10 @@ class ProblemInstance:
             raise ValueError("feasible set and objective dimension mismatch")
         if np.any(self.feasible_set.lower != lo) or np.any(self.feasible_set.upper != hi):
             raise ValueError("box bounds inconsistent with domain %r" % self.domain)
-        self.meta["psd_check"] = _validate_psd(self.objective)
-        self.meta.setdefault("n", self.objective.n)
+        # a copy, so a dict shared by several instances is left as passed
+        meta = dict(self.meta, psd_check=_validate_psd(self.objective))
+        meta.setdefault("n", self.objective.n)
+        object.__setattr__(self, "meta", meta)
 
     @property
     def n(self):
@@ -88,38 +89,20 @@ def _validate_psd(obj):
 
     Returns ``"gershgorin"`` when the O(nnz) disc bound certifies every
     eigenvalue nonnegative (all diagonally dominant matrices, graph
-    Laplacians among them).  Otherwise falls back to ``"power_estimate"``,
-    the shift trick: with s an upper bound on the spectral norm,
-    ||sI - A|| = s - lambda_min, so the smallest eigenvalue falls out of a
-    second norm estimate.
+    Laplacians among them).  Any other matrix is decided by ``"eigvalsh"``
+    on its dense copy, O(n^3) time and 8n^2 bytes; modularity and
+    densest-k instances take this path.  Both accept lambda_min down to
+    -1e-7 max(1, s), with s the objective's spectral estimate plus 1%.
     """
     A = obj.A
-    s = 1.01 * obj.spectral_est
-    tol = 1e-7 * max(1.0, s)
+    tol = 1e-7 * max(1.0, 1.01 * obj.spectral_est)
     if gershgorin_lower_bound(A) >= -tol:
         return "gershgorin"
-    n = A.n_rows
-    diag = np.arange(n, dtype=np.int64)
-    shifted = SparseMatrix.from_coo(
-        n, n,
-        np.concatenate([A.row_indices(), diag]),
-        np.concatenate([A.col_indices, diag]),
-        np.concatenate([-A.values, np.full(n, s)]),
-        symmetric=True,
-    )
-    # Power iteration never over-reports a norm, and it under-reports
-    # ||sI - A|| when it stops short (nearly degenerate shifted spectra, as
-    # in tight cluster graphs).  Then s - estimate lies above lambda_min, so
-    # this check can accept a slightly indefinite matrix: only the
-    # certificate above is one-sided.  The non-convergence warning is
-    # silenced because the caller cannot act on it.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        lam_min = s - spectral_norm_estimate(shifted, max_iter=2000)
+    lam_min = float(np.linalg.eigvalsh(A.to_dense())[0])
     if lam_min < -tol:
         raise ValueError("objective matrix is not positive semidefinite "
-                         "(lambda_min estimate %g)" % lam_min)
-    return "power_estimate"
+                         "(lambda_min %g)" % lam_min)
+    return "eigvalsh"
 
 
 def laplacian(g: Graph) -> SparseMatrix:
@@ -171,9 +154,10 @@ def build_constrained_segmentation(g: Graph, fg, bg) -> ProblemInstance:
 def build_dense_subgraph(g: Graph, k) -> ProblemInstance:
     """Densest k-subgraph: maximize y'Wy over k-subsets, convexified.
 
-    f(y) = y'(lhat I - W)y with lhat just above ||W||, so on binary
-    feasible points f = lhat*k - y'Wy and the minimizer is the densest
-    subset.
+    f(y) = y'(lhat I - W)y with lhat = 1.01 lambda_max(W), from a dense
+    ``eigvalsh``; W >= 0, so lambda_max(W) = ||W|| and lhat I - W is
+    positive definite.  On binary feasible points f = lhat*k - y'Wy and
+    the minimizer is the densest subset.
     """
     k = int(k)
     if k > g.n:
@@ -181,7 +165,7 @@ def build_dense_subgraph(g: Graph, k) -> ProblemInstance:
     if k < 0:
         raise ValueError("subset size must be nonnegative")
     W = g.adjacency()
-    lhat = 1.01 * spectral_norm_estimate(W) if W.nnz else 0.0
+    lhat = 1.01 * float(np.linalg.eigvalsh(W.to_dense())[-1]) if W.nnz else 0.0
     rows = list(range(g.n))
     cols = list(range(g.n))
     vals = [2.0 * lhat] * g.n
@@ -210,7 +194,8 @@ def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
     Coordinates hold the assignment matrix row by row, so each node's
     block of k consecutive coordinates forms one simplex constraint.  The
     quadratic is (1/4m)(lhat I - Q kron I_k) with Q the modularity
-    matrix; on feasible binary points f = (lhat n - tr(Y'QY)) / (8m),
+    matrix and lhat = 1.01 ||Q|| from the spectrum ``eigvalsh`` gives of
+    the dense Q; on feasible binary points f = (lhat n - tr(Y'QY)) / (8m),
     i.e., a constant minus half the modularity.
     """
     k = int(k_clusters)
@@ -222,14 +207,8 @@ def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
     W = g.adjacency().to_dense()
     d = g.degrees()
     Q = W - np.outer(d, d) / (2.0 * m)
-    Qs = SparseMatrix.from_coo(
-        g.n, g.n,
-        np.repeat(np.arange(g.n), g.n),
-        np.tile(np.arange(g.n), g.n),
-        Q.reshape(-1),
-        symmetric=True,
-    )
-    lhat = 1.01 * spectral_norm_estimate(Qs)
+    lam = np.linalg.eigvalsh(Q)
+    lhat = 1.01 * float(max(-lam[0], lam[-1]))
     dim = g.n * k
     scale = 1.0 / (4.0 * m)
     # node pair (i, j) with weight w != 0 couples coordinates i*k + c and

@@ -79,6 +79,11 @@ class TestLpRound:
             assert rep.objective_relaxed <= f_star + 1e-6
             assert rep.objective_binary >= f_star - 1e-9
 
+    def test_tolerance_is_not_a_keyword(self):
+        # the relaxation runs at the fixed baselines.LP_TOL
+        with pytest.raises(TypeError):
+            solve_lp_round(identity_instance(2), tol=float("nan"))
+
     def test_trace_shape(self):
         rep = solve_lp_round(identity_instance(2))
         assert len(rep.trace) == 2

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import binmpec.linalg
-import binmpec.problems
 import binmpec.subsolver
 from binmpec.adm import solve_adm
 from binmpec.baselines import solve_iht, solve_l2box_admm, solve_lp_round
@@ -43,12 +42,27 @@ def grid_graph(rows, cols):
     return Graph(rows * cols, tuple(edges))
 
 
+def dense_instance(M):
+    """A pm1 instance with the symmetric dense matrix M as its A."""
+    n = M.shape[0]
+    rows, cols = np.nonzero(np.ones_like(M))
+    A = SparseMatrix.from_coo(n, n, rows, cols, M[rows, cols], symmetric=True)
+    return ProblemInstance(QuadraticObjective(A, np.zeros(n)),
+                           FeasibleSet(np.full(n, -1.0), np.full(n, 1.0)), "pm1")
+
+
 GRID34 = grid_graph(3, 4)
 GRID_BUILDS = {
     "bisection": lambda: build_bisection(GRID34),
     "segmentation": lambda: build_constrained_segmentation(GRID34, fg=[0], bg=[11]),
     "mrf": lambda: build_mrf(GRID34, np.linspace(-1.0, 1.0, 12)),
+    "densesub": lambda: build_dense_subgraph(GRID34, 6),
+    "modularity": lambda: build_modularity(GRID34, 3),
 }
+# Laplacians are diagonally dominant; the shifted matrices are not
+GRID_CERTIFICATES = {"bisection": "gershgorin", "segmentation": "gershgorin",
+                     "mrf": "gershgorin", "densesub": "eigvalsh",
+                     "modularity": "eigvalsh"}
 
 
 @pytest.fixture
@@ -61,7 +75,7 @@ def spectral_calls(monkeypatch):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    for module in (binmpec.linalg, binmpec.subsolver, binmpec.problems):
+    for module in (binmpec.linalg, binmpec.subsolver):
         monkeypatch.setattr(module, "spectral_norm_estimate", counting)
     return calls
 
@@ -185,6 +199,17 @@ class TestSegmentation:
 
 
 class TestDenseSubgraph:
+    @pytest.mark.parametrize("graph", [
+        K3, Graph(3, ()),
+        generate("planted_clique", {"n": 16, "q": 5, "p": 0.15}, seed=3)])
+    def test_lambda_shift_is_shifted_spectral_norm(self, graph):
+        prob = build_dense_subgraph(graph, 2)
+        W = np.zeros((graph.n, graph.n))
+        for u, v, w in graph.edges:
+            W[u, v] = W[v, u] = w
+        want = 1.01 * np.linalg.eigvalsh(W)[-1]
+        assert prob.meta["lambda_shift"] == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             build_dense_subgraph(K3, 5)
@@ -273,6 +298,19 @@ class TestModularity:
             mod = modularity_value(g, np.array(labels))
             want = (lam * g.n - 2.0 * m * mod) / (8.0 * m)
             assert f == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("graph", [
+        TWO_K2, STAR4, generate("four_gauss_knn", {"n": 12, "knn": 3}, seed=3)])
+    def test_lambda_shift_is_shifted_spectral_norm(self, graph):
+        prob = build_modularity(graph, 3)
+        m = graph.total_weight()
+        d = graph.degrees()
+        Q = np.zeros((graph.n, graph.n))
+        for u, v, w in graph.edges:
+            Q[u, v] = Q[v, u] = w
+        Q -= np.outer(d, d) / (2.0 * m)
+        want = 1.01 * np.max(np.abs(np.linalg.eigvalsh(Q)))
+        assert prob.meta["lambda_shift"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("graph,k", [
         (TWO_K2, 2), (STAR4, 3),
@@ -380,7 +418,7 @@ class TestProblemInstanceValidation:
 
     def test_non_dominant_indefinite_rejected(self):
         # eigenvalues 3 and -1; the Gershgorin bound fails, so the
-        # shifted power check must reject it
+        # dense eigvalsh check must reject it
         A = SparseMatrix.from_coo(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
                                   [1.0, 2.0, 2.0, 1.0], symmetric=True)
         obj = QuadraticObjective(A, np.zeros(2))
@@ -388,10 +426,21 @@ class TestProblemInstanceValidation:
         with pytest.raises(ValueError, match="positive semidefinite"):
             ProblemInstance(obj, fs, "pm1")
 
+    def test_near_degenerate_indefinite_rejected(self):
+        # eigenvalues {-1e-5, 0 (98 times), 1} in a random orthonormal
+        # basis: lambda_min lies 100x below the tolerance, in a nearly
+        # degenerate spectrum on which power iteration stops short of it
+        U, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((100, 100)))
+        lam = np.zeros(100)
+        lam[0], lam[-1] = -1e-5, 1.0
+        M = (U * lam) @ U.T
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            dense_instance(0.5 * (M + M.T))
+
     @pytest.mark.parametrize("kind", sorted(GRID_BUILDS))
     def test_grid_builds_certified_with_one_estimate(self, kind, spectral_calls):
         prob = GRID_BUILDS[kind]()
-        assert prob.meta["psd_check"] == "gershgorin"
+        assert prob.meta["psd_check"] == GRID_CERTIFICATES[kind]
         # the Lipschitz estimate of the builder's objective, nothing else
         assert spectral_calls == [prob.objective.A]
 
@@ -399,8 +448,20 @@ class TestProblemInstanceValidation:
         g = generate("four_gauss_knn", {"n": 8, "knn": 3}, seed=2)
         prob = build_modularity(g, 4)
         assert gershgorin_lower_bound(prob.objective.A) < 0.0
-        assert prob.meta["psd_check"] == "power_estimate"
+        assert prob.meta["psd_check"] == "eigvalsh"
         assert np.linalg.eigvalsh(prob.objective.A.to_dense())[0] >= -1e-12
+
+    def test_shared_meta_dict_left_as_passed(self):
+        meta = {"name": "mine"}
+        laplace = ProblemInstance(QuadraticObjective(laplacian(P3), np.zeros(3)),
+                                  FeasibleSet(np.full(3, -1.0), np.full(3, 1.0)),
+                                  "pm1", meta)
+        dense = dense_instance(np.array([[2.0, 1.5, 1.5], [1.5, 2.0, 1.5],
+                                         [1.5, 1.5, 2.0]]))
+        shared = ProblemInstance(dense.objective, dense.feasible_set, "pm1", meta)
+        assert meta == {"name": "mine"}
+        assert laplace.meta == {"name": "mine", "psd_check": "gershgorin", "n": 3}
+        assert shared.meta == {"name": "mine", "psd_check": "eigvalsh", "n": 3}
 
     def test_zero_matrix_certified(self):
         A = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
