@@ -130,6 +130,7 @@ def solve_adm(problem, config=None, seed=0):
     l_hat = view.function_lipschitz()
 
     x = view.initial_point(seed)
+    project = view.warm_projector()
     v = np.zeros(n)
     rho = 0.0
     rho_cap = 2.0 * l_hat
@@ -145,7 +146,7 @@ def solve_adm(problem, config=None, seed=0):
             # the Lagrangian less its constant rho * n, which moves no step
             model = QuadraticModel(obj, obj.b - rho * v, alpha=alpha, u=v, t=n)
             x, _, _, _ = minimize_fista(
-                model, view.project, x,
+                model, project, x,
                 tol=config.inner_tol, max_iter=config.inner_max_iter)
             v = adm_v_update(x, rho, alpha, n)
             gap = float(n) - float(np.dot(x, v))

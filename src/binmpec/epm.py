@@ -59,6 +59,7 @@ def solve_epm(problem, config=None, seed=0):
     rho_cap = 2.0 * l_hat
 
     x = view.initial_point(seed)
+    project = view.warm_projector()
     v = np.zeros(n)
     rho = min(config.rho0, rho_cap)
     gap = float(n)
@@ -72,7 +73,7 @@ def solve_epm(problem, config=None, seed=0):
             x_prev = x
             model = QuadraticModel(obj, obj.b - rho * v)
             x, _, _, _ = minimize_fista(
-                model, view.project, x_prev,
+                model, project, x_prev,
                 tol=config.inner_tol, max_iter=config.inner_max_iter)
             v = epm_v_update(x)
             gap = float(n) - float(np.dot(x, v))

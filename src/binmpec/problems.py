@@ -1,5 +1,6 @@
 """Problem builders: graphs to quadratic binary program instances."""
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -7,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SparseMatrix, gershgorin_lower_bound, matvec
-from .projections import FeasibleSet, project_feasible
+from .projections import FeasibleSet, WarmStart, project_feasible
 from .reformulations import domain_bounds, round_sign
 from .report import SolveReport
 from .subsolver import QuadraticObjective
@@ -340,11 +341,19 @@ class SolverView:
             c = src.c + 0.125 * float(np.dot(ones, A1)) + 0.5 * float(src.b.sum())
             self.objective = src.scaled(0.25, b, c)
 
-    def project(self, z):
+    def project(self, z, warm=None):
         if self.problem.domain == "pm1":
-            return project_feasible(z, self.problem.feasible_set)
-        y = project_feasible((z + 1.0) / 2.0, self.problem.feasible_set)
+            return project_feasible(z, self.problem.feasible_set, warm)
+        y = project_feasible((z + 1.0) / 2.0, self.problem.feasible_set, warm)
         return 2.0 * y - 1.0
+
+    def warm_projector(self):
+        """``project`` for the x-steps of one solve.
+
+        Each sum projection starts from the threshold of the one before
+        (see ``projections.WarmStart``); call once per solve.
+        """
+        return functools.partial(self.project, warm=WarmStart())
 
     def initial_point(self, seed):
         """Tiny seeded noise, projected.

@@ -18,8 +18,9 @@ class FeasibleSet:
 
     Construction also caches what the projections and the rounding read
     on every call: ``pin_index``/``pin_value`` (the pins in the given
-    order, read-only), ``pinned_total`` (their sum), the pin mask and,
-    for simplex blocks, ``block_groups`` (see ``_group_blocks``).
+    order, read-only), ``pinned_total`` (their sum), the pin mask, for a
+    sum constraint ``sum_map`` (see ``_prepare_sum``) and, for simplex
+    blocks, ``block_groups`` (see ``_group_blocks``).
     """
 
     lower: np.ndarray
@@ -72,6 +73,10 @@ class FeasibleSet:
         object.__setattr__(self, "pin_value", pin_value)
         object.__setattr__(self, "pinned_total", sum(v for _, v in self.pinned))
         object.__setattr__(self, "_pin_mask", mask)
+        object.__setattr__(self, "sum_map", None)
+        if self.sum_constraint is not None:
+            object.__setattr__(self, "sum_map", _prepare_sum(
+                lo, up, mask, self.sum_constraint - self.pinned_total))
         object.__setattr__(self, "block_groups", ())
         if self.simplex_blocks is not None:
             r = int(self.simplex_blocks)
@@ -93,6 +98,31 @@ class FeasibleSet:
     def pin_mask(self):
         """Read-only mask of the pinned coordinates."""
         return self._pin_mask
+
+
+def _prepare_sum(lo, up, mask, k_free):
+    """(free, lo, span, target): the sum projection as one capped simplex.
+
+    ``free`` indexes the unpinned coordinates (a full slice when nothing
+    is pinned); their bounds must share one ``lo`` and one ``lo + span``.
+    The affine map y = (x - lo) / span takes them to [0, 1], where their
+    sum must be ``target``.  Projection commutes with that map.  A zero
+    span leaves nothing to project, and its target is unused.
+    """
+    free = slice(None)
+    if mask.any():
+        free = np.flatnonzero(~mask)
+        free.flags.writeable = False
+    lof, upf = lo[free], up[free]
+    if lof.shape[0] == 0:
+        return free, 0.0, 0.0, 0.0
+    lo0 = float(lof[0])
+    hi0 = float(upf[0])
+    if np.any(lof != lo0) or np.any(upf != hi0):
+        raise ValueError("sum constraint requires uniform bounds on free coordinates")
+    span = hi0 - lo0
+    target = (k_free - lof.shape[0] * lo0) / span if span > 0 else 0.0
+    return free, lo0, span, target
 
 
 def _group_blocks(pin2):
@@ -135,13 +165,40 @@ def project_ball(a, radius):
     return a * (radius / nrm)
 
 
-def project_capped_simplex(a, k):
+class WarmStart:
+    """The threshold of the last capped-simplex projection of one solve.
+
+    Passed to ``project_capped_simplex`` (through ``project_feasible``),
+    it lets the next 1-D call start Newton from that threshold instead of
+    sorting.  A fresh instance holds no threshold, so its first call
+    sorts.  One instance belongs to one solve; nothing else shares it.
+    """
+
+    __slots__ = ("tau",)
+
+    def __init__(self):
+        self.tau = None
+
+
+NEWTON_STEPS = 6  # warm Newton steps before the sorted walk takes over
+
+
+def project_capped_simplex(a, k, warm=None):
     """Projection onto {0 <= x <= 1, sum(x) = k} by break point search.
 
     O(n log n): the 2n break points are sorted once, then a single walk
     locates the crossing of the piecewise-linear coordinate-sum function.
     A 2-D ``a`` projects each row onto its own capped simplex, with ``k``
     one target per row (or one for all rows), by the same arithmetic.
+
+    With a ``WarmStart`` a 1-D call returns an already feasible ``a``
+    unchanged, so its own output comes back bit for bit.  Feasible means
+    in [0, 1] with a sum within 1e-13 of k, or within four ulps of k once
+    that is wider (k >= 512), since a float sum there lands no closer.
+    Otherwise the threshold comes from Newton started at the last one (see
+    ``_newton_tau``); the sort runs only when there is none or Newton does
+    not settle, and Newton then refines the walk's threshold.  2-D calls
+    ignore ``warm``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 2:
@@ -156,10 +213,21 @@ def project_capped_simplex(a, k):
         return np.zeros(n)
     if k >= n - 1e-13:
         return np.ones(n)
-    bvals = np.concatenate((a - 1.0, a))
-    deltas = np.concatenate((np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)))
-    order = np.argsort(bvals, kind="stable")
-    tau = kernels.simplex_walk(bvals[order], deltas[order], n, k)
+    if warm is None:
+        tau = _sorted_tau(a, n, k)
+    else:
+        if (abs(a.sum() - k) <= max(1e-13, 4.0 * np.spacing(k))
+                and a.min() >= 0.0 and a.max() <= 1.0):
+            return a.copy()
+        tau = _newton_tau(a, k, warm.tau)
+        if tau is None:
+            # the walk's threshold can miss k by its rounding with nothing
+            # left strictly inside (0, 1) for the correction; Newton settles it
+            walk = _sorted_tau(a, n, k)
+            tau = _newton_tau(a, k, walk)
+            if tau is None:
+                tau = walk
+        warm.tau = tau
     x = np.clip(a - tau, 0.0, 1.0)
     # one exact correction over the strictly free coordinates
     miss = x.sum() - k
@@ -170,6 +238,53 @@ def project_capped_simplex(a, k):
             x[free] -= miss / nf
             np.clip(x, 0.0, 1.0, out=x)
     return x
+
+
+def _sorted_tau(a, n, k):
+    bvals = np.concatenate((a - 1.0, a))
+    deltas = np.concatenate((np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)))
+    order = np.argsort(bvals, kind="stable")
+    return kernels.simplex_walk(bvals[order], deltas[order], n, k)
+
+
+def _newton_tau(a, k, tau):
+    """Crossing of g(tau) = sum clip(a - tau, 0, 1) = k by Newton from tau.
+
+    g is linear between break points, with slope minus the number of
+    coordinates strictly inside (0, 1); the piece is fixed by how many
+    a - tau reach 1 and how many exceed 0, both monotone in tau.  A step
+    solves the linear equation of its piece, so a step that stays on its
+    piece lands on the crossing.  On a flat piece that misses k the step
+    starts from the piece's edge toward k, with the slope just past it.
+    Returns None, for the sorted walk to decide, when there is no
+    threshold yet or after NEWTON_STEPS steps without settling (Newton
+    can cycle on a function that is neither convex nor concave).  See
+    Cominetti, Mascarenhas & Silva 2014 for Newton on this problem.
+    """
+    if tau is None:
+        return None
+    piece = None
+    for _ in range(NEWTON_STEPS):
+        d = a - tau
+        top = np.count_nonzero(d >= 1.0)
+        pos = np.count_nonzero(d > 0.0)
+        if (top, pos) == piece:
+            return tau
+        miss = np.clip(d, 0.0, 1.0).sum() - k
+        if abs(miss) <= 1e-13:
+            return tau
+        if pos > top:
+            tau += miss / (pos - top)
+        elif miss < 0.0:
+            # the largest coordinates at 0 turn on below their a
+            edge = a[d <= 0.0].max()
+            tau = edge + miss / np.count_nonzero(a == edge)
+        else:
+            # the smallest coordinates at 1 turn off above their a - 1
+            edge = a[d >= 1.0].min()
+            tau = (edge - 1.0) + miss / np.count_nonzero(a == edge)
+        piece = (top, pos)
+    return None
 
 
 def _project_capped_rows(a, k):
@@ -199,19 +314,12 @@ def _project_capped_rows(a, k):
     return x
 
 
-def _project_uniform_box_sum(a, lo, hi, k):
-    # affine map to [0, 1]: projection commutes with coordinate-wise
-    # scaling plus shift, so the capped simplex routine serves any
-    # uniform box with a sum constraint
-    if hi <= lo:
-        return np.full(a.shape[0], lo)
-    span = hi - lo
-    y = project_capped_simplex((a - lo) / span, (k - a.shape[0] * lo) / span)
-    return lo + span * y
+def project_feasible(a, fset, warm=None):
+    """Exact projection dispatcher for a full FeasibleSet.
 
-
-def project_feasible(a, fset):
-    """Exact projection dispatcher for a full FeasibleSet."""
+    ``warm``, a ``WarmStart``, is handed to the capped-simplex projection
+    of a sum constraint; box and block sets ignore it.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.shape[0] != fset.n:
         raise ValueError("dimension mismatch")
@@ -221,20 +329,12 @@ def project_feasible(a, fset):
     x[fset.pin_index] = fset.pin_value
 
     if fset.sum_constraint is not None:
-        free = ~fset.pin_mask()
-        af = a[free]
-        lof = fset.lower[free]
-        upf = fset.upper[free]
-        kf = fset.sum_constraint - fset.pinned_total
-        if af.shape[0] == 0:
-            if abs(kf) > 1e-9:
-                raise ValueError("pins contradict the sum constraint")
-            return x
-        lo = float(lof[0])
-        hi = float(upf[0])
-        if np.any(lof != lo) or np.any(upf != hi):
-            raise ValueError("sum constraint requires uniform bounds on free coordinates")
-        x[free] = _project_uniform_box_sum(af, lo, hi, kf)
+        free, lo, span, target = fset.sum_map
+        if span > 0:
+            y = project_capped_simplex((a[free] - lo) / span, target, warm)
+            x[free] = lo + span * y
+        else:
+            x[free] = lo
         return x
 
     # simplex blocks: one row-wise projection per count of free coordinates

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -509,6 +510,17 @@ class TestSolverView:
         assert not np.array_equal(x, view.initial_point(6))
         assert np.array_equal(x, view.project(x))
 
+    @pytest.mark.parametrize("build", [lambda: build_bisection(GRID34),
+                                       lambda: build_dense_subgraph(GRID34, 5)],
+                             ids=["pm1", "zeroone"])
+    def test_warm_projector_returns_own_output(self, build):
+        view = SolverView(build())
+        project = view.warm_projector()
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = project(rng.uniform(-2.0, 2.0, view.n))
+            assert np.array_equal(x, project(x))
+
     def test_pm1_passthrough(self):
         prob = build_bisection(C4)
         view = SolverView(prob)
@@ -563,6 +575,36 @@ class TestSolverView:
             eps = 1e-5
             df = abs(view.objective.value(x + eps * d) - view.objective.value(x))
             assert df <= l_hat * eps * (1.0 + 1e-6) + 1e-12
+
+
+def fset_state(fs):
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+            for k, v in vars(fs).items()}
+
+
+def without_wall_time(report):
+    payload = json.loads(report.to_json())
+    del payload["wall_time_ms"]
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+class TestWarmStateStaysInOneSolve:
+    """epm and adm keep their projection threshold per solve, not per set."""
+
+    def test_no_leak_between_solves(self):
+        a = build_bisection(generate("four_gauss_knn", {"n": 24}, seed=3))
+        g = generate("four_gauss_knn", {"n": 24}, seed=4)
+        # b shares a's feasible set, so state kept on the set would carry over
+        b = ProblemInstance(build_bisection(g).objective, a.feasible_set, "pm1")
+        fresh = without_wall_time(solve_epm(b))
+        before = fset_state(a.feasible_set)
+        solve_epm(a)
+        assert fset_state(a.feasible_set) == before
+        solve_adm(a)
+        assert fset_state(a.feasible_set) == before
+        assert without_wall_time(solve_epm(b)) == fresh
+        assert without_wall_time(solve_epm(b)) == fresh
+        assert fset_state(a.feasible_set) == before
 
 
 class TestRoundFeasible:

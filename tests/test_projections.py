@@ -166,10 +166,18 @@ class TestProjectFeasible:
             box_set(2, sum_constraint=1.0, pinned=((0, 1.0), (1, -1.0)))
 
     def test_sum_needs_uniform_bounds(self):
-        fs = FeasibleSet(lower=np.array([-1.0, 0.0]),
-                         upper=np.array([1.0, 1.0]), sum_constraint=0.5)
         with pytest.raises(ValueError, match="uniform"):
-            project_feasible([0.0, 0.0], fs)
+            FeasibleSet(lower=np.array([-1.0, 0.0]),
+                        upper=np.array([1.0, 1.0]), sum_constraint=0.5)
+
+    def test_sum_bounds_may_differ_on_pins(self):
+        # only the free coordinates must share their bounds
+        fs = FeasibleSet(lower=np.array([-1.0, 0.0, 0.0]),
+                         upper=np.array([2.0, 1.0, 1.0]), sum_constraint=2.0,
+                         pinned=((0, 1.5),))
+        out = project_feasible([9.0, 0.3, 0.1], fs)
+        assert out[0] == 1.5
+        assert out[1:] == pytest.approx([0.35, 0.15], abs=1e-12)
 
     def test_blocks_with_pin(self):
         fs = box_set(2, lo=0.0, hi=1.0, simplex_blocks=2, pinned=((0, 1.0),))
@@ -373,3 +381,143 @@ class TestBatchedBlocks:
         x = project_feasible(np.random.default_rng(3).normal(size=fs.n), fs)
         assert calls == {"capped": 1, "walk": 1}
         assert np.allclose(x.reshape(-1, 4).sum(axis=1), 1.0, atol=1e-12)
+
+
+def fista_like(rng, n, steps, lo=-0.5, hi=1.5):
+    """Inputs that drift less and less, like a projected-gradient run."""
+    a = rng.uniform(lo, hi, n)
+    out = []
+    for t in range(steps):
+        a = a + (0.05 * 0.8 ** t) * rng.standard_normal(n)
+        out.append(a.copy())
+    return out
+
+
+def counted_walks(monkeypatch):
+    calls = []
+    walk = kernels.simplex_walk
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "simplex_walk", wrapper)
+    return calls
+
+
+def assert_projection(a, p, k, rng, tol=1e-9):
+    # in the box, on the sum, and <a - p, y - p> <= 0 for feasible y
+    assert p.min() >= 0.0 and p.max() <= 1.0
+    assert abs(p.sum() - k) <= 1e-12
+    for _ in range(20):
+        y = project_capped_simplex(rng.uniform(-1.0, 2.0, a.shape[0]), k)
+        assert float(np.dot(a - p, y - p)) <= tol
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("n,k", [(7, 3.0), (60, 17.25), (324, 162.0),
+                                     (900, 450.0), (900, 123.4567)])
+    def test_warm_agrees_with_cold(self, n, k):
+        rng = np.random.default_rng(n + int(k))
+        warm = projections.WarmStart()
+        for a in fista_like(rng, n, 40):
+            got = project_capped_simplex(a, k, warm)
+            want = project_capped_simplex(a, k)
+            assert np.max(np.abs(got - want)) <= 1e-13
+            assert_projection(a, got, k, rng)
+
+    @pytest.mark.parametrize("domain", ["pm1", "zeroone"])
+    def test_warm_agrees_with_cold_with_pins(self, domain):
+        rng = np.random.default_rng(11)
+        lo = -1.0 if domain == "pm1" else 0.0
+        n = 400
+        pins = tuple((int(i), 1.0) for i in rng.choice(n, 9, replace=False))
+        fs = box_set(n, lo=lo, hi=1.0, pinned=pins,
+                     sum_constraint=9.0 + (150.5 if lo == 0.0 else 0.0))
+        warm = projections.WarmStart()
+        for a in fista_like(rng, n, 40, lo=lo - 0.5, hi=1.5):
+            got = project_feasible(a, fs, warm)
+            want = project_feasible(a, fs)
+            assert np.max(np.abs(got - want)) <= 1e-13
+            assert abs(got.sum() - fs.sum_constraint) <= 1e-12
+            assert np.all(got[fs.pin_index] == 1.0)
+            for _ in range(20):
+                y = project_feasible(rng.uniform(-2.0, 2.0, n), fs)
+                assert float(np.dot(a - got, y - got)) <= 1e-9
+
+    def test_first_call_sorts_and_later_calls_do_not(self, monkeypatch):
+        calls = counted_walks(monkeypatch)
+        rng = np.random.default_rng(12)
+        warm = projections.WarmStart()
+        seq = fista_like(rng, 300, 10)
+        project_capped_simplex(seq[0], 150.0, warm)
+        assert len(calls) == 1 and warm.tau is not None
+        for a in seq[1:]:
+            project_capped_simplex(a, 150.0, warm)
+        assert len(calls) == 1
+
+    def test_stale_threshold_falls_back_to_sorted_walk(self, monkeypatch):
+        calls = counted_walks(monkeypatch)
+        rng = np.random.default_rng(13)
+        a = rng.uniform(-0.5, 1.5, 500)
+        warm = projections.WarmStart()
+        # every a - tau is below 0: g is flat at 0 and misses k
+        warm.tau = 1e6
+        got = project_capped_simplex(a, 200.0, warm)
+        assert len(calls) == 1
+        assert np.max(np.abs(got - project_capped_simplex(a, 200.0))) <= 1e-13
+        assert warm.tau < 1e6
+
+    def test_walk_refined_when_nothing_is_left_free(self):
+        # the target's fraction is below the walk's rounding, and no
+        # coordinate ends strictly inside (0, 1) for the correction step
+        n = 1100
+        fs = box_set(n, sum_constraint=-1099.9999999999995)
+        a = np.random.default_rng(0).uniform(-3.0, 3.0, n)
+        warm = projections.WarmStart()
+        x = project_feasible(a, fs, warm)
+        _, _, _, target = fs.sum_map
+        assert abs(((x + 1.0) / 2.0).sum() - target) <= 1e-13
+        assert same_bits(project_feasible(x, fs, warm), x)
+
+    def test_feasible_input_returned_unchanged(self, monkeypatch):
+        calls = counted_walks(monkeypatch)
+        a = np.array([0.25, 0.5, 0.75, 0.5])
+        got = project_capped_simplex(a, 2.0, projections.WarmStart())
+        assert same_bits(got, a) and got is not a
+        assert calls == []
+
+    def test_rows_ignore_warm(self):
+        rng = np.random.default_rng(14)
+        a = rng.uniform(-1.0, 2.0, (6, 5))
+        warm = projections.WarmStart()
+        assert same_bits(project_capped_simplex(a, 2.0, warm),
+                         project_capped_simplex(a, 2.0))
+        assert warm.tau is None
+
+
+@st.composite
+def sum_sets(draw):
+    # past k = 512 one ulp of the sum exceeds 1e-13
+    n = draw(st.one_of(st.integers(2, 40), st.integers(1100, 1400)))
+    lo = draw(st.sampled_from([-1.0, 0.0]))
+    pinned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n // 2))
+    pins = tuple((i, draw(st.sampled_from([lo, 1.0]))) for i in pinned)
+    nf = n - len(pins)
+    frac = draw(st.floats(0.0, 1.0))
+    k = sum(v for _, v in pins) + nf * lo + frac * nf * (1.0 - lo)
+    fs = box_set(n, lo=lo, hi=1.0, pinned=pins, sum_constraint=k)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return fs, np.random.default_rng(seed).uniform(lo - 2.0, 3.0, n)
+
+
+class TestWarmIdempotence:
+    @given(sum_sets())
+    def test_own_output_returns_same_bytes(self, case):
+        fs, a = case
+        warm = projections.WarmStart()
+        x = project_feasible(a, fs, warm)
+        assert same_bits(project_feasible(x, fs, warm), x)
+        # also after the threshold has moved on
+        project_feasible(a[::-1].copy(), fs, warm)
+        assert same_bits(project_feasible(x, fs, warm), x)
