@@ -2,7 +2,7 @@
 and assignment blocks, built around an equilibrium-constraint
 reformulation of the binary set."""
 
-from .adm import AdmConfig, RankOneQp, adm_v_update, solve_adm, solve_rank_one_ball_qp
+from .adm import AdmConfig, solve_adm
 from .baselines import (BaselineConfig, BaselineMethod, solve_iht,
                         solve_l2box_admm, solve_lp_round)
 from .epm import EpmConfig, epm_v_update, solve_epm
@@ -27,16 +27,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmConfig", "BaselineConfig", "BaselineMethod", "EpmConfig",
     "FeasibleSet", "Graph", "MpecVariant", "ProblemInstance",
-    "QuadraticObjective", "RankOneQp", "SizeLimitError", "SolveReport",
-    "SolverView", "SparseMatrix", "SubproblemResult", "active_backend",
-    "adm_v_update", "brute_force", "build_bisection",
-    "build_constrained_segmentation", "build_dense_subgraph",
-    "build_modularity", "build_mrf", "check_binary_feasible",
-    "domain_transform", "epm_v_update", "feasible_count_binomial", "generate",
-    "h_ratio", "laplacian", "matvec", "membership", "modularity_value",
-    "project_ball", "project_box", "project_capped_simplex",
-    "project_feasible", "quadratic_form", "round_feasible", "round_sign",
-    "solve_adm", "solve_epm", "solve_iht", "solve_l2box_admm",
-    "solve_lp_round", "solve_qp", "solve_rank_one_ball_qp",
+    "QuadraticObjective", "SizeLimitError", "SolveReport", "SolverView",
+    "SparseMatrix", "SubproblemResult", "active_backend", "brute_force",
+    "build_bisection", "build_constrained_segmentation",
+    "build_dense_subgraph", "build_modularity", "build_mrf",
+    "check_binary_feasible", "domain_transform", "epm_v_update",
+    "feasible_count_binomial", "generate", "h_ratio", "laplacian", "matvec",
+    "membership", "modularity_value", "project_ball", "project_box",
+    "project_capped_simplex", "project_feasible", "quadratic_form",
+    "round_feasible", "round_sign", "solve_adm", "solve_epm", "solve_iht",
+    "solve_l2box_admm", "solve_lp_round", "solve_qp",
     "spectral_norm_estimate", "subgraph_weight", "trace_to_csv", "vector",
 ]

@@ -9,7 +9,8 @@ import numpy as np
 
 from .problems import SolverView, finish_solve, round_feasible
 from .projections import project_feasible
-from .subsolver import QuadraticModel, check_positive, minimize_fista, solve_qp
+from .subsolver import (QuadraticModel, check_counts, check_positive, minimize_fista,
+                        solve_qp)
 
 MU_CAP = 1e10
 LP_TOL = 1e-7  # FISTA tolerance of the lp relaxation
@@ -31,8 +32,9 @@ class BaselineConfig:
 
     def __post_init__(self):
         check_positive(self, "tol", "penalty0", "sigma")
-        if self.max_iter < 1 or self.sigma <= 1 or self.inner_T < 1:
-            raise ValueError("invalid penalty schedule")
+        check_counts(self, "max_iter", "inner_T")
+        if self.sigma <= 1:
+            raise ValueError("sigma must exceed 1")
 
 
 def solve_lp_round(problem):

@@ -5,8 +5,6 @@ Exit codes: 0 success, 1 usage errors, 2 infeasible or unparsable input,
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -17,8 +15,7 @@ from .baselines import solve_iht, solve_l2box_admm, solve_lp_round
 from .epm import solve_epm
 from .oracle import SizeLimitError, brute_force
 from .problems import (Graph, build_bisection, build_constrained_segmentation,
-                       build_dense_subgraph, build_modularity, build_mrf,
-                       generate)
+                       build_dense_subgraph, build_modularity, build_mrf)
 from .report import trace_to_csv
 
 PROBLEMS = ("bisection", "densesub", "modularity", "mrf", "seg")
@@ -228,63 +225,6 @@ def _cmd_oracle(args):
     return 0
 
 
-def _desk_instances():
-    two_pairs = Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
-    mrf_pair = Graph(2, ((0, 1, 1.0),))
-    return (
-        ("bisection-c4", build_bisection(generate("cycle", {"n": 4}, 0))),
-        ("bisection-2k2", build_bisection(two_pairs)),
-        ("bisection-gauss", build_bisection(
-            generate("four_gauss_knn", {"n": 80}, 0))),
-        ("densesub-k3", build_dense_subgraph(generate("complete", {"n": 3}, 0), 2)),
-        ("densesub-er14", build_dense_subgraph(
-            generate("erdos_renyi", {"n": 14, "p": 0.4}, 1), 5)),
-        ("mrf-pair", build_mrf(mrf_pair, (-1.0, 0.2))),
-        ("seg-p3", build_constrained_segmentation(
-            generate("path", {"n": 3}, 0), (0,), (2,))),
-        ("modularity-2k2", build_modularity(two_pairs, 2)),
-    )
-
-
-def _desk_cell(name, problem, method, seed):
-    row = {"problem": name, "method": method, "n": problem.meta["n"],
-           "status": "ok", "objective": "", "gap": "", "outer": "",
-           "feasible": "", "converged": "", "time_ms": ""}
-    try:
-        rep = _run_method(method, problem, seed)
-    except ValueError:
-        row["status"] = "skipped"
-        return row
-    row.update({
-        "objective": "%.12g" % rep.objective_binary,
-        "gap": "%.3e" % rep.complementarity_gap_final,
-        "outer": rep.outer_iterations,
-        "feasible": rep.feasible,
-        "converged": rep.converged,
-        "time_ms": "%.2f" % rep.wall_time_ms,
-    })
-    return row
-
-
-def _cmd_bench(args):
-    rows = [_desk_cell(name, problem, method, args.seed)
-            for name, problem in _desk_instances()
-            for method in METHODS]
-    rows.sort(key=lambda r: (r["problem"], r["method"]))
-    fields = ["problem", "method", "n", "status", "objective", "gap",
-              "outer", "feasible", "converged", "time_ms"]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    text = buf.getvalue()
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0
-
-
 def _add_problem_flags(sub):
     sub.add_argument("--problem", required=True, choices=PROBLEMS)
     sub.add_argument("--graph", required=True)
@@ -316,11 +256,6 @@ def build_parser():
     oracle.add_argument("--report", default=None)
     oracle.set_defaults(func=_cmd_oracle)
 
-    bench = subs.add_parser("bench", help="benchmark suites")
-    bench.add_argument("--suite", default="desk", choices=("desk",))
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out", default=None)
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -90,19 +90,26 @@ def check_positive(config, *names):
             raise ValueError("%s must be finite and positive" % name)
 
 
+def check_counts(config, *names):
+    """Raise ValueError unless every named field of config is an integer
+    of at least 1; numpy integers count, bools do not."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError("%s must be an integer of at least 1" % name)
+
+
 def check_schedule(config, first):
     """The settings check EpmConfig and AdmConfig share.
 
     ``first`` names the schedule's starting weight (rho0 or alpha0).  The
     weights and tolerances must be finite and positive, the growth factor
-    sigma must exceed 1 and every count must be at least 1.
+    sigma must exceed 1 and every count must be an integer of at least 1.
     """
     check_positive(config, first, "sigma", "feas_tol", "inner_tol")
     if config.sigma <= 1:
         raise ValueError("sigma must exceed 1")
-    for name in ("inner_T", "max_outer", "inner_max_iter"):
-        if getattr(config, name) < 1:
-            raise ValueError("%s must be at least 1" % name)
+    check_counts(config, "inner_T", "max_outer", "inner_max_iter")
 
 
 class QuadraticModel:

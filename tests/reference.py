@@ -3,9 +3,8 @@
 Everything here deliberately avoids the library's own algorithms:
 eigenvalues come from cyclic Jacobi rotations, projections from
 active-set enumeration, QP solves from plain unaccelerated projected
-gradient, the ball-constrained rank-one QP from a dense angular grid
-with golden-section refinement, and CSR transposes from a scatter loop
-over every stored entry.
+gradient, ball maxima from a dense angular grid, and CSR transposes from
+a scatter loop over every stored entry.
 
 The ``*_loop`` functions at the end are the one-row-, one-block- or
 one-point-at-a-time loops that the library's vectorized code replaced,
@@ -98,89 +97,6 @@ def pgd_reference(grad, lipschitz, project, x0, iters=100000):
     for _ in range(iters):
         x = project(x - step * grad(x))
     return x
-
-
-def _golden_min(fn, lo, hi, iters=200):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    t = 0.5 * (a + b)
-    return t, fn(t)
-
-
-def rank_one_ball_oracle(gamma, b, c, beta, grid=20001):
-    """Global minimum of 0.5 x'(gamma I + bb')x + <c, x> over ||x|| <= beta.
-
-    Any boundary stationary point lies in span{b, c}, so the sphere search
-    reduces to a circle: dense angular grid plus golden-section refinement.
-    The unconstrained stationary point is added when it is interior.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    n = b.size
-
-    def value(x):
-        t = float(np.dot(b, x))
-        return 0.5 * gamma * float(np.dot(x, x)) + 0.5 * t * t + float(np.dot(c, x))
-
-    candidates = []
-    hess = gamma * np.eye(n) + np.outer(b, b)
-    xi, _, _, _ = np.linalg.lstsq(hess, -c, rcond=None)
-    if (np.linalg.norm(hess @ xi + c) <= 1e-9 * max(1.0, np.linalg.norm(c))
-            and np.linalg.norm(xi) <= beta * (1.0 + 1e-12)):
-        candidates.append(xi)
-
-    basis = []
-    for vec in (b, c):
-        w = vec.astype(np.float64, copy=True)
-        for u in basis:
-            w = w - u * float(np.dot(u, w))
-        nw = float(np.linalg.norm(w))
-        if nw > 1e-12:
-            basis.append(w / nw)
-    if not basis:
-        e = np.zeros(n)
-        e[0] = 1.0
-        basis.append(e)
-    if len(basis) == 1:
-        candidates.append(beta * basis[0])
-        candidates.append(-beta * basis[0])
-    else:
-        e1, e2 = basis
-
-        def bval(t):
-            return value(beta * (math.cos(t) * e1 + math.sin(t) * e2))
-
-        ts = np.linspace(0.0, 2.0 * math.pi, grid)
-        pts = beta * (np.cos(ts)[:, None] * e1 + np.sin(ts)[:, None] * e2)
-        bt = pts @ b
-        vals = (0.5 * gamma * np.einsum("ij,ij->i", pts, pts)
-                + 0.5 * bt * bt + pts @ c)
-        order = np.argsort(vals)
-        step = ts[1] - ts[0]
-        seen = []
-        for idx in order[:12]:
-            if any(abs(ts[idx] - s) < 4 * step for s in seen):
-                continue
-            seen.append(ts[idx])
-            t_best, _ = _golden_min(bval, ts[idx] - step, ts[idx] + step)
-            candidates.append(beta * (math.cos(t_best) * e1 + math.sin(t_best) * e2))
-            if len(seen) >= 4:
-                break
-
-    best = min(candidates, key=value)
-    return best, value(best)
 
 
 def ball_linear_max_oracle(x, radius, grid=400000):

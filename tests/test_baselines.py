@@ -35,10 +35,15 @@ class TestConfig:
         {"tol": float("nan")}, {"tol": float("inf")},
         {"penalty0": float("nan")}, {"penalty0": float("inf")},
         {"sigma": float("nan")}, {"sigma": float("inf")},
+        {"max_iter": 2.5}, {"inner_T": 1.5}, {"max_iter": True}, {"inner_T": False},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             BaselineConfig(**kw)
+
+    def test_numpy_counts_accepted(self):
+        cfg = BaselineConfig(max_iter=np.int64(20), inner_T=np.int32(2))
+        assert cfg.max_iter == 20
 
 
 class TestLpRound:

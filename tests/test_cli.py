@@ -179,7 +179,9 @@ class TestMainErrors:
         assert "usage" in capsys.readouterr().err
 
     def test_unknown_subcommand_exit_1(self, capsys):
-        assert main(["tune"]) == 1
+        # the benchmark is perfbench/, not a subcommand
+        for command in ("tune", "bench"):
+            assert main([command]) == 1
 
     def test_missing_method_exit_1(self, c4_file):
         assert main(["solve", "--problem", "bisection", "--graph", c4_file]) == 1
@@ -232,29 +234,6 @@ class TestMainOracle:
         code = main(["oracle", "--problem", "bisection", "--graph", str(path),
                      "--limit", "10"])
         assert code == 3
-
-
-class TestBench:
-    def test_desk_suite_csv(self, tmp_path, capsys):
-        out_file = tmp_path / "desk.csv"
-        code = main(["bench", "--suite", "desk", "--out", str(out_file)])
-        assert code == 0
-        lines = out_file.read_text().strip().split("\n")
-        header = lines[0].split(",")
-        assert header == ["problem", "method", "n", "status", "objective",
-                          "gap", "outer", "feasible", "converged", "time_ms"]
-        rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 8 * 5
-        # sorted by (problem, method)
-        keys = [(r[0], r[1]) for r in rows]
-        assert keys == sorted(keys)
-        # iht cannot run assignment blocks: recorded as skipped, not error
-        mod_iht = [r for r in rows if r[0] == "modularity-2k2" and r[1] == "iht"]
-        assert mod_iht[0][3] == "skipped"
-        ok_rows = [r for r in rows if r[3] == "ok"]
-        assert len(ok_rows) >= 30
-        stdout_csv = capsys.readouterr().out
-        assert stdout_csv.strip().split("\n")[0] == lines[0]
 
 
 class TestGoldenTrace:

@@ -37,6 +37,8 @@ class TestConfig:
         {"rho0": float("nan")}, {"rho0": float("inf")},
         {"sigma": float("nan")}, {"sigma": float("inf")},
         {"feas_tol": float("nan")}, {"feas_tol": float("inf")},
+        {"inner_T": 1.5}, {"max_outer": 2.5}, {"inner_max_iter": True},
+        {"inner_T": "3"},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
