@@ -1,7 +1,8 @@
 """Hot numerical kernels, vectorized numpy.
 
 The capped-simplex walk locates a projection's threshold along one
-vector, or along every row of a matrix at once.  The binary scan
+vector; along every row of a matrix at once, for row targets in [0, 1],
+the threshold comes from sorted prefix sums.  The binary scan
 enumerates {lo, hi}^m by splitting the coordinates in two halves: each
 half is tabulated once, and the objective of every feasible pair comes
 from one matrix product per chunk.  Both are deterministic, so one seed
@@ -41,26 +42,25 @@ def _simplex_walk_vec(bvals, deltas, n, k):
     return bvals[t]
 
 
-def _simplex_walk_rows(bvals, deltas, n, k):
-    # the same walk along every row at once; row i stops at its own k[i]
-    active = np.cumsum(deltas[:, :-1], axis=1)
-    drops = active * np.diff(bvals, axis=1)
-    g_at = np.empty(bvals.shape, dtype=np.float64)
-    g_at[:, 0] = float(n)
-    g_at[:, 1:] = float(n) - np.cumsum(drops, axis=1)
-    hit = g_at[:, 1:] <= k[:, None]
-    t = np.argmax(hit, axis=1)
-    rows = np.arange(bvals.shape[0])
-    b_t, act_t, g_t = bvals[rows, t], active[rows, t], g_at[rows, t]
-    tau = np.where(act_t > 0, b_t + (g_t - k) / np.maximum(act_t, 1), b_t)
-    return np.where(hit.any(axis=1), tau, bvals[:, -1])
-
-
 def simplex_walk(bvals, deltas, n, k):
-    """Crossing tau of g(tau) = k; 2-D inputs walk row by row, k per row."""
-    if bvals.ndim == 2:
-        return _simplex_walk_rows(bvals, deltas, n, np.asarray(k, dtype=np.float64))
-    return _simplex_walk_vec(bvals, deltas, n, float(k))
+    """Crossing tau of g(tau) = k.
+
+    1-D: ``bvals`` holds the 2n break points sorted ascending, ``deltas``
+    their slope changes.  2-D: each row of ``bvals`` is one row of the
+    input sorted descending, ``deltas`` is None, and each row's k[i] lies
+    in [0, 1]; tau comes from the sorted prefix sums.
+    """
+    if bvals.ndim == 1:
+        return _simplex_walk_vec(bvals, deltas, n, float(k))
+    # with k in [0, 1] the cap x <= 1 never binds, so tau is the plain
+    # simplex threshold (S_rho - k) / rho, S_j the sum of the j largest and
+    # rho the count of j with j*s_j > S_j - k; (S_j - k) / j rises up to
+    # j = rho and does not rise after it, so tau is its maximum over j
+    # (Held, Wolfe & Crowder 1974; Duchi et al. 2008; Condat 2016)
+    csum = np.cumsum(bvals, axis=1)
+    csum -= k[:, None]
+    csum /= np.arange(1, n + 1)
+    return csum.max(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -417,8 +417,8 @@ def round_feasible(y, fset, domain):
         pin2 = fset.pin_mask().reshape(nb, r)
         free2 = ~pin2
         need = np.empty(nb)
-        for blocks, _, pin_idx in fset.block_groups:
-            need[blocks] = 1.0 - x[pin_idx].sum(axis=1)
+        for blocks, _, target in fset.block_groups:
+            need[blocks] = target
         one = np.abs(need - 1.0) < 1e-9
         bad = np.where(one, ~free2.any(axis=1), np.abs(need) > 1e-9)
         # blocks are repaired in order up to and including the first bad

@@ -1,5 +1,6 @@
 """Exact Euclidean projections onto the feasible sets used by the solvers."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,10 @@ class FeasibleSet:
             over = np.flatnonzero(pinned_sums > 1.0 + 1e-12)
             if over.shape[0]:
                 raise ValueError("pinned values oversubscribe block %d" % over[0])
-            object.__setattr__(self, "block_groups", _group_blocks(mask.reshape(-1, r)))
+            pinned_at = np.zeros(n)
+            pinned_at[pin_index] = pin_value
+            object.__setattr__(self, "block_groups",
+                               _group_blocks(mask.reshape(-1, r), pinned_at))
 
     @property
     def n(self):
@@ -125,12 +129,13 @@ def _prepare_sum(lo, up, mask, k_free):
     return free, lo0, span, target
 
 
-def _group_blocks(pin2):
+def _group_blocks(pin2, pinned_at):
     """Blocks grouped by their number of free coordinates.
 
-    One (blocks, free_idx, pin_idx) triple per count f, ascending: the
-    block numbers, and a (blocks x f) and a (blocks x (r - f)) array of
-    the coordinates that are free and pinned in each, in index order.
+    One (blocks, free_idx, target) triple per count f, ascending: the
+    block numbers, a (blocks x f) array of the coordinates that are free
+    in each, in index order, and each block's free target, 1 minus the
+    sum of its pins (summed in index order), read-only.
     """
     nb, r = pin2.shape
     coords = np.arange(nb * r, dtype=np.int64).reshape(nb, r)
@@ -139,8 +144,10 @@ def _group_blocks(pin2):
     for f in np.unique(n_free):
         rows = np.flatnonzero(n_free == f)
         sub, sub_pin = coords[rows], pin2[rows]
-        groups.append((rows, sub[~sub_pin].reshape(rows.shape[0], f),
-                       sub[sub_pin].reshape(rows.shape[0], r - f)))
+        pin_idx = sub[sub_pin].reshape(rows.shape[0], r - f)
+        target = 1.0 - pinned_at[pin_idx].sum(axis=1)
+        target.flags.writeable = False
+        groups.append((rows, sub[~sub_pin].reshape(rows.shape[0], f), target))
     return tuple(groups)
 
 
@@ -156,8 +163,8 @@ def project_box(a, fset):
 
 def project_ball(a, radius):
     """Euclidean projection onto the origin-centered ball of given radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError("radius must be positive and finite, got %r" % radius)
     a = np.asarray(a, dtype=np.float64)
     nrm = np.linalg.norm(a)
     if nrm <= radius:
@@ -189,7 +196,10 @@ def project_capped_simplex(a, k, warm=None):
     O(n log n): the 2n break points are sorted once, then a single walk
     locates the crossing of the piecewise-linear coordinate-sum function.
     A 2-D ``a`` projects each row onto its own capped simplex, with ``k``
-    one target per row (or one for all rows), by the same arithmetic.
+    one target per row (or one for all rows).  Each row target must lie
+    in [0, 1], where the cap never binds: a row is sorted once and its
+    threshold comes from the sorted prefix sums, with no correction step.
+    A target that is not finite is infeasible.
 
     With a ``WarmStart`` a 1-D call returns an already feasible ``a``
     unchanged, so its own output comes back bit for bit.  Feasible means
@@ -205,7 +215,7 @@ def project_capped_simplex(a, k, warm=None):
         return _project_capped_rows(a, k)
     n = a.shape[0]
     k = float(k)
-    if k < -1e-9 or k > n + 1e-9:
+    if not -1e-9 <= k <= n + 1e-9:  # NaN and inf fail too
         raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]" % (k, n))
     if n == 0:
         return a.copy()
@@ -290,28 +300,16 @@ def _newton_tau(a, k, tau):
 def _project_capped_rows(a, k):
     m, n = a.shape
     k = np.broadcast_to(np.asarray(k, dtype=np.float64), (m,))
-    bad = (k < -1e-9) | (k > n + 1e-9)
-    if bad.any():
-        raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]"
-                         % (k[bad][0], n))
+    ok = (k >= -1e-9) & (k <= min(n, 1.0) + 1e-9)  # NaN fails both
+    if not ok.all():
+        bad = k[~ok][0]
+        if -1e-9 <= bad <= n + 1e-9:
+            raise ValueError("row target %g above 1; 2-D calls take targets in [0, 1]" % bad)
+        raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]" % (bad, n))
     if n == 0:
         return a.copy()
-    bvals = np.concatenate((a - 1.0, a), axis=1)
-    deltas = np.concatenate((np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)))
-    order = np.argsort(bvals, axis=1, kind="stable")
-    tau = kernels.simplex_walk(np.take_along_axis(bvals, order, axis=1), deltas[order], n, k)
-    x = np.clip(a - tau[:, None], 0.0, 1.0)
-    # one exact correction over the strictly free coordinates of each row
-    miss = x.sum(axis=1) - k
-    fix = np.abs(miss) > 1e-13
-    if fix.any():
-        free = (x > 1e-12) & (x < 1.0 - 1e-12) & fix[:, None]
-        step = miss / np.maximum(free.sum(axis=1), 1)
-        x -= np.where(free, step[:, None], 0.0)
-        np.clip(x, 0.0, 1.0, out=x)
-    x[k <= 1e-13] = 0.0
-    x[k >= n - 1e-13] = 1.0
-    return x
+    tau = kernels.simplex_walk(np.sort(a, axis=1)[:, ::-1], None, n, k)
+    return np.clip(a - tau[:, None], 0.0, 1.0)
 
 
 def project_feasible(a, fset, warm=None):
@@ -338,7 +336,6 @@ def project_feasible(a, fset, warm=None):
         return x
 
     # simplex blocks: one row-wise projection per count of free coordinates
-    for _, free_idx, pin_idx in fset.block_groups:
-        target = 1.0 - x[pin_idx].sum(axis=1)
+    for _, free_idx, target in fset.block_groups:
         x[free_idx] = project_capped_simplex(a[free_idx], target)
     return x

@@ -63,22 +63,39 @@ def jacobi_spectral_norm(mat):
 
 def simplex_projection_oracle(a, k):
     """Projection onto {0 <= x <= 1, sum x = k} by trying every
-    lower/free/upper pattern and keeping the closest feasible candidate."""
+    lower/free/upper pattern and keeping the closest feasible candidate.
+
+    A candidate counts only if one threshold tau fits its pattern, as the
+    projection clip(a - tau, 0, 1) requires: a - tau <= 0 on the lower
+    coordinates and >= 1 on the upper ones, to 1e-12 max(1, max|a|).
+    Without that test a far-out coordinate, which adds the same square to
+    every candidate's distance, can round away the difference between
+    them and let a wrong pattern win."""
     a = np.asarray(a, dtype=np.float64)
     n = a.size
+    fit = 1e-12 * max(1.0, float(np.abs(a).max(initial=0.0)))
     best = None
     for pattern in itertools.product((0, 1, 2), repeat=n):
+        lows = [i for i, p in enumerate(pattern) if p == 0]
         ones = [i for i, p in enumerate(pattern) if p == 1]
         free = [i for i, p in enumerate(pattern) if p == 2]
         x = np.zeros(n)
         x[ones] = 1.0
+        tau_lo, tau_hi = -math.inf, math.inf
         if free:
             tau = (float(a[free].sum()) + len(ones) - k) / len(free)
             xf = a[free] - tau
             if xf.min() < -1e-9 or xf.max() > 1.0 + 1e-9:
                 continue
             x[free] = np.clip(xf, 0.0, 1.0)
+            tau_lo = tau_hi = tau
         elif abs(len(ones) - k) > 1e-9:
+            continue
+        if lows:
+            tau_lo = max(tau_lo, float(a[lows].max()))
+        if ones:
+            tau_hi = min(tau_hi, float(a[ones].min()) - 1.0)
+        if tau_lo > tau_hi + fit:
             continue
         if abs(float(x.sum()) - k) > 1e-8:
             continue
@@ -130,10 +147,12 @@ def transpose_csr_loop(n_rows, n_cols, offsets, cols, vals):
     return t_off, t_col, t_val
 
 
-def project_blocks_loop(a, fset):
-    """Simplex-block projection with one 1-D capped-simplex call per block."""
+def project_blocks_loop(a, fset, project=None):
+    """Simplex-block projection with one call of ``project`` per block:
+    by default the 1-D capped simplex, or ``simplex_projection_oracle``."""
     from binmpec.projections import project_capped_simplex
 
+    project = project or project_capped_simplex
     a = np.asarray(a, dtype=np.float64)
     r = fset.simplex_blocks
     x = np.empty_like(a)
@@ -146,10 +165,10 @@ def project_blocks_loop(a, fset):
         block_pin = pin[sl]
         target = 1.0 - x[sl][block_pin].sum()
         if not block_pin.any():
-            x[sl] = project_capped_simplex(a[sl], target)
+            x[sl] = project(a[sl], target)
         else:
             free_in_block = ~block_pin
-            seg = project_capped_simplex(a[sl][free_in_block], target)
+            seg = project(a[sl][free_in_block], target)
             tmp = x[sl]
             tmp[free_in_block] = seg
             x[sl] = tmp

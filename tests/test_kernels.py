@@ -182,28 +182,38 @@ def sorted_break_points(a):
     return np.take_along_axis(bvals, order, axis=-1), deltas[order]
 
 
+def sorted_rows(a):
+    return np.sort(a, axis=1)[:, ::-1]
+
+
 class TestSimplexWalkRows:
+    # the 2-D branch takes rows sorted descending and targets in [0, 1]
     def test_rows_match_one_dimensional_walk(self):
+        # the thresholds may differ where g is flat; the projected points
+        # agree to rounding
         rng = np.random.default_rng(67)
         for n in (1, 3, 4, 19):
             a = rng.uniform(-2.0, 3.0, (30, n))
             a[0] = 0.25  # every break point tied
-            k = rng.uniform(0.0, n, 30)
-            k[1], k[2] = 0.0, float(n)
+            a[3] *= 1e3  # far outside [0, 1]
+            k = rng.uniform(0.0, 1.0, 30)
+            k[1], k[2] = 0.0, 1.0
             bv, dl = sorted_break_points(a)
-            tau = simplex_walk(bv, dl, n, k)
+            tau = simplex_walk(sorted_rows(a), None, n, k)
             assert tau.shape == (30,)
             for i in range(30):
-                want = simplex_walk(bv[i], dl[i], n, k[i])
-                assert tau[i].tobytes() == np.float64(want).tobytes(), (n, i)
+                want = np.clip(a[i] - simplex_walk(bv[i], dl[i], n, k[i]), 0.0, 1.0)
+                got = np.clip(a[i] - tau[i], 0.0, 1.0)
+                tol = 1e-12 * max(1.0, np.abs(a[i]).max())
+                assert np.max(np.abs(got - want)) <= tol, (n, i)
 
     def test_crossing_meets_target(self):
         rng = np.random.default_rng(68)
         a = rng.uniform(-2.0, 3.0, (50, 6))
-        k = rng.uniform(0.05, 5.95, 50)
-        tau = simplex_walk(*sorted_break_points(a), 6, k)
+        k = rng.uniform(0.0, 1.0, 50)
+        tau = simplex_walk(sorted_rows(a), None, 6, k)
         sums = np.clip(a - tau[:, None], 0.0, 1.0).sum(axis=1)
-        assert np.allclose(sums, k, atol=1e-8)
+        assert np.allclose(sums, k, rtol=0.0, atol=1e-12)
 
 
 class TestBinaryScanSemantics:

@@ -88,6 +88,11 @@ class TestProjectBall:
         with pytest.raises(ValueError):
             project_ball([1.0], 0.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_radius_finite(self, radius):
+        with pytest.raises(ValueError, match="finite"):
+            project_ball([3.0, 4.0], radius)
+
 
 class TestCappedSimplex:
     def test_golden_example(self):
@@ -104,6 +109,13 @@ class TestCappedSimplex:
             project_capped_simplex(np.zeros(3), 4.0)
         with pytest.raises(ValueError):
             project_capped_simplex(np.zeros(3), -1.0)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_k(self, k):
+        with pytest.raises(ValueError, match="target sum -?(nan|inf) infeasible"):
+            project_capped_simplex(np.zeros(3), k)
+        with pytest.raises(ValueError, match="target sum -?(nan|inf) infeasible"):
+            project_capped_simplex(np.zeros((2, 3)), [0.5, k])
 
     def test_already_feasible_point_fixed(self):
         a = np.array([0.25, 0.75, 0.5])
@@ -263,10 +275,19 @@ class TestFeasibleSetCache:
     def test_block_groups_by_free_count(self):
         fs = box_set(9, lo=0.0, hi=1.0, simplex_blocks=3,
                      pinned=((4, 0.0), (6, 1.0), (7, 0.0), (8, 0.0)))
-        groups = [(b.tolist(), f.tolist(), p.tolist()) for b, f, p in fs.block_groups]
-        assert groups == [([2], [[]], [[6, 7, 8]]),
-                          ([1], [[3, 5]], [[4]]),
-                          ([0], [[0, 1, 2]], [[]])]
+        groups = [(b.tolist(), f.tolist(), t.tolist()) for b, f, t in fs.block_groups]
+        assert groups == [([2], [[]], [0.0]),
+                          ([1], [[3, 5]], [1.0]),
+                          ([0], [[0, 1, 2]], [1.0])]
+        assert not any(t.flags.writeable for _, _, t in fs.block_groups)
+
+    def test_block_targets_subtract_pins_in_index_order(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit
+        fs = box_set(8, lo=0.0, hi=1.0, simplex_blocks=4,
+                     pinned=((2, 0.3), (1, 0.2), (0, 0.1), (5, 0.25)))
+        got = {int(b[0]): float(t[0]) for b, _, t in fs.block_groups}
+        assert got == {0: 1.0 - ((0.1 + 0.2) + 0.3), 1: 0.75}
+        assert got[0] != 1.0 - ((0.3 + 0.2) + 0.1)
 
     def test_oversubscription_names_first_block(self):
         with pytest.raises(ValueError, match="block 1"):
@@ -282,7 +303,22 @@ class TestFeasibleSetCache:
         assert same_bits(project_box(a, fs), want)
 
 
+def assert_rows_projected(a, k, got):
+    # in [0, 1], on each row's target, and at the oracle's point where the
+    # oracle's 3^n patterns are few enough
+    k = np.broadcast_to(k, (a.shape[0],))
+    assert got.shape == a.shape
+    assert got.min() >= 0.0 and got.max() <= 1.0
+    for i in range(a.shape[0]):
+        scale = max(1.0, np.abs(a[i]).max())
+        assert abs(got[i].sum() - k[i]) <= 1e-12 * scale, i
+        if a.shape[1] <= 7:
+            assert np.max(np.abs(got[i] - simplex_projection_oracle(a[i], k[i]))) <= 1e-9, i
+
+
 class TestCappedSimplexRows:
+    # 2-D calls take row targets in [0, 1] and project by sorted prefix
+    # sums, so they agree with 1-D calls to rounding, not bit for bit
     def test_rows_match_one_dimensional_calls(self):
         rng = np.random.default_rng(23)
         for n in (1, 2, 4, 7, 8, 9, 16, 33, 130):
@@ -291,19 +327,30 @@ class TestCappedSimplexRows:
             a[1] = 0.5  # all tied
             a[2, : n // 2] = a[2, n - 1]  # partial ties
             a[3] *= 1e3  # far outside [0, 1]
-            k = rng.uniform(0.0, n, m)
-            k[4], k[5], k[6] = 0.0, float(n), 1.0
-            k[7], k[8] = 5e-14, n - 5e-14
+            k = rng.uniform(0.0, 1.0, m)
+            k[4], k[5], k[6] = 0.0, 1.0, 1.0
+            k[7], k[8] = 5e-14, 1.0 - 5e-14
             got = project_capped_simplex(a, k)
+            assert_rows_projected(a, k, got)
             for i in range(m):
-                assert same_bits(got[i], project_capped_simplex(a[i], k[i])), (n, i)
+                want = project_capped_simplex(a[i], k[i])
+                tol = 1e-12 * max(1.0, np.abs(a[i]).max())
+                assert np.max(np.abs(got[i] - want)) <= tol, (n, i)
 
     def test_scalar_target_broadcasts(self):
         rng = np.random.default_rng(24)
         a = rng.uniform(-1.0, 2.0, (5, 4))
         got = project_capped_simplex(a, 1.0)
-        for i in range(5):
-            assert same_bits(got[i], project_capped_simplex(a[i], 1.0))
+        assert same_bits(got, project_capped_simplex(a, np.ones(5)))
+        assert_rows_projected(a, 1.0, got)
+
+    def test_row_target_above_one_raises(self):
+        a = np.zeros((3, 3))
+        with pytest.raises(ValueError, match="row target 2 above 1"):
+            project_capped_simplex(a, [1.0, 2.0, 0.5])
+        with pytest.raises(ValueError, match="above 1"):
+            project_capped_simplex(a, 1.5)
+        assert np.allclose(project_capped_simplex(a[0], 2.0), 2.0 / 3.0)
 
     def test_infeasible_row_target_same_error(self):
         a = np.zeros((3, 3))
@@ -355,15 +402,24 @@ def block_sets(draw):
 class TestBatchedBlocks:
     @given(block_sets())
     def test_matches_per_block_loop(self, case):
+        # errors match the loop of 1-D calls; points match the loop of
+        # oracle calls, one per block
         fs, a = case
         try:
-            want = project_blocks_loop(a, fs)
+            project_blocks_loop(a, fs)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
                 project_feasible(a, fs)
             assert str(got.value) == str(exc)
             return
-        assert same_bits(project_feasible(a, fs), want)
+        got = project_feasible(a, fs)
+        want = project_blocks_loop(a, fs, simplex_projection_oracle)
+        assert np.max(np.abs(got - want)) <= 1e-9
+        assert got.min() >= 0.0 and got.max() <= 1.0
+        assert same_bits(got[fs.pin_index], fs.pin_value)
+        scale = max(1.0, np.abs(a).max())
+        for _, free_idx, target in fs.block_groups:
+            assert np.all(np.abs(got[free_idx].sum(axis=1) - target) <= 1e-12 * scale)
 
     def test_unpinned_blocks_one_call_each(self, monkeypatch):
         calls = {"capped": 0, "walk": 0}
@@ -491,8 +547,8 @@ class TestWarmStart:
         rng = np.random.default_rng(14)
         a = rng.uniform(-1.0, 2.0, (6, 5))
         warm = projections.WarmStart()
-        assert same_bits(project_capped_simplex(a, 2.0, warm),
-                         project_capped_simplex(a, 2.0))
+        assert same_bits(project_capped_simplex(a, 1.0, warm),
+                         project_capped_simplex(a, 1.0))
         assert warm.tau is None
 
 
