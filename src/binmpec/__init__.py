@@ -15,8 +15,8 @@ from .problems import (Graph, ProblemInstance, SolverView, build_bisection,
                        build_modularity, build_mrf, check_binary_feasible,
                        generate, laplacian, modularity_value, round_feasible,
                        subgraph_weight)
-from .projections import (FeasibleSet, project_ball, project_box,
-                          project_capped_simplex, project_feasible)
+from .projections import (FeasibleSet, project_box, project_capped_simplex,
+                          project_feasible)
 from .reformulations import (MpecVariant, domain_transform, h_ratio,
                              membership, round_sign)
 from .report import SolveReport, trace_to_csv
@@ -33,7 +33,7 @@ __all__ = [
     "build_dense_subgraph", "build_modularity", "build_mrf",
     "check_binary_feasible", "domain_transform", "epm_v_update",
     "feasible_count_binomial", "generate", "h_ratio", "laplacian", "matvec",
-    "membership", "modularity_value", "project_ball", "project_box",
+    "membership", "modularity_value", "project_box",
     "project_capped_simplex", "project_feasible", "quadratic_form",
     "round_feasible", "round_sign", "solve_adm", "solve_epm", "solve_iht",
     "solve_l2box_admm", "solve_lp_round", "solve_qp",

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SparseMatrix, gershgorin_lower_bound, matvec
+from .linalg import PSD_RTOL, SparseMatrix, gershgorin_lower_bound, matvec
 from .projections import FeasibleSet, WarmStart, project_feasible
 from .reformulations import domain_bounds, round_sign
 from .report import SolveReport
@@ -76,7 +76,8 @@ class ProblemInstance:
         if np.any(self.feasible_set.lower != lo) or np.any(self.feasible_set.upper != hi):
             raise ValueError("box bounds inconsistent with domain %r" % self.domain)
         # a copy, so a dict shared by several instances is left as passed
-        meta = dict(self.meta, psd_check=_validate_psd(self.objective))
+        meta = dict(self.meta, psd_check=_validate_psd(self.objective),
+                    norm_check=self.objective.norm_bound.method)
         meta.setdefault("n", self.objective.n)
         object.__setattr__(self, "meta", meta)
 
@@ -90,16 +91,16 @@ def _validate_psd(obj):
 
     Returns ``"gershgorin"`` when the O(nnz) disc bound certifies every
     eigenvalue nonnegative (all diagonally dominant matrices, graph
-    Laplacians among them).  Any other matrix is decided by ``"eigvalsh"``
-    on its dense copy, O(n^3) time and 8n^2 bytes; modularity and
-    densest-k instances take this path.  Both accept lambda_min down to
-    -1e-7 max(1, s), with s the objective's spectral estimate plus 1%.
+    Laplacians among them).  Any other matrix is decided by ``"eigvalsh"``:
+    the least eigenvalue of the dense spectrum that ``spectral_norm_estimate``
+    took for the objective's norm bound; modularity and densest-k instances
+    take this path.  Both accept lambda_min down to -PSD_RTOL max(1, L),
+    with L the objective's Lipschitz bound.
     """
-    A = obj.A
-    tol = 1e-7 * max(1.0, 1.01 * obj.spectral_est)
-    if gershgorin_lower_bound(A) >= -tol:
+    tol = PSD_RTOL * max(1.0, obj.lipschitz)
+    if gershgorin_lower_bound(obj.A) >= -tol:
         return "gershgorin"
-    lam_min = float(np.linalg.eigvalsh(A.to_dense())[0])
+    lam_min = obj.norm_bound.lam_min
     if lam_min < -tol:
         raise ValueError("objective matrix is not positive semidefinite "
                          "(lambda_min %g)" % lam_min)

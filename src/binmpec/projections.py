@@ -1,6 +1,5 @@
 """Exact Euclidean projections onto the feasible sets used by the solvers."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,17 +158,6 @@ def project_box(a, fset):
     x = np.clip(a, fset.lower, fset.upper)
     x[fset.pin_index] = fset.pin_value
     return x
-
-
-def project_ball(a, radius):
-    """Euclidean projection onto the origin-centered ball of given radius."""
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValueError("radius must be positive and finite, got %r" % radius)
-    a = np.asarray(a, dtype=np.float64)
-    nrm = np.linalg.norm(a)
-    if nrm <= radius:
-        return a.copy()
-    return a * (radius / nrm)
 
 
 class WarmStart:

@@ -4,36 +4,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SparseMatrix, matvec, spectral_norm_estimate
+from .linalg import NormBound, SparseMatrix, matvec, spectral_norm_estimate
 from .projections import project_feasible
 
 
 class QuadraticObjective:
-    """f(x) = 0.5 x'Ax + b'x + c with a validated gradient Lipschitz bound.
+    """f(x) = 0.5 x'Ax + b'x + c with a certified gradient Lipschitz bound.
 
-    ``lipschitz`` must dominate the spectral norm of A (checked against a
-    power-iteration estimate with a 0.1% slack at construction).
+    ``norm_bound`` is the certified upper bound on ||A|| that
+    ``spectral_norm_estimate`` returns, and ``lipschitz`` is 1.01 times
+    it, at least 1e-9.
     """
 
-    __slots__ = ("A", "b", "c", "lipschitz", "spectral_est")
+    __slots__ = ("A", "b", "c", "lipschitz", "norm_bound")
 
-    def __init__(self, A, b, c=0.0, lipschitz=None):
+    def __init__(self, A, b, c=0.0):
         if not isinstance(A, SparseMatrix):
             raise TypeError("A must be a SparseMatrix")
-        if A.n_rows != A.n_cols:
-            raise ValueError("A must be square")
-        if not A.symmetric:
-            raise ValueError("A must carry the symmetric flag")
+        self.norm_bound = spectral_norm_estimate(A)  # rejects a non-square or unflagged A
         self._set_terms(A, b, c)
-        self.spectral_est = spectral_norm_estimate(A) if A.nnz else 0.0
-        if lipschitz is None:
-            lipschitz = max(1.01 * self.spectral_est, 1e-9)
-        self.lipschitz = float(lipschitz)
-        if not (np.isfinite(self.lipschitz) and self.lipschitz > 0):
-            raise ValueError("lipschitz must be finite and positive")
-        if self.lipschitz < 0.999 * self.spectral_est:
-            raise ValueError("lipschitz %g below spectral estimate %g"
-                             % (self.lipschitz, self.spectral_est))
+        self.lipschitz = max(1.01 * self.norm_bound, 1e-9)
+        if not np.isfinite(self.lipschitz):
+            raise ValueError("the norm bound of A overflows")
 
     def _set_terms(self, A, b, c):
         self.A = A
@@ -45,18 +37,19 @@ class QuadraticObjective:
         self.c = float(c)
 
     def scaled(self, alpha, b, c=0.0):
-        """0.5 x'(alpha A)x + b'x + c for alpha > 0.
+        """0.5 x'(alpha A)x + b'x + c for a finite alpha > 0.
 
-        ||alpha A|| = alpha ||A||, so the spectral estimate and the
-        Lipschitz bound are carried over by the same factor instead of being
-        estimated again; for a power-of-two alpha both are exact.
+        ||alpha A|| = alpha ||A||, so the norm bound and the Lipschitz
+        bound are carried over by the same factor instead of being bounded
+        again; for a power-of-two alpha both are exact.
         """
         alpha = float(alpha)
-        if not alpha > 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < alpha < np.inf:
+            raise ValueError("scale must be finite and positive")
         out = QuadraticObjective.__new__(QuadraticObjective)
         out._set_terms(self.A.scaled(alpha), b, c)
-        out.spectral_est = alpha * self.spectral_est
+        bound = self.norm_bound
+        out.norm_bound = NormBound(alpha * bound, bound.method, alpha * bound.lam_min)
         out.lipschitz = alpha * self.lipschitz
         return out
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binmpec.linalg import (SparseMatrix, _transpose_csr, gershgorin_lower_bound,
-                            matvec, quadratic_form, spectral_norm_estimate,
-                            vector)
+from binmpec.linalg import (DENSE_MAX, SparseMatrix, _transpose_csr,
+                            gershgorin_lower_bound, matvec, quadratic_form,
+                            spectral_norm_estimate, vector)
 
 from reference import jacobi_eigenvalues, jacobi_spectral_norm, transpose_csr_loop
 
@@ -245,19 +245,88 @@ class TestSpectralNormEstimate:
             dense = half + half.T
             m = dense_to_sparse(dense)
             want = jacobi_spectral_norm(dense)
-            got = spectral_norm_estimate(m, tol=1e-9, max_iter=20000)
+            got = spectral_norm_estimate(m)
             assert got == pytest.approx(want, abs=1e-6 * max(1.0, want))
 
-    def test_nonconvergence_warns_and_returns_estimate(self):
-        m = dense_to_sparse(np.diag([2.0, 1.0]))
-        with pytest.warns(RuntimeWarning):
-            est = spectral_norm_estimate(m, tol=1e-14, max_iter=1)
-        assert 0.0 < est <= 2.0 + 1e-9
+    @pytest.mark.parametrize("side,seed,method", [
+        (16, 0, "eigvalsh"), (17, 1, "collatz_wielandt"), (20, 2, "collatz_wielandt"),
+        (30, 3, "collatz_wielandt")])
+    def test_weighted_grid_laplacian_tight(self, side, seed, method):
+        # grids are bipartite, so ||L|| = rho(|L|) and the bound is tight;
+        # n = 256 is the last order that takes the dense spectrum
+        m = dense_to_sparse(grid_laplacian(side, np.random.default_rng(seed)))
+        bound = spectral_norm_estimate(m)
+        exact = exact_norm(m)
+        assert bound.method == method
+        assert exact <= bound <= 1.005 * exact
 
-    def test_deterministic_for_fixed_seed(self):
-        dense = np.array([[2.0, 1.0], [1.0, -1.0]])
+    def test_non_bipartite_dominant(self):
+        # a ring with chords to the second neighbour: triangles everywhere
+        n = 300
+        rng = np.random.default_rng(3)
+        dense = np.zeros((n, n))
+        for step in (1, 2):
+            w = rng.uniform(0.5, 2.0, n)
+            i = np.arange(n)
+            dense[i, (i + step) % n] = dense[(i + step) % n, i] = -w
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.uniform(0.0, 1.0, n))
         m = dense_to_sparse(dense)
-        assert spectral_norm_estimate(m, seed=5) == spectral_norm_estimate(m, seed=5)
+        bound = spectral_norm_estimate(m)
+        assert bound.method == "collatz_wielandt"
+        assert np.isfinite(bound)
+        assert bound >= exact_norm(m)
+
+    def test_zero_rows_keep_bound_finite(self):
+        dense = np.zeros((DENSE_MAX + 50, DENSE_MAX + 50))
+        dense[:289, :289] = grid_laplacian(17, np.random.default_rng(4))
+        m = dense_to_sparse(dense)
+        bound = spectral_norm_estimate(m)
+        assert bound.method == "collatz_wielandt"
+        assert np.isfinite(bound)
+        assert exact_norm(m) <= bound <= 1.005 * exact_norm(m)
+
+    def test_negative_dominant_takes_dense_path(self):
+        # Gershgorin cannot show -L >= 0, so the spectrum is taken and its
+        # lambda_min comes with the bound
+        m = dense_to_sparse(-grid_laplacian(17, np.random.default_rng(5)))
+        bound = spectral_norm_estimate(m)
+        lam = np.linalg.eigvalsh(m.to_dense())
+        assert bound.method == "eigvalsh"
+        assert bound >= exact_norm(m)
+        assert bound == pytest.approx(-lam[0], rel=1e-12)
+        assert bound.lam_min == lam[0]
+
+
+def grid_laplacian(side, rng):
+    """Dense Laplacian of a side x side 4-neighbour grid with random weights."""
+    n = side * side
+    dense = np.zeros((n, n))
+    idx = np.arange(n).reshape(side, side)
+    for a, b in ((idx[:, :-1], idx[:, 1:]), (idx[:-1, :], idx[1:, :])):
+        w = rng.uniform(0.01, 1.0, a.size)
+        dense[a.ravel(), b.ravel()] = dense[b.ravel(), a.ravel()] = -w
+    np.fill_diagonal(dense, -dense.sum(axis=1))
+    return dense
+
+
+def exact_norm(m):
+    return float(np.max(np.abs(np.linalg.eigvalsh(m.to_dense()))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([3, 40, DENSE_MAX, DENSE_MAX + 1, 300]),
+       density=st.floats(0.0, 0.05), dominant=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_bound_dominates_spectrum_property(n, density, dominant, seed):
+    # dominant matrices above DENSE_MAX take the Collatz-Wielandt path,
+    # the others the dense spectrum
+    rng = np.random.default_rng(seed)
+    half = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < density), 1)
+    dense = half + half.T
+    diag = np.abs(dense).sum(axis=1) if dominant else rng.standard_normal(n)
+    np.fill_diagonal(dense, diag)
+    m = dense_to_sparse(dense)
+    assert spectral_norm_estimate(m) >= exact_norm(m)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))

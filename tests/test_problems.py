@@ -461,8 +461,10 @@ class TestProblemInstanceValidation:
                                          [1.5, 1.5, 2.0]]))
         shared = ProblemInstance(dense.objective, dense.feasible_set, "pm1", meta)
         assert meta == {"name": "mine"}
-        assert laplace.meta == {"name": "mine", "psd_check": "gershgorin", "n": 3}
-        assert shared.meta == {"name": "mine", "psd_check": "eigvalsh", "n": 3}
+        assert laplace.meta == {"name": "mine", "psd_check": "gershgorin",
+                                "norm_check": "eigvalsh", "n": 3}
+        assert shared.meta == {"name": "mine", "psd_check": "eigvalsh",
+                               "norm_check": "eigvalsh", "n": 3}
 
     def test_zero_matrix_certified(self):
         A = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
@@ -477,6 +479,7 @@ class TestProblemInstanceValidation:
         prob = build_bisection(C4)
         rep = solve(prob)
         assert rep.problem["psd_check"] == "gershgorin"
+        assert rep.problem["norm_check"] == "eigvalsh"
         assert rep.problem["domain"] == "pm1"
         # only the penalty methods add their schedule's constants
         assert ("rho_cap" in rep.problem) == (rep.method in ("epm", "adm"))
@@ -538,7 +541,7 @@ class TestSolverView:
         src = prob.objective
         obj = SolverView(prob).objective
         assert obj.lipschitz == src.lipschitz / 4.0
-        assert obj.spectral_est == src.spectral_est / 4.0
+        assert obj.norm_bound == src.norm_bound / 4.0
         assert np.array_equal(obj.A.values, src.A.values / 4.0)
         assert np.array_equal(obj.A.col_indices, src.A.col_indices)
 

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binmpec import kernels, projections
-from binmpec.projections import (FeasibleSet, project_ball, project_box,
-                                 project_capped_simplex, project_feasible)
+from binmpec.projections import (FeasibleSet, project_box, project_capped_simplex,
+                                 project_feasible)
 
 from reference import project_blocks_loop, simplex_projection_oracle
 
@@ -73,25 +73,6 @@ class TestProjectBox:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             project_box([1.0], box_set(2))
-
-
-class TestProjectBall:
-    def test_interior_untouched(self):
-        a = np.array([0.3, 0.4])
-        assert project_ball(a, 1.0).tolist() == [0.3, 0.4]
-
-    def test_exterior_scaled(self):
-        out = project_ball([3.0, 4.0], 1.0)
-        assert np.allclose(out, [0.6, 0.8], atol=1e-15)
-
-    def test_radius_positive(self):
-        with pytest.raises(ValueError):
-            project_ball([1.0], 0.0)
-
-    @pytest.mark.parametrize("radius", [np.nan, np.inf])
-    def test_radius_finite(self, radius):
-        with pytest.raises(ValueError, match="finite"):
-            project_ball([3.0, 4.0], radius)
 
 
 class TestCappedSimplex:

@@ -38,16 +38,11 @@ class TestQuadraticObjective:
         obj = QuadraticObjective(A, np.ones(2))
         assert obj.lipschitz > 0.0
 
-    def test_understated_lipschitz_rejected(self):
-        with pytest.raises(ValueError, match="below spectral"):
-            QuadraticObjective(SparseMatrix.identity(2, scale=4.0),
-                               np.zeros(2), lipschitz=1.0)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_lipschitz_rejected(self, bad):
-        # nan slipped past both comparisons, and inf made iht's step 0
-        with pytest.raises(ValueError, match="finite and positive"):
-            QuadraticObjective(SparseMatrix.identity(2), np.zeros(2), lipschitz=bad)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_norm_bound_rejected(self):
+        # a Lipschitz bound of inf would make FISTA's step 1/L zero
+        with pytest.raises(ValueError, match="overflows"):
+            QuadraticObjective(dense_to_sparse(np.full((2, 2), 1e308)), np.zeros(2))
 
     def test_requires_symmetric_sparse(self):
         asym = SparseMatrix(2, 2, [0, 1, 1], [1], [1.0])
@@ -65,7 +60,8 @@ class TestQuadraticObjective:
                                  np.zeros(2))
         obj = src.scaled(0.25, np.array([1.0, 2.0]), c=-3.0)
         assert obj.lipschitz == src.lipschitz / 4.0
-        assert obj.spectral_est == src.spectral_est / 4.0
+        assert obj.norm_bound == src.norm_bound / 4.0
+        assert obj.norm_bound.lam_min == src.norm_bound.lam_min / 4.0
         assert np.array_equal(obj.A.to_dense(), src.A.to_dense() / 4.0)
         x = np.array([0.5, -1.0])
         want = 0.125 * float(x @ src.A.to_dense() @ x) + float(x @ [1.0, 2.0]) - 3.0
@@ -75,6 +71,11 @@ class TestQuadraticObjective:
         src = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
         with pytest.raises(ValueError, match="positive"):
             src.scaled(0.0, np.zeros(2))
+        # with no stored entries nothing else stops an infinite L
+        empty = QuadraticObjective(SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True),
+                                   np.zeros(2))
+        with pytest.raises(ValueError, match="finite and positive"):
+            empty.scaled(np.inf, np.zeros(2))
         with pytest.raises(ValueError, match="length"):
             src.scaled(0.5, np.zeros(3))
         with pytest.raises(ValueError, match="finite"):
@@ -92,7 +93,7 @@ class TestSolveQp:
 
     def test_pure_linear_drives_to_corner(self):
         A = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
-        obj = QuadraticObjective(A, np.array([1.0, -1.0]), lipschitz=1.0)
+        obj = QuadraticObjective(A, np.array([1.0, -1.0]))
         res = solve_qp(obj, None, box_set(2), np.zeros(2), tol=1e-12,
                        max_iter=5000)
         assert np.allclose(res.x, [-1.0, 1.0], atol=1e-9)
@@ -311,8 +312,7 @@ class TestMinimizeFista:
 
     def test_reports_iterations_and_convergence(self):
         # f = z'z from a far point
-        obj = QuadraticObjective(SparseMatrix.identity(2, scale=2.0), np.zeros(2),
-                                 lipschitz=2.0)
+        obj = QuadraticObjective(SparseMatrix.identity(2, scale=2.0), np.zeros(2))
         x, fx, iters, conv = minimize_fista(
             QuadraticModel(obj), lambda z: z, np.array([4.0, -4.0]),
             tol=1e-9, max_iter=1000)
