@@ -44,6 +44,15 @@ class TestQuadraticObjective:
         with pytest.raises(ValueError, match="overflows"):
             QuadraticObjective(dense_to_sparse(np.full((2, 2), 1e308)), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_lipschitz_rejected(self, bad):
+        # scaled() is the one way a caller sets L; alpha * L must stay finite
+        # and positive, and with no stored entries nothing else checks it
+        empty = QuadraticObjective(SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True),
+                                   np.zeros(2))
+        with pytest.raises(ValueError, match="finite and positive"):
+            empty.scaled(bad, np.zeros(2))
+
     def test_requires_symmetric_sparse(self):
         asym = SparseMatrix(2, 2, [0, 1, 1], [1], [1.0])
         with pytest.raises(ValueError, match="symmetric"):
