@@ -32,11 +32,9 @@ def brute_force(problem, limit_n=22):
     if m > limit_n:
         raise SizeLimitError("free dimension %d exceeds the enumeration limit %d"
                              % (m, limit_n))
-    off = np.flatnonzero((np.abs(fset.pin_value - lo) > 1e-9)
-                         & (np.abs(fset.pin_value - hi) > 1e-9))
-    if off.shape[0]:
-        raise ValueError("pinned value %g at index %d is not binary"
-                         % (fset.pin_value[off[0]], fset.pin_index[off[0]]))
+    if fset.nonbinary_pin is not None:
+        i, v = fset.pinned[fset.nonbinary_pin]
+        raise ValueError("pinned value %g at index %d is not binary" % (v, i))
 
     xpin = np.zeros(n)
     xpin[fset.pin_index] = fset.pin_value
@@ -51,21 +49,14 @@ def brute_force(problem, limit_n=22):
     block_target = np.zeros(0, dtype=np.int64)
     if fset.sum_constraint is not None:
         mode = 1
-        target = fset.sum_constraint - float(xpin[pin].sum())
-        t_ones = (target - lo * m) / (hi - lo)
-        k_ones = round(t_ones)
-        if abs(t_ones - k_ones) > 1e-9 or not 0 <= k_ones <= m:
+        k_ones = fset.sum_ones
+        if k_ones < 0:
             raise ValueError("sum constraint admits no binary point")
     elif fset.simplex_blocks is not None:
+        # a block with no binary completion (target -1) leaves no point
         mode = 2
-        r = fset.simplex_blocks
-        nb = n // r
-        full_block = np.repeat(np.arange(nb, dtype=np.int64), r)
-        block_id = full_block[free]
-        block_target = 1 - np.bincount(fset.pin_index // r, minlength=nb,
-                                       weights=np.rint(fset.pin_value)).astype(np.int64)
-        if np.any(block_target < 0):
-            raise ValueError("pins oversubscribe a simplex block")
+        block_id = (np.arange(n, dtype=np.int64) // fset.simplex_blocks)[free]
+        block_target = fset.block_ones
 
     best_idx, count = kernels.binary_scan(
         A_ff, b_f, c0, lo, hi, mode, k_ones, block_id, block_target)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import PSD_RTOL, SparseMatrix, gershgorin_lower_bound, matvec
-from .projections import FeasibleSet, WarmStart, project_feasible
+from .projections import BINARY_TOL, FeasibleSet, WarmStart, project_feasible
 from .reformulations import domain_bounds, round_sign
 from .report import SolveReport
 from .subsolver import QuadraticObjective
@@ -323,30 +323,30 @@ class SolverView:
 
     For zero-one instances the quadratic is rewritten through
     y = (x+1)/2 (objective values are preserved exactly, constants
-    included) and the projection is conjugated by the same affine map,
-    which commutes with Euclidean projection.
+    included), and the feasible set is replaced by its image under
+    x = 2y - 1, built once per view.
     """
 
-    __slots__ = ("problem", "objective", "n")
+    __slots__ = ("problem", "objective", "feasible_set", "n")
 
     def __init__(self, problem):
         self.problem = problem
         self.n = problem.n
-        if problem.domain == "pm1":
-            self.objective = problem.objective
-        else:
-            src = problem.objective
+        self.objective = src = problem.objective
+        self.feasible_set = fs = problem.feasible_set
+        if problem.domain != "pm1":
             ones = np.ones(self.n)
             A1 = matvec(src.A, ones)
             b = 0.25 * A1 + 0.5 * src.b
             c = src.c + 0.125 * float(np.dot(ones, A1)) + 0.5 * float(src.b.sum())
             self.objective = src.scaled(0.25, b, c)
+            self.feasible_set = FeasibleSet(
+                2.0 * fs.lower - 1.0, 2.0 * fs.upper - 1.0,
+                None if fs.sum_constraint is None else 2.0 * fs.sum_constraint - self.n,
+                tuple((i, 2.0 * v - 1.0) for i, v in fs.pinned), fs.simplex_blocks)
 
     def project(self, z, warm=None):
-        if self.problem.domain == "pm1":
-            return project_feasible(z, self.problem.feasible_set, warm)
-        y = project_feasible((z + 1.0) / 2.0, self.problem.feasible_set, warm)
-        return 2.0 * y - 1.0
+        return project_feasible(z, self.feasible_set, warm)
 
     def warm_projector(self):
         """``project`` for the x-steps of one solve.
@@ -389,73 +389,65 @@ def round_feasible(y, fset, domain):
     if y.shape != (fset.n,):
         raise ValueError("point of shape %r, feasible set has %d coordinates"
                          % (y.shape, fset.n))
-    lo, hi = domain_bounds(domain)
     x = round_sign(y, domain)
-    for stop, (_, v) in enumerate(fset.pinned, 1):
-        if abs(v - lo) > 1e-9 and abs(v - hi) > 1e-9:
-            # pins are written in order up to the first non-binary one
-            x[fset.pin_index[:stop]] = fset.pin_value[:stop]
-            return x, False
+    if fset.nonbinary_pin is not None:
+        # pins are written in order up to the first non-binary one
+        stop = fset.nonbinary_pin + 1
+        x[fset.pin_index[:stop]] = fset.pin_value[:stop]
+        return x, False
     x[fset.pin_index] = fset.pin_value
+    if fset.unit_map is None:
+        return x, True
+    _, lo, span = fset.unit_map
+    hi = lo + span
 
     if fset.sum_constraint is not None:
-        target = fset.sum_constraint - fset.pinned_total
-        free = np.flatnonzero(~fset.pin_mask())
-        t_ones = (target - lo * free.shape[0]) / (hi - lo)
-        t_int = round(t_ones)
-        if abs(t_ones - t_int) > 1e-6 or not 0 <= t_int <= free.shape[0]:
+        if fset.sum_ones < 0:
             return x, False
+        free = np.flatnonzero(~fset.pin_mask())
         order = np.lexsort((free, -y[free]))  # by value desc, then index asc
-        chosen = free[order[:int(t_int)]]
+        chosen = free[order[:fset.sum_ones]]
         x[free] = lo
         x[chosen] = hi
         return x, True
 
-    if fset.simplex_blocks is not None:
-        r = fset.simplex_blocks
-        nb = fset.n // r
-        X = x.reshape(nb, r)
-        pin2 = fset.pin_mask().reshape(nb, r)
-        free2 = ~pin2
-        need = np.empty(nb)
-        for blocks, _, target in fset.block_groups:
-            need[blocks] = target
-        one = np.abs(need - 1.0) < 1e-9
-        bad = np.where(one, ~free2.any(axis=1), np.abs(need) > 1e-9)
-        # blocks are repaired in order up to and including the first bad
-        # one, whose free coordinates are cleared before it fails
-        last = int(np.argmax(bad)) if bad.any() else nb - 1
-        X[:last + 1][free2[:last + 1]] = 0.0
-        # argmax over the free coordinates; lowest index on ties
-        pick = np.argmax(np.where(pin2, -np.inf, y.reshape(nb, r)), axis=1)
-        rows = np.arange(nb)
-        pick = np.where(pin2[rows, pick], np.argmax(free2, axis=1), pick)
-        set_one = np.flatnonzero(one & ~bad & (rows <= last))
-        X[set_one, pick[set_one]] = 1.0
-        return X.reshape(-1), not bad.any()
-
-    return x, True
+    r = fset.simplex_blocks
+    nb = fset.n // r
+    X = x.reshape(nb, r)
+    pin2 = fset.pin_mask().reshape(nb, r)
+    free2 = ~pin2
+    bad = fset.block_ones < 0
+    # blocks are repaired in order up to and including the first bad
+    # one, whose free coordinates are cleared before it fails
+    last = int(np.argmax(bad)) if bad.any() else nb - 1
+    X[:last + 1][free2[:last + 1]] = lo
+    # argmax over the free coordinates; lowest index on ties
+    pick = np.argmax(np.where(pin2, -np.inf, y.reshape(nb, r)), axis=1)
+    rows = np.arange(nb)
+    pick = np.where(pin2[rows, pick], np.argmax(free2, axis=1), pick)
+    set_one = np.flatnonzero((fset.block_ones == 1) & (rows <= last))
+    X[set_one, pick[set_one]] = hi
+    return X.reshape(-1), not bad.any()
 
 
-def check_binary_feasible(x, fset, domain, tol=1e-9):
-    """True iff x is exactly binary and satisfies every constraint."""
+def check_binary_feasible(x, fset, domain, tol=BINARY_TOL):
+    """True iff x is binary to ``tol``, meets the pins, and its free
+    coordinates at the upper value match the set's binary targets."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (fset.n,):
+    if x.shape != (fset.n,) or fset.nonbinary_pin is not None:
         return False
     lo, hi = domain_bounds(domain)
-    if not np.all((np.abs(x - lo) <= tol) | (np.abs(x - hi) <= tol)):
+    at_hi = np.abs(x - hi) <= tol
+    if not np.all(at_hi | (np.abs(x - lo) <= tol)):
         return False
-    for i, v in fset.pinned:
-        if abs(x[i] - v) > tol:
-            return False
+    if np.any(np.abs(x[fset.pin_index] - fset.pin_value) > tol):
+        return False
+    free_hi = at_hi & ~fset.pin_mask()
     if fset.sum_constraint is not None:
-        if abs(x.sum() - fset.sum_constraint) > tol:
-            return False
+        return int(np.count_nonzero(free_hi)) == fset.sum_ones
     if fset.simplex_blocks is not None:
-        r = fset.simplex_blocks
-        sums = x.reshape(-1, r).sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > tol):
-            return False
+        counts = free_hi.reshape(-1, fset.simplex_blocks).sum(axis=1)
+        return bool(np.all(counts == fset.block_ones))
     return True
 
 

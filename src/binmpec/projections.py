@@ -7,20 +7,26 @@ import numpy as np
 from . import kernels
 
 
+BINARY_TOL = 1e-9  # how far a pin or a target may sit from a binary value
+
+
 @dataclass(frozen=True)
 class FeasibleSet:
     """Box bounds plus at most one coupling constraint.
 
     ``sum_constraint`` fixes the coordinate sum to k; ``simplex_blocks``
-    partitions the coordinates into consecutive blocks of that size, each
-    summing to 1 (requires a [0, 1] box).  ``pinned`` freezes individual
+    partitions the coordinates into consecutive one-hot blocks of that
+    size (each sums to 1 under ``_unit_map``).  ``pinned`` freezes
     coordinates.  At most one of the two coupling constraints may be set.
 
-    Construction also caches what the projections and the rounding read
-    on every call: ``pin_index``/``pin_value`` (the pins in the given
-    order, read-only), ``pinned_total`` (their sum), the pin mask, for a
-    sum constraint ``sum_map`` (see ``_prepare_sum``) and, for simplex
-    blocks, ``block_groups`` (see ``_group_blocks``).
+    Construction prepares what projection, rounding and the oracle read:
+    ``pin_index``/``pin_value`` (the pins in order, read-only),
+    ``pinned_total``, the pin mask, ``unit_map`` with ``sum_target`` or
+    ``block_groups`` (see ``_group_blocks``), and binary targets to
+    ``BINARY_TOL``: ``nonbinary_pin``, the position in ``pinned`` of the
+    first pin at neither bound (or None); ``sum_ones`` and ``block_ones``,
+    the free coordinates at the upper bound in every binary point (-1
+    where there is none).
     """
 
     lower: np.ndarray
@@ -49,50 +55,56 @@ class FeasibleSet:
             if i in seen:
                 raise ValueError("pinned index %d repeated" % i)
             seen.add(i)
-            if not (lo[i] - 1e-12 <= v <= up[i] + 1e-12):
+            # slack scales with the box, so SolverView's image under 2x - 1 passes too
+            slack = 1e-12 * max(1.0, up[i] - lo[i])
+            if not (lo[i] - slack <= v <= up[i] + slack):
                 raise ValueError("pinned value %g outside bounds at index %d" % (v, i))
         if self.sum_constraint is not None and self.simplex_blocks is not None:
             raise ValueError("sum constraint and simplex blocks are mutually exclusive")
-        if self.sum_constraint is not None:
-            k = float(self.sum_constraint)
-            object.__setattr__(self, "sum_constraint", k)
-            lo_eff = lo.copy()
-            up_eff = up.copy()
-            for i, v in self.pinned:
-                lo_eff[i] = v
-                up_eff[i] = v
-            if not (lo_eff.sum() - 1e-9 <= k <= up_eff.sum() + 1e-9):
-                raise ValueError("sum constraint %g infeasible for the box" % k)
         pin_index = np.array([i for i, _ in self.pinned], dtype=np.int64)
         pin_value = np.array([v for _, v in self.pinned], dtype=np.float64)
         mask = np.zeros(n, dtype=bool)
         mask[pin_index] = True
         for arr in (pin_index, pin_value, mask):
             arr.flags.writeable = False
-        object.__setattr__(self, "pin_index", pin_index)
-        object.__setattr__(self, "pin_value", pin_value)
-        object.__setattr__(self, "pinned_total", sum(v for _, v in self.pinned))
-        object.__setattr__(self, "_pin_mask", mask)
-        object.__setattr__(self, "sum_map", None)
+        at_bound = ((np.abs(pin_value - lo[pin_index]) <= BINARY_TOL)
+                    | (np.abs(pin_value - up[pin_index]) <= BINARY_TOL))
+        prep = {"pin_index": pin_index, "pin_value": pin_value, "_pin_mask": mask,
+                "pinned_total": sum(v for _, v in self.pinned),
+                "nonbinary_pin": None if at_bound.all() else int(np.argmin(at_bound)),
+                "unit_map": None, "sum_target": None, "sum_ones": None,
+                "block_groups": (), "block_ones": None}
         if self.sum_constraint is not None:
-            object.__setattr__(self, "sum_map", _prepare_sum(
-                lo, up, mask, self.sum_constraint - self.pinned_total))
-        object.__setattr__(self, "block_groups", ())
+            k = prep["sum_constraint"] = float(self.sum_constraint)
+            lo_eff, up_eff = lo.copy(), up.copy()
+            lo_eff[pin_index] = up_eff[pin_index] = pin_value
+            _, lo0, span = prep["unit_map"] = _unit_map(lo, up, mask)
+            slack = 1e-9 * max(1.0, span)
+            if not (lo_eff.sum() - slack <= k <= up_eff.sum() + slack):
+                raise ValueError("sum constraint %g infeasible for the box" % k)
+            m = n - pin_index.shape[0]
+            target = (k - prep["pinned_total"] - m * lo0) / span if span > 0 and m else 0.0
+            prep.update(sum_target=target, sum_ones=int(_ones(target, m)))
         if self.simplex_blocks is not None:
-            r = int(self.simplex_blocks)
-            object.__setattr__(self, "simplex_blocks", r)
+            r = prep["simplex_blocks"] = int(self.simplex_blocks)
             if r < 1 or n % r != 0:
                 raise ValueError("block size %d does not partition %d coordinates" % (r, n))
-            if np.any(lo != 0.0) or np.any(up != 1.0):
-                raise ValueError("simplex blocks require a [0, 1] box")
-            pinned_sums = np.bincount(pin_index // r, weights=pin_value, minlength=n // r)
-            over = np.flatnonzero(pinned_sums > 1.0 + 1e-12)
+            _, lo0, span = prep["unit_map"] = _unit_map(lo, up, mask)
+            if span <= 0:
+                raise ValueError("simplex blocks require lower < upper")
+            pinned_at = np.zeros(n)
+            pinned_at[pin_index] = (pin_value - lo0) / span
+            over = np.flatnonzero(np.bincount(pin_index // r, weights=pinned_at[pin_index],
+                                              minlength=n // r) > 1.0 + 1e-12)
             if over.shape[0]:
                 raise ValueError("pinned values oversubscribe block %d" % over[0])
-            pinned_at = np.zeros(n)
-            pinned_at[pin_index] = pin_value
-            object.__setattr__(self, "block_groups",
-                               _group_blocks(mask.reshape(-1, r), pinned_at))
+            groups = prep["block_groups"] = _group_blocks(mask.reshape(-1, r), pinned_at)
+            ones = prep["block_ones"] = np.empty(n // r, dtype=np.int64)
+            for blocks, free_idx, target in groups:
+                ones[blocks] = _ones(target, free_idx.shape[1])
+            ones.flags.writeable = False
+        for name, value in prep.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -103,29 +115,33 @@ class FeasibleSet:
         return self._pin_mask
 
 
-def _prepare_sum(lo, up, mask, k_free):
-    """(free, lo, span, target): the sum projection as one capped simplex.
+def _unit_map(lo, up, mask):
+    """(free, lo, span): the map y = (x - lo) / span of the free coordinates.
 
     ``free`` indexes the unpinned coordinates (a full slice when nothing
-    is pinned); their bounds must share one ``lo`` and one ``lo + span``.
-    The affine map y = (x - lo) / span takes them to [0, 1], where their
-    sum must be ``target``.  Projection commutes with that map.  A zero
-    span leaves nothing to project, and its target is unused.
+    is pinned); their bounds, or all bounds when every coordinate is
+    pinned, must share one ``lo`` and one ``lo + span``, which the map
+    takes to 0 and 1.  Projection commutes with the map.
     """
     free = slice(None)
     if mask.any():
         free = np.flatnonzero(~mask)
         free.flags.writeable = False
-    lof, upf = lo[free], up[free]
+    lof, upf = (lo[free], up[free]) if not mask.all() else (lo, up)
     if lof.shape[0] == 0:
-        return free, 0.0, 0.0, 0.0
-    lo0 = float(lof[0])
-    hi0 = float(upf[0])
+        return free, 0.0, 1.0
+    lo0, hi0 = float(lof[0]), float(upf[0])
     if np.any(lof != lo0) or np.any(upf != hi0):
-        raise ValueError("sum constraint requires uniform bounds on free coordinates")
-    span = hi0 - lo0
-    target = (k_free - lof.shape[0] * lo0) / span if span > 0 else 0.0
-    return free, lo0, span, target
+        raise ValueError("sum and block constraints require uniform bounds "
+                         "on free coordinates")
+    return free, lo0, hi0 - lo0
+
+
+def _ones(target, cap):
+    """The integer within BINARY_TOL of a unit-map target, if in [0, cap]; else -1."""
+    t = np.rint(target)
+    ok = (np.abs(target - t) <= BINARY_TOL) & (t >= 0) & (t <= cap)
+    return np.where(ok, t, -1).astype(np.int64)
 
 
 def _group_blocks(pin2, pinned_at):
@@ -134,7 +150,7 @@ def _group_blocks(pin2, pinned_at):
     One (blocks, free_idx, target) triple per count f, ascending: the
     block numbers, a (blocks x f) array of the coordinates that are free
     in each, in index order, and each block's free target, 1 minus the
-    sum of its pins (summed in index order), read-only.
+    sum of its mapped pins (summed in index order), read-only.
     """
     nb, r = pin2.shape
     coords = np.arange(nb * r, dtype=np.int64).reshape(nb, r)
@@ -309,15 +325,15 @@ def project_feasible(a, fset, warm=None):
     a = np.asarray(a, dtype=np.float64)
     if a.shape[0] != fset.n:
         raise ValueError("dimension mismatch")
-    if fset.sum_constraint is None and fset.simplex_blocks is None:
+    if fset.unit_map is None:
         return project_box(a, fset)
     x = np.empty_like(a)
     x[fset.pin_index] = fset.pin_value
+    free, lo, span = fset.unit_map
 
     if fset.sum_constraint is not None:
-        free, lo, span, target = fset.sum_map
         if span > 0:
-            y = project_capped_simplex((a[free] - lo) / span, target, warm)
+            y = project_capped_simplex((a[free] - lo) / span, fset.sum_target, warm)
             x[free] = lo + span * y
         else:
             x[free] = lo
@@ -325,5 +341,5 @@ def project_feasible(a, fset, warm=None):
 
     # simplex blocks: one row-wise projection per count of free coordinates
     for _, free_idx, target in fset.block_groups:
-        x[free_idx] = project_capped_simplex(a[free_idx], target)
+        x[free_idx] = lo + span * project_capped_simplex((a[free_idx] - lo) / span, target)
     return x

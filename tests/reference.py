@@ -9,9 +9,10 @@ a scatter loop over every stored entry.
 The ``*_loop`` functions at the end are the one-row-, one-block- or
 one-point-at-a-time loops that the library's vectorized code replaced,
 kept to check it; ``chunked_binary_scan`` is the full-width counter scan
-that the split-half scan replaced, and ``minimize_fista_callbacks`` is
+that the split-half scan replaced, ``minimize_fista_callbacks`` is
 the FISTA loop on value/gradient callbacks that the quadratic model
-replaced.
+replaced, and ``project_conjugated`` is the {-1, +1} projection that
+projecting onto the set's prepared {-1, +1} image replaced.
 """
 
 import itertools
@@ -363,3 +364,13 @@ def minimize_fista_callbacks(value, grad, lipschitz, project, x0, tol=1e-5,
             converged = True
             break
     return x, fx, iterations, converged
+
+
+def project_conjugated(z, fset, warm=None):
+    """Projection of a {-1, +1}-domain point onto a zero-one set, through
+    the zero-one set itself: y = (z + 1) / 2 is projected and mapped back
+    by 2y - 1, which commutes with Euclidean projection."""
+    from binmpec.projections import project_feasible
+
+    y = project_feasible((z + 1.0) / 2.0, fset, warm)
+    return 2.0 * y - 1.0

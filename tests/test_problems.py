@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import binmpec.linalg
 import binmpec.subsolver
@@ -17,11 +19,11 @@ from binmpec.problems import (Graph, ProblemInstance, SolverView,
                               build_mrf, check_binary_feasible, generate,
                               laplacian, modularity_value, round_feasible,
                               subgraph_weight)
-from binmpec.projections import FeasibleSet
+from binmpec.projections import FeasibleSet, WarmStart
 from binmpec.report import SolveReport
 from binmpec.subsolver import QuadraticObjective
 
-from reference import modularity_triplets_loop, round_blocks_loop
+from reference import modularity_triplets_loop, project_conjugated, round_blocks_loop
 
 P3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
 C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
@@ -50,6 +52,14 @@ def dense_instance(M):
     A = SparseMatrix.from_coo(n, n, rows, cols, M[rows, cols], symmetric=True)
     return ProblemInstance(QuadraticObjective(A, np.zeros(n)),
                            FeasibleSet(np.full(n, -1.0), np.full(n, 1.0)), "pm1")
+
+
+def identity_instance(fset, domain):
+    """An instance with A = I over ``fset``, whose box is the domain's."""
+    n = fset.n
+    A = SparseMatrix.from_coo(n, n, np.arange(n), np.arange(n), np.ones(n),
+                              symmetric=True)
+    return ProblemInstance(QuadraticObjective(A, np.zeros(n)), fset, domain)
 
 
 GRID34 = grid_graph(3, 4)
@@ -502,6 +512,36 @@ class TestProblemInstanceValidation:
         assert not check_binary_feasible(np.array(rep.x_binary), fs, "pm1")
 
 
+def fista_like(rng, n, steps):
+    """{-1, +1}-domain inputs that drift less and less, like one solve's
+    x-steps."""
+    z = rng.uniform(-1.5, 1.5, n)
+    out = []
+    for t in range(steps):
+        z = z + (0.1 * 0.8 ** t) * rng.standard_normal(n)
+        out.append(z.copy())
+    return out
+
+
+VIEW_SETS = {
+    "densest-k": lambda: build_dense_subgraph(
+        generate("erdos_renyi", {"n": 60, "p": 0.2}, seed=2), 17),
+    "modularity": lambda: build_modularity(
+        generate("four_gauss_knn", {"n": 24}, seed=5), 4),
+    "pinned-sum": lambda: identity_instance(FeasibleSet(
+        np.zeros(40), np.ones(40), sum_constraint=15.0,
+        pinned=((30, 1.0), (3, 1.0), (7, 0.0))), "zeroone"),
+    "pinned-blocks": lambda: identity_instance(FeasibleSet(
+        np.zeros(24), np.ones(24), simplex_blocks=4,
+        pinned=((5, 1.0), (0, 0.0), (9, 0.0), (10, 0.0))), "zeroone"),
+}
+VIEW_BOX_SETS = {
+    "mrf": lambda: build_mrf(GRID34, np.linspace(-1.0, 1.0, 12)),
+    "pinned-box": lambda: identity_instance(FeasibleSet(
+        np.zeros(30), np.ones(30), pinned=((4, 1.0), (2, 0.0))), "zeroone"),
+}
+
+
 class TestSolverView:
     @pytest.mark.parametrize("build", [lambda: build_bisection(C4),
                                        lambda: build_dense_subgraph(K3, 2)],
@@ -565,6 +605,34 @@ class TestSolverView:
             y = view.to_original(x)
             assert y.sum() == pytest.approx(2.0, abs=1e-9)
             assert np.all(y >= -1e-12) and np.all(y <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("build", sorted(VIEW_SETS))
+    def test_projection_matches_conjugated_reference(self, build):
+        # warm sequences, as in one solve's x-steps: the same bytes
+        prob = VIEW_SETS[build]()
+        view = SolverView(prob)
+        warm, warm_ref = WarmStart(), WarmStart()
+        for z in fista_like(np.random.default_rng(5), prob.n, 40):
+            got = view.project(z, warm)
+            want = project_conjugated(z, prob.feasible_set, warm_ref)
+            assert got.tobytes() == want.tobytes()
+
+    def test_image_constructs_at_the_tolerance_edges(self):
+        # a pin and a sum just outside the zero-one box, within its slack
+        fs = FeasibleSet(np.zeros(3), np.ones(3), sum_constraint=-0.9e-9,
+                         pinned=((0, -0.9e-12),))
+        view = SolverView(identity_instance(fs, "zeroone"))
+        assert view.feasible_set.sum_ones == fs.sum_ones == 0
+
+    @pytest.mark.parametrize("build", sorted(VIEW_BOX_SETS))
+    def test_box_projection_within_an_ulp_of_reference(self, build):
+        prob = VIEW_BOX_SETS[build]()
+        view = SolverView(prob)
+        for z in fista_like(np.random.default_rng(6), prob.n, 40):
+            got = view.project(z)
+            want = project_conjugated(z, prob.feasible_set)
+            assert np.max(np.abs(got - want)) <= np.spacing(1.0)
+            assert np.array_equal(got, np.clip(got, -1.0, 1.0))
 
     def test_function_lipschitz_bounds_box_changes(self):
         prob = build_bisection(C4)
@@ -651,6 +719,18 @@ class TestRoundFeasible:
         fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0), sum_constraint=0.0)
         _, ok = round_feasible(np.zeros(3), fs, "pm1")
         assert not ok
+
+    def test_near_integral_sum_flags_infeasible(self):
+        # 2 + 5e-7 ones is no count within the 1e-9 integrality tolerance
+        fs = FeasibleSet(np.zeros(4), np.ones(4), sum_constraint=2 + 5e-7)
+        x, ok = round_feasible(np.array([0.9, 0.8, 0.1, 0.2]), fs, "zeroone")
+        assert not ok
+        assert not check_binary_feasible(x, fs, "zeroone")
+        prob = identity_instance(fs, "zeroone")
+        with pytest.raises(ValueError, match="admits no binary point"):
+            brute_force(prob)
+        with pytest.raises(ValueError, match="feasible binary starting point"):
+            solve_iht(prob)
 
     @pytest.mark.parametrize("shape", [(3,), (5,), (2, 2)])
     def test_wrong_shape_rejected(self, shape):
@@ -761,3 +841,84 @@ class TestCheckBinaryFeasible:
         fs = FeasibleSet(np.full(4, -1.0), np.full(4, 1.0), sum_constraint=0.0)
         assert not check_binary_feasible(np.array([1.0, -1.0] * 3), fs, "pm1")
         assert not check_binary_feasible(np.array([[1.0, -1.0], [1.0, -1.0]]), fs, "pm1")
+
+
+@st.composite
+def small_sets(draw):
+    """A small set of either domain (a box, a sum or one-hot blocks) with
+    binary and now and then non-binary pins, and a point to round."""
+    domain = draw(st.sampled_from(["pm1", "zeroone"]))
+    lo, hi = (-1.0, 1.0) if domain == "pm1" else (0.0, 1.0)
+    kind = draw(st.sampled_from(["box", "sum", "blocks"]))
+    n = draw(st.integers(1, 8))
+    # pin values as fractions of the way from lo to hi; two sit a hair
+    # outside the box, which the set tolerates
+    unit = st.sampled_from([0.0, 1.0, 0.0, 1.0, 0.25, -9e-13, 1.0 + 9e-13])
+    r = n
+    pins = []
+    if kind == "blocks":
+        r = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        for q in range(n // r):
+            left = 1.0
+            cols = st.lists(st.integers(0, r - 1), unique=True, max_size=r)
+            for c in draw(st.one_of(cols, st.permutations(range(r)))):
+                u = draw(unit)
+                u = u if u <= left else 0.0
+                left -= u
+                pins.append((q * r + c, lo + u * (hi - lo)))
+    else:
+        for i in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+            pins.append((i, lo + draw(unit) * (hi - lo)))
+    pins = draw(st.permutations(pins))
+    k = None
+    if kind == "sum":
+        m = n - len(pins)
+        ones = draw(st.integers(0, m))
+        frac = draw(st.sampled_from([0.0, 0.0, 0.5, 5e-7, 1e-10])) if ones < m else 0.0
+        k = sum(v for _, v in pins) + m * lo + (ones + frac) * (hi - lo)
+    fs = FeasibleSet(np.full(n, lo), np.full(n, hi), sum_constraint=k, pinned=pins,
+                     simplex_blocks=r if kind == "blocks" else None)
+    y = np.array(draw(st.lists(st.floats(lo - 0.5, hi + 0.5), min_size=n, max_size=n)))
+    nonbinary = any(1e-9 < v - lo and 1e-9 < hi - v for _, v in pins)
+    return fs, domain, y, nonbinary
+
+
+def has_binary_point(fs, lo, hi):
+    """Whether some point of {lo, hi}^n meets the pins and the sum within
+    1e-9 and has one upper value per block, by plain enumeration."""
+    for bits in itertools.product((lo, hi), repeat=fs.n):
+        x = np.array(bits)
+        if any(abs(x[i] - v) > 1e-9 for i, v in fs.pinned):
+            continue
+        if fs.sum_constraint is not None and abs(x.sum() - fs.sum_constraint) > 1e-9:
+            continue
+        if fs.simplex_blocks is not None and np.any(
+                (x == hi).reshape(-1, fs.simplex_blocks).sum(axis=1) != 1):
+            continue
+        return True
+    return False
+
+
+class TestBinaryTargets:
+    """round_feasible, check_binary_feasible and brute_force agree."""
+
+    @settings(max_examples=200)
+    @given(small_sets())
+    def test_rounding_oracle_and_check_agree(self, case):
+        fs, domain, y, nonbinary = case
+        prob = identity_instance(fs, domain)
+        SolverView(prob)  # the {-1, +1} image constructs
+        exists = has_binary_point(fs, fs.lower[0], fs.upper[0])
+        x, ok = round_feasible(y, fs, domain)
+        assert ok == exists
+        if ok:
+            assert check_binary_feasible(x, fs, domain)
+        try:
+            x_star, _, _ = brute_force(prob)
+        except ValueError as exc:
+            assert not exists
+            if nonbinary:
+                assert "not binary" in str(exc)
+            return
+        assert exists and not nonbinary
+        assert check_binary_feasible(x_star, fs, domain)

@@ -51,9 +51,14 @@ class TestFeasibleSetValidation:
         with pytest.raises(ValueError):
             box_set(4, lo=0.0, hi=1.0, simplex_blocks=3)
 
-    def test_blocks_require_unit_box(self):
-        with pytest.raises(ValueError, match="box"):
-            box_set(4, simplex_blocks=2)
+    def test_blocks_on_any_uniform_box(self):
+        # one-hot on [-1, 1]: one coordinate per block at 1, the rest at -1
+        fs = box_set(6, simplex_blocks=3)
+        x = project_feasible([0.2, 3.0, -0.4, 2.5, -2.0, 0.1], fs)
+        assert x.tolist() == [-1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
+        with pytest.raises(ValueError, match="uniform"):
+            FeasibleSet(lower=np.array([0.0, 0.0, -1.0, 0.0]),
+                        upper=np.ones(4), simplex_blocks=2)
 
     def test_blocks_pin_oversubscription(self):
         with pytest.raises(ValueError, match="oversubscribe"):
@@ -513,8 +518,7 @@ class TestWarmStart:
         a = np.random.default_rng(0).uniform(-3.0, 3.0, n)
         warm = projections.WarmStart()
         x = project_feasible(a, fs, warm)
-        _, _, _, target = fs.sum_map
-        assert abs(((x + 1.0) / 2.0).sum() - target) <= 1e-13
+        assert abs(((x + 1.0) / 2.0).sum() - fs.sum_target) <= 1e-13
         assert same_bits(project_feasible(x, fs, warm), x)
 
     def test_feasible_input_returned_unchanged(self, monkeypatch):
