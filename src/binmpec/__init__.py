@@ -20,7 +20,7 @@ from .projections import (FeasibleSet, project_box, project_capped_simplex,
 from .reformulations import (MpecVariant, domain_transform, h_ratio,
                              membership, round_sign)
 from .report import SolveReport, trace_to_csv
-from .subsolver import QuadraticObjective, SubproblemResult, solve_qp
+from .subsolver import QuadraticObjective
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "AdmConfig", "BaselineConfig", "BaselineMethod", "EpmConfig",
     "FeasibleSet", "Graph", "MpecVariant", "ProblemInstance",
     "QuadraticObjective", "SizeLimitError", "SolveReport", "SolverView",
-    "SparseMatrix", "SubproblemResult", "active_backend", "brute_force",
+    "SparseMatrix", "active_backend", "brute_force",
     "build_bisection", "build_constrained_segmentation",
     "build_dense_subgraph", "build_modularity", "build_mrf",
     "check_binary_feasible", "domain_transform", "epm_v_update",
@@ -36,6 +36,6 @@ __all__ = [
     "membership", "modularity_value", "project_box",
     "project_capped_simplex", "project_feasible", "quadratic_form",
     "round_feasible", "round_sign", "solve_adm", "solve_epm", "solve_iht",
-    "solve_l2box_admm", "solve_lp_round", "solve_qp",
+    "solve_l2box_admm", "solve_lp_round",
     "spectral_norm_estimate", "subgraph_weight", "trace_to_csv", "vector",
 ]

@@ -9,8 +9,7 @@ import numpy as np
 
 from .problems import SolverView, finish_solve, round_feasible
 from .projections import project_feasible
-from .subsolver import (QuadraticModel, check_counts, check_positive, minimize_fista,
-                        solve_qp)
+from .subsolver import QuadraticModel, check_counts, check_positive, minimize_fista
 
 MU_CAP = 1e10
 LP_TOL = 1e-7  # FISTA tolerance of the lp relaxation
@@ -43,10 +42,11 @@ def solve_lp_round(problem):
     fs = problem.feasible_set
     center = 0.5 * (fs.lower + fs.upper)
     x0 = project_feasible(center, fs)
-    res = solve_qp(problem.objective, None, fs, x0, tol=LP_TOL, max_iter=20000)
-    rep = finish_solve(problem, "lp", res.x, start, 0.0, 1,
-                       [(1, res.objective, 0.0, 0.0)], res.converged,
-                       x_relaxed=res.x, objective_relaxed=res.objective)
+    x, fx, _, converged = minimize_fista(
+        QuadraticModel(problem.objective), lambda z: project_feasible(z, fs), x0,
+        tol=LP_TOL, max_iter=20000)
+    rep = finish_solve(problem, "lp", x, start, 0.0, 1, [(1, fx, 0.0, 0.0)], converged,
+                       x_relaxed=x, objective_relaxed=fx)
     # the second trace row is the rounded answer's objective
     rep.trace += ((2, rep.objective_binary, 0.0, 0.0),)
     return rep

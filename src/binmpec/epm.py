@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import SolverView, finish_solve
-from .subsolver import QuadraticModel, check_positive, check_schedule, minimize_fista
+from .subsolver import QuadraticModel, check_schedule, minimize_fista
 
 
 @dataclass
@@ -23,14 +23,11 @@ class EpmConfig:
     inner_T: int = 10
     feas_tol: float = 1e-8
     max_outer: int = 100
-    lipschitz_override: float | None = None
     inner_tol: float = 1e-5
     inner_max_iter: int = 2000
 
     def __post_init__(self):
         check_schedule(self, "rho0")
-        if self.lipschitz_override is not None:
-            check_positive(self, "lipschitz_override")
 
 
 def epm_v_update(x):
@@ -54,8 +51,7 @@ def solve_epm(problem, config=None, seed=0):
     obj = view.objective
     n = view.n
 
-    l_hat = (config.lipschitz_override if config.lipschitz_override is not None
-             else view.function_lipschitz())
+    l_hat = view.function_lipschitz()
     rho_cap = 2.0 * l_hat
 
     x = view.initial_point(seed)

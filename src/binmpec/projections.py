@@ -1,5 +1,6 @@
 """Exact Euclidean projections onto the feasible sets used by the solvers."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,28 +192,29 @@ class WarmStart:
         self.tau = None
 
 
-NEWTON_STEPS = 6  # warm Newton steps before the sorted walk takes over
+NEWTON_STEPS = 6  # Newton steps before the sorted walk takes over
 
 
 def project_capped_simplex(a, k, warm=None):
-    """Projection onto {0 <= x <= 1, sum(x) = k} by break point search.
+    """Projection onto {0 <= x <= 1, sum(x) = k}: Newton on the threshold.
 
-    O(n log n): the 2n break points are sorted once, then a single walk
-    locates the crossing of the piecewise-linear coordinate-sum function.
+    A 1-D call returns an already feasible ``a`` unchanged, so its own
+    output comes back bit for bit.  Feasible means in [0, 1] with a sum
+    within 1e-13 of k, or within four ulps of k once that is wider
+    (k >= 512), since a float sum there lands no closer.  Otherwise the
+    threshold comes from Newton (see ``_newton_tau``), started at the
+    ``WarmStart``'s last threshold when there is one, else at the sorted
+    walk's: the 2n break points are sorted once, O(n log n), and a single
+    walk locates the crossing of the piecewise-linear coordinate-sum
+    function.  The walk also runs when Newton from the last threshold does
+    not settle, and its threshold stands unrefined only when Newton from
+    it does not settle either.  There is no correction step.
+
     A 2-D ``a`` projects each row onto its own capped simplex, with ``k``
-    one target per row (or one for all rows).  Each row target must lie
-    in [0, 1], where the cap never binds: a row is sorted once and its
-    threshold comes from the sorted prefix sums, with no correction step.
-    A target that is not finite is infeasible.
-
-    With a ``WarmStart`` a 1-D call returns an already feasible ``a``
-    unchanged, so its own output comes back bit for bit.  Feasible means
-    in [0, 1] with a sum within 1e-13 of k, or within four ulps of k once
-    that is wider (k >= 512), since a float sum there lands no closer.
-    Otherwise the threshold comes from Newton started at the last one (see
-    ``_newton_tau``); the sort runs only when there is none or Newton does
-    not settle, and Newton then refines the walk's threshold.  2-D calls
-    ignore ``warm``.
+    one target per row (or one for all rows), and ignores ``warm``.  Each
+    row target must lie in [0, 1], where the cap never binds: a row is
+    sorted once and its threshold comes from the sorted prefix sums.  A
+    target that is not finite is infeasible.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 2:
@@ -227,30 +229,20 @@ def project_capped_simplex(a, k, warm=None):
         return np.zeros(n)
     if k >= n - 1e-13:
         return np.ones(n)
-    if warm is None:
-        tau = _sorted_tau(a, n, k)
-    else:
-        if (abs(a.sum() - k) <= max(1e-13, 4.0 * np.spacing(k))
-                and a.min() >= 0.0 and a.max() <= 1.0):
-            return a.copy()
-        tau = _newton_tau(a, k, warm.tau)
-        if tau is None:
-            # the walk's threshold can miss k by its rounding with nothing
-            # left strictly inside (0, 1) for the correction; Newton settles it
-            walk = _sorted_tau(a, n, k)
-            tau = _newton_tau(a, k, walk)
-            if tau is None:
-                tau = walk
+    if (abs(a.sum() - k) <= max(1e-13, 4.0 * math.ulp(k))
+            and a.min() >= 0.0 and a.max() <= 1.0):
+        return a.copy()
+    found = None
+    if warm is not None and warm.tau is not None:
+        found = _newton_tau(a, k, warm.tau)
+    if found is None:
+        walk = _sorted_tau(a, n, k)
+        found = _newton_tau(a, k, walk)
+        if found is None:
+            found = walk, (a - walk).clip(0.0, 1.0)
+    tau, x = found
+    if warm is not None:
         warm.tau = tau
-    x = np.clip(a - tau, 0.0, 1.0)
-    # one exact correction over the strictly free coordinates
-    miss = x.sum() - k
-    if abs(miss) > 1e-13:
-        free = (x > 1e-12) & (x < 1.0 - 1e-12)
-        nf = int(free.sum())
-        if nf:
-            x[free] -= miss / nf
-            np.clip(x, 0.0, 1.0, out=x)
     return x
 
 
@@ -262,31 +254,30 @@ def _sorted_tau(a, n, k):
 
 
 def _newton_tau(a, k, tau):
-    """Crossing of g(tau) = sum clip(a - tau, 0, 1) = k by Newton from tau.
+    """(tau, clip(a - tau, 0, 1)) at the crossing of g(tau) = k, by Newton.
 
-    g is linear between break points, with slope minus the number of
-    coordinates strictly inside (0, 1); the piece is fixed by how many
-    a - tau reach 1 and how many exceed 0, both monotone in tau.  A step
-    solves the linear equation of its piece, so a step that stays on its
-    piece lands on the crossing.  On a flat piece that misses k the step
-    starts from the piece's edge toward k, with the slope just past it.
-    Returns None, for the sorted walk to decide, when there is no
-    threshold yet or after NEWTON_STEPS steps without settling (Newton
-    can cycle on a function that is neither convex nor concave).  See
-    Cominetti, Mascarenhas & Silva 2014 for Newton on this problem.
+    g(tau) = sum clip(a - tau, 0, 1) is linear between break points, with
+    slope minus the number of coordinates strictly inside (0, 1); the
+    piece is fixed by how many a - tau reach 1 and how many exceed 0, both
+    monotone in tau.  A step solves the linear equation of its piece, so a
+    step that stays on its piece lands on the crossing.  On a flat piece
+    that misses k the step starts from the piece's edge toward k, with the
+    slope just past it.  Returns None after NEWTON_STEPS steps without
+    settling (Newton can cycle on a function that is neither convex nor
+    concave).  See Cominetti, Mascarenhas & Silva 2014 for Newton on this
+    problem.
     """
-    if tau is None:
-        return None
     piece = None
     for _ in range(NEWTON_STEPS):
         d = a - tau
+        x = d.clip(0.0, 1.0)
+        miss = x.sum() - k
+        if abs(miss) <= 1e-13:
+            return tau, x
         top = np.count_nonzero(d >= 1.0)
         pos = np.count_nonzero(d > 0.0)
         if (top, pos) == piece:
-            return tau
-        miss = np.clip(d, 0.0, 1.0).sum() - k
-        if abs(miss) <= 1e-13:
-            return tau
+            return tau, x
         if pos > top:
             tau += miss / (pos - top)
         elif miss < 0.0:

@@ -43,31 +43,11 @@ class SolveReport:
         self.outer_iterations = int(self.outer_iterations)
 
     def to_json(self):
-        payload = asdict(self)
-        payload["x_binary"] = list(self.x_binary)
-        payload["trace"] = [list(row) for row in self.trace]
-        if self.x_relaxed is not None:
-            payload["x_relaxed"] = list(self.x_relaxed)
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
-        payload = json.loads(text)
-        return cls(
-            method=payload["method"],
-            problem=payload["problem"],
-            x_binary=tuple(payload["x_binary"]),
-            objective_binary=payload["objective_binary"],
-            complementarity_gap_final=payload["complementarity_gap_final"],
-            outer_iterations=payload["outer_iterations"],
-            wall_time_ms=payload["wall_time_ms"],
-            trace=tuple(tuple(row) for row in payload["trace"]),
-            feasible=payload["feasible"],
-            converged=payload["converged"],
-            objective_relaxed=payload.get("objective_relaxed"),
-            x_relaxed=tuple(payload["x_relaxed"]) if payload.get("x_relaxed") is not None
-            else None,
-        )
+        return cls(**json.loads(text))
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -1,11 +1,8 @@
 """Accelerated projected gradient descent for the convex x-subproblems."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import NormBound, SparseMatrix, matvec, spectral_norm_estimate
-from .projections import project_feasible
 
 
 class QuadraticObjective:
@@ -65,14 +62,6 @@ class QuadraticObjective:
 
     def grad(self, x):
         return matvec(self.A, x) + self.b
-
-
-@dataclass
-class SubproblemResult:
-    x: np.ndarray
-    objective: float
-    iterations: int
-    converged: bool
 
 
 def check_positive(config, *names):
@@ -206,19 +195,3 @@ def minimize_fista(model, project, x0, tol=1e-5, max_iter=2000):
             converged = True
             break
     return x, fx, iterations, converged
-
-
-def solve_qp(obj, linear_extra, fset, x0, tol=1e-5, max_iter=2000):
-    """Minimize obj(x) + <linear_extra, x> over the feasible set."""
-    if fset.n != obj.n:
-        raise ValueError("feasible set dimension mismatch")
-    linear = obj.b
-    if linear_extra is not None:
-        extra = np.asarray(linear_extra, dtype=np.float64)
-        if extra.shape[0] != obj.n:
-            raise ValueError("linear_extra length mismatch")
-        linear = obj.b + extra
-    x, fx, iterations, converged = minimize_fista(
-        QuadraticModel(obj, linear), lambda z: project_feasible(z, fset),
-        x0, tol=tol, max_iter=max_iter)
-    return SubproblemResult(x=x, objective=fx, iterations=iterations, converged=converged)

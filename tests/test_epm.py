@@ -169,29 +169,6 @@ class TestDeterminism:
             assert rep.objective_binary == pytest.approx(f_star, abs=1e-9)
 
 
-class TestLipschitzOverride:
-    def test_override_sets_cap(self):
-        prob = identity_instance(2)
-        rep = solve_epm(prob, EpmConfig(lipschitz_override=50.0))
-        assert rep.problem["l_hat"] == 50.0
-        assert rep.problem["rho_cap"] == 100.0
-        assert max(row[3] for row in rep.trace) <= 100.0 + 1e-12
-
-    def test_tiny_cap_still_terminates(self):
-        # with the cap below any useful level the run must still stop
-        prob = identity_instance(2)
-        rep = solve_epm(prob, EpmConfig(lipschitz_override=1e-6, max_outer=5))
-        assert rep.outer_iterations <= 5
-        assert max(row[3] for row in rep.trace) <= 2e-6 + 1e-18
-
-    @pytest.mark.parametrize("bad", [-5.0, 0.0, float("nan"), float("inf")])
-    def test_non_positive_or_non_finite_rejected(self, bad):
-        # a cap of 2 * override <= 0 would drive the penalty negative or
-        # leave it at zero; either way the run would report nonsense
-        with pytest.raises(ValueError, match="lipschitz_override"):
-            EpmConfig(lipschitz_override=bad)
-
-
 class TestInnerSolverSettings:
     # FISTA would run silently to its cap (tol <= 0 or nan), stop at
     # once (tol = inf) or not run at all (max_iter < 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -511,21 +513,24 @@ class TestWarmStart:
         assert warm.tau < 1e6
 
     def test_walk_refined_when_nothing_is_left_free(self):
-        # the target's fraction is below the walk's rounding, and no
-        # coordinate ends strictly inside (0, 1) for the correction step
+        # the target's fraction is below the walk's rounding, so the walk's
+        # threshold leaves every coordinate at 0; Newton refines it
         n = 1100
         fs = box_set(n, sum_constraint=-1099.9999999999995)
         a = np.random.default_rng(0).uniform(-3.0, 3.0, n)
-        warm = projections.WarmStart()
-        x = project_feasible(a, fs, warm)
-        assert abs(((x + 1.0) / 2.0).sum() - fs.sum_target) <= 1e-13
-        assert same_bits(project_feasible(x, fs, warm), x)
+        for warm in (projections.WarmStart(), None):
+            x = project_feasible(a, fs, warm)
+            assert x.max() > -1.0
+            miss = ((x + 1.0) / 2.0).sum() - fs.sum_target
+            assert abs(miss) <= 4 * math.ulp(fs.sum_target)
+            assert same_bits(project_feasible(x, fs, warm), x)
 
     def test_feasible_input_returned_unchanged(self, monkeypatch):
         calls = counted_walks(monkeypatch)
         a = np.array([0.25, 0.5, 0.75, 0.5])
-        got = project_capped_simplex(a, 2.0, projections.WarmStart())
-        assert same_bits(got, a) and got is not a
+        for warm in (projections.WarmStart(), None):
+            got = project_capped_simplex(a, 2.0, warm)
+            assert same_bits(got, a) and got is not a
         assert calls == []
 
     def test_rows_ignore_warm(self):
@@ -535,6 +540,24 @@ class TestWarmStart:
         assert same_bits(project_capped_simplex(a, 1.0, warm),
                          project_capped_simplex(a, 1.0))
         assert warm.tau is None
+
+
+class TestColdPath:
+    # a call without a WarmStart takes the same path as a warm call's
+    # first: Newton from the sorted walk's threshold
+    @pytest.mark.parametrize("n,k", [(600, 512.5), (1500, 1234.5678), (3000, 2047.0)])
+    def test_large_k_within_four_ulps(self, n, k):
+        # past k = 512 one ulp of k exceeds Newton's 1e-13 stop
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            a = rng.uniform(-2.0, 3.0, n)
+            x = project_capped_simplex(a, k)
+            assert abs(x.sum() - k) <= 4 * math.ulp(k)
+            # a clipped threshold and nothing more: no correction step
+            warm = projections.WarmStart()
+            assert same_bits(project_capped_simplex(a, k, warm), x)
+            assert same_bits(np.clip(a - warm.tau, 0.0, 1.0), x)
+            assert same_bits(project_capped_simplex(x, k), x)
 
 
 @st.composite
@@ -556,9 +579,9 @@ class TestWarmIdempotence:
     @given(sum_sets())
     def test_own_output_returns_same_bytes(self, case):
         fs, a = case
-        warm = projections.WarmStart()
-        x = project_feasible(a, fs, warm)
-        assert same_bits(project_feasible(x, fs, warm), x)
-        # also after the threshold has moved on
-        project_feasible(a[::-1].copy(), fs, warm)
-        assert same_bits(project_feasible(x, fs, warm), x)
+        for warm in (projections.WarmStart(), None):  # warm and cold calls
+            x = project_feasible(a, fs, warm)
+            assert same_bits(project_feasible(x, fs, warm), x)
+            # also after the threshold has moved on
+            project_feasible(a[::-1].copy(), fs, warm)
+            assert same_bits(project_feasible(x, fs, warm), x)

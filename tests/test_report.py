@@ -83,6 +83,12 @@ class TestJsonRoundTrip:
         assert back == rep
         assert back.trace == rep.trace
 
+    def test_missing_field_raises(self):
+        payload = json.loads(sample_report().to_json())
+        del payload["x_binary"]
+        with pytest.raises(TypeError, match="x_binary"):
+            SolveReport.from_json(json.dumps(payload))
+
 
 class TestTraceCsv:
     def test_header_contract(self):

@@ -4,7 +4,7 @@ import pytest
 from binmpec import subsolver
 from binmpec.linalg import SparseMatrix, matvec
 from binmpec.projections import FeasibleSet, project_feasible
-from binmpec.subsolver import QuadraticModel, QuadraticObjective, minimize_fista, solve_qp
+from binmpec.subsolver import QuadraticModel, QuadraticObjective, minimize_fista
 
 from reference import minimize_fista_callbacks, pgd_reference
 
@@ -91,43 +91,50 @@ class TestQuadraticObjective:
             src.scaled(0.5, [np.nan, 0.0])
 
 
+def solve_over(obj, fs, x0, tol, max_iter, linear=None):
+    """The convex QP over a feasible set, as ``solve_lp_round`` solves it:
+    (x, objective, iterations, converged)."""
+    return minimize_fista(QuadraticModel(obj, linear), lambda z: project_feasible(z, fs),
+                          x0, tol=tol, max_iter=max_iter)
+
+
 class TestSolveQp:
+    # minimize_fista on a QuadraticModel over a FeasibleSet's projection
     def test_unconstrained_minimum_inside_box(self):
         # 0.5 ||x||^2 over [-5, 5]^2 from a far corner
         obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
-        res = solve_qp(obj, None, box_set(2, -5.0, 5.0), np.array([5.0, -5.0]),
-                       tol=1e-10, max_iter=20000)
-        assert np.allclose(res.x, 0.0, atol=1e-6)
-        assert res.converged
+        x, _, _, converged = solve_over(obj, box_set(2, -5.0, 5.0), np.array([5.0, -5.0]),
+                                        tol=1e-10, max_iter=20000)
+        assert np.allclose(x, 0.0, atol=1e-6)
+        assert converged
 
     def test_pure_linear_drives_to_corner(self):
         A = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
         obj = QuadraticObjective(A, np.array([1.0, -1.0]))
-        res = solve_qp(obj, None, box_set(2), np.zeros(2), tol=1e-12,
-                       max_iter=5000)
-        assert np.allclose(res.x, [-1.0, 1.0], atol=1e-9)
+        x, _, _, _ = solve_over(obj, box_set(2), np.zeros(2), tol=1e-12, max_iter=5000)
+        assert np.allclose(x, [-1.0, 1.0], atol=1e-9)
 
     def test_sum_constrained_symmetric(self):
         # min x'x - 2 sum(x) over [0,1]^2 with sum = 1 lands at (0.5, 0.5)
         obj = QuadraticObjective(SparseMatrix.identity(2, scale=2.0),
                                  np.array([-2.0, -2.0]))
         fs = box_set(2, 0.0, 1.0, sum_constraint=1.0)
-        res = solve_qp(obj, None, fs, np.array([1.0, 0.0]), tol=1e-10,
-                       max_iter=20000)
-        assert np.allclose(res.x, [0.5, 0.5], atol=1e-8)
+        x, _, _, _ = solve_over(obj, fs, np.array([1.0, 0.0]), tol=1e-10, max_iter=20000)
+        assert np.allclose(x, [0.5, 0.5], atol=1e-8)
 
     def test_linear_extra_matches_baked_in(self):
+        # a linear term handed to the model equals the same term as b
         rng = np.random.default_rng(31)
         dense = rng.standard_normal((4, 4))
         dense = dense @ dense.T
         extra = rng.standard_normal(4)
         fs = box_set(4)
         x0 = rng.uniform(-1.0, 1.0, 4)
-        a = solve_qp(QuadraticObjective(dense_to_sparse(dense), np.zeros(4)),
-                     extra, fs, x0, tol=1e-10, max_iter=20000)
-        b = solve_qp(QuadraticObjective(dense_to_sparse(dense), extra),
-                     None, fs, x0, tol=1e-10, max_iter=20000)
-        assert np.allclose(a.x, b.x, atol=1e-7)
+        a, _, _, _ = solve_over(QuadraticObjective(dense_to_sparse(dense), np.zeros(4)),
+                                fs, x0, tol=1e-10, max_iter=20000, linear=extra)
+        b, _, _, _ = solve_over(QuadraticObjective(dense_to_sparse(dense), extra),
+                                fs, x0, tol=1e-10, max_iter=20000)
+        assert np.allclose(a, b, atol=1e-7)
 
     def test_result_feasible(self):
         rng = np.random.default_rng(37)
@@ -137,10 +144,10 @@ class TestSolveQp:
             dense = dense @ dense.T
             obj = QuadraticObjective(dense_to_sparse(dense),
                                      rng.standard_normal(fs.n))
-            res = solve_qp(obj, None, fs, rng.uniform(-1, 1, fs.n),
-                           tol=1e-8, max_iter=20000)
-            proj = project_feasible(res.x, fs)
-            assert np.allclose(res.x, proj, atol=1e-9)
+            x, _, _, _ = solve_over(obj, fs, rng.uniform(-1, 1, fs.n),
+                                    tol=1e-8, max_iter=20000)
+            proj = project_feasible(x, fs)
+            assert np.allclose(x, proj, atol=1e-9)
 
     def test_never_worse_than_projected_start(self):
         rng = np.random.default_rng(41)
@@ -151,8 +158,8 @@ class TestSolveQp:
             obj = QuadraticObjective(dense_to_sparse(dense), rng.standard_normal(n))
             fs = box_set(n)
             x0 = rng.uniform(-2, 2, n)
-            res = solve_qp(obj, None, fs, x0, tol=1e-6, max_iter=2000)
-            assert res.objective <= obj.value(project_feasible(x0, fs)) + 1e-9
+            _, fx, _, _ = solve_over(obj, fs, x0, tol=1e-6, max_iter=2000)
+            assert fx <= obj.value(project_feasible(x0, fs)) + 1e-9
 
     def test_variational_inequality_at_solution(self):
         # convex case: <grad(x*), y - x*> >= 0 for all feasible y
@@ -163,12 +170,12 @@ class TestSolveQp:
             dense = dense @ dense.T
             obj = QuadraticObjective(dense_to_sparse(dense), rng.standard_normal(n))
             fs = box_set(n) if trial % 2 else box_set(n, sum_constraint=0.0)
-            res = solve_qp(obj, None, fs, rng.uniform(-1, 1, n),
-                           tol=1e-12, max_iter=50000)
-            g = obj.grad(res.x)
+            x, _, _, _ = solve_over(obj, fs, rng.uniform(-1, 1, n),
+                                    tol=1e-12, max_iter=50000)
+            g = obj.grad(x)
             for _ in range(100):
                 y = project_feasible(rng.uniform(-2, 2, n), fs)
-                assert float(np.dot(g, y - res.x)) >= -1e-6
+                assert float(np.dot(g, y - x)) >= -1e-6
 
     def test_matches_long_pgd_reference(self):
         rng = np.random.default_rng(47)
@@ -179,19 +186,20 @@ class TestSolveQp:
             obj = QuadraticObjective(dense_to_sparse(dense), rng.standard_normal(n))
             fs = box_set(n) if trial % 2 else box_set(n, sum_constraint=1.0)
             x0 = rng.uniform(-1, 1, n)
-            res = solve_qp(obj, None, fs, x0, tol=1e-12, max_iter=50000)
+            x, fx, _, _ = solve_over(obj, fs, x0, tol=1e-12, max_iter=50000)
             ref = pgd_reference(obj.grad, obj.lipschitz,
                                 lambda z: project_feasible(z, fs), x0,
                                 iters=100000)
-            assert np.allclose(res.x, ref, atol=1e-5)
-            assert res.objective <= obj.value(ref) + 1e-8
+            assert np.allclose(x, ref, atol=1e-5)
+            assert fx <= obj.value(ref) + 1e-8
 
     def test_dimension_mismatches(self):
         obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
         with pytest.raises(ValueError):
-            solve_qp(obj, None, box_set(3), np.zeros(3))
+            solve_over(obj, box_set(3), np.zeros(3), tol=1e-5, max_iter=2000)
         with pytest.raises(ValueError):
-            solve_qp(obj, np.zeros(3), box_set(2), np.zeros(2))
+            solve_over(obj, box_set(2), np.zeros(2), tol=1e-5, max_iter=2000,
+                       linear=np.zeros(3))
 
 
 def model_shapes(obj, rng):
