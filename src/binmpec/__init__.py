@@ -17,8 +17,7 @@ from .problems import (Graph, ProblemInstance, SolverView, build_bisection,
                        subgraph_weight)
 from .projections import (FeasibleSet, project_box, project_capped_simplex,
                           project_feasible)
-from .reformulations import (MpecVariant, domain_transform, h_ratio,
-                             membership, round_sign)
+from .reformulations import MpecVariant, h_ratio, membership, round_sign
 from .report import SolveReport, trace_to_csv
 from .subsolver import QuadraticObjective
 
@@ -31,7 +30,7 @@ __all__ = [
     "SparseMatrix", "active_backend", "brute_force",
     "build_bisection", "build_constrained_segmentation",
     "build_dense_subgraph", "build_modularity", "build_mrf",
-    "check_binary_feasible", "domain_transform", "epm_v_update",
+    "check_binary_feasible", "epm_v_update",
     "feasible_count_binomial", "generate", "h_ratio", "laplacian", "matvec",
     "membership", "modularity_value", "project_box",
     "project_capped_simplex", "project_feasible", "quadratic_form",

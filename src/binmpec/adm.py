@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epm import epm_v_update
-from .problems import SolverView, finish_solve
+from .problems import finish_solve
 from .subsolver import QuadraticModel, check_schedule, minimize_fista
 
 ALPHA_CAP = 1e6
@@ -44,7 +44,7 @@ def solve_adm(problem, config=None, seed=0):
     """Run the alternating direction iteration; returns a SolveReport."""
     config = config or AdmConfig()
     start = time.perf_counter()
-    view = SolverView(problem)
+    view = problem.solver_view
     obj = view.objective
     n = view.n
     l_hat = view.function_lipschitz()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SolverView, finish_solve, round_feasible
+from .problems import finish_solve, round_feasible
 from .projections import project_feasible
 from .subsolver import QuadraticModel, check_counts, check_positive, minimize_fista
 
@@ -40,8 +40,7 @@ def solve_lp_round(problem):
     """Solve the box relaxation to high accuracy, then round feasibly."""
     start = time.perf_counter()
     fs = problem.feasible_set
-    center = 0.5 * (fs.lower + fs.upper)
-    x0 = project_feasible(center, fs)
+    x0 = project_feasible(np.full(fs.n, 0.5 * (fs.lo + fs.hi)), fs)
     x, fx, _, converged = minimize_fista(
         QuadraticModel(problem.objective), lambda z: project_feasible(z, fs), x0,
         tol=LP_TOL, max_iter=20000)
@@ -65,11 +64,8 @@ def solve_iht(problem, config=None, x0=None):
         raise ValueError("hard thresholding does not support assignment blocks")
     obj = problem.objective
     if x0 is None:
-        center = 0.5 * (fs.lower + fs.upper)
-        x, ok = round_feasible(center, fs, problem.domain)
-    else:
-        x, ok = round_feasible(np.asarray(x0, dtype=np.float64), fs,
-                               problem.domain)
+        x0 = np.full(fs.n, 0.5 * (fs.lo + fs.hi))
+    x, ok = round_feasible(x0, fs)
     if not ok:
         raise ValueError("could not form a feasible binary starting point")
     step = 1.0 / obj.lipschitz
@@ -79,7 +75,7 @@ def solve_iht(problem, config=None, x0=None):
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        xn, ok = round_feasible(x - step * obj.grad(x), fs, problem.domain)
+        xn, ok = round_feasible(x - step * obj.grad(x), fs)
         if not ok:
             break
         fn = obj.value(xn)
@@ -119,7 +115,7 @@ def solve_l2box_admm(problem, config=None):
     """
     config = config or BaselineConfig()
     start = time.perf_counter()
-    view = SolverView(problem)
+    view = problem.solver_view
     obj = view.objective
     n = view.n
 

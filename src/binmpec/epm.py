@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SolverView, finish_solve
+from .problems import finish_solve
 from .subsolver import QuadraticModel, check_schedule, minimize_fista
 
 
@@ -47,7 +47,7 @@ def solve_epm(problem, config=None, seed=0):
     """Run the penalty iteration; returns a SolveReport."""
     config = config or EpmConfig()
     start = time.perf_counter()
-    view = SolverView(problem)
+    view = problem.solver_view
     obj = view.objective
     n = view.n
 

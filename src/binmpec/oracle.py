@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from . import kernels
-from .reformulations import domain_bounds
 
 
 class SizeLimitError(ValueError):
@@ -24,7 +23,7 @@ def brute_force(problem, limit_n=22):
     fset = problem.feasible_set
     obj = problem.objective
     n = problem.n
-    lo, hi = domain_bounds(problem.domain)
+    lo, hi = fset.lo, fset.hi
 
     pin = fset.pin_mask()
     free = np.nonzero(~pin)[0]

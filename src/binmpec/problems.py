@@ -9,7 +9,7 @@ import numpy as np
 
 from .linalg import PSD_RTOL, SparseMatrix, gershgorin_lower_bound, matvec
 from .projections import BINARY_TOL, FeasibleSet, WarmStart, project_feasible
-from .reformulations import domain_bounds, round_sign
+from .reformulations import round_sign
 from .report import SolveReport
 from .subsolver import QuadraticObjective
 
@@ -66,15 +66,11 @@ class ProblemInstance:
 
     objective: QuadraticObjective
     feasible_set: FeasibleSet
-    domain: str
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        lo, hi = domain_bounds(self.domain)
         if self.feasible_set.n != self.objective.n:
             raise ValueError("feasible set and objective dimension mismatch")
-        if np.any(self.feasible_set.lower != lo) or np.any(self.feasible_set.upper != hi):
-            raise ValueError("box bounds inconsistent with domain %r" % self.domain)
         # a copy, so a dict shared by several instances is left as passed
         meta = dict(self.meta, psd_check=_validate_psd(self.objective),
                     norm_check=self.objective.norm_bound.method)
@@ -84,6 +80,15 @@ class ProblemInstance:
     @property
     def n(self):
         return self.objective.n
+
+    @property
+    def domain(self):
+        return self.feasible_set.domain
+
+    @functools.cached_property
+    def solver_view(self):
+        """The problem over {-1, +1} (``SolverView``), built on the first solve."""
+        return SolverView(self)
 
 
 def _validate_psd(obj):
@@ -120,21 +125,14 @@ def laplacian(g: Graph) -> SparseMatrix:
     return SparseMatrix.from_coo(g.n, g.n, rows, cols, vals, symmetric=True)
 
 
-def _box(n, domain):
-    lo, hi = domain_bounds(domain)
-    return np.full(n, lo), np.full(n, hi)
-
-
 def build_bisection(g: Graph) -> ProblemInstance:
     """Minimum balanced cut: f(x) = x'Lx over x in {-1,+1}^n, sum(x) = 0."""
     if g.n % 2 != 0:
         raise ValueError("balanced bisection needs an even node count, got %d" % g.n)
     A = laplacian(g).scaled(2.0)  # f = 0.5 x'(2L)x = x'Lx, the cut weight times 4
     obj = QuadraticObjective(A, np.zeros(g.n))
-    lo, hi = _box(g.n, "pm1")
-    fset = FeasibleSet(lo, hi, sum_constraint=0.0)
-    return ProblemInstance(obj, fset, "pm1",
-                           {"name": "bisection", "n": g.n, "provenance": "graph"})
+    fset = FeasibleSet(g.n, "pm1", sum_constraint=0.0)
+    return ProblemInstance(obj, fset, {"name": "bisection", "n": g.n, "provenance": "graph"})
 
 
 def build_constrained_segmentation(g: Graph, fg, bg) -> ProblemInstance:
@@ -145,12 +143,10 @@ def build_constrained_segmentation(g: Graph, fg, bg) -> ProblemInstance:
         raise ValueError("foreground and background seeds overlap")
     A = laplacian(g).scaled(2.0)
     obj = QuadraticObjective(A, np.zeros(g.n))
-    lo, hi = _box(g.n, "pm1")
     pins = tuple((i, 1.0) for i in fg) + tuple((i, -1.0) for i in bg)
-    fset = FeasibleSet(lo, hi, pinned=pins)
-    return ProblemInstance(obj, fset, "pm1",
-                           {"name": "segmentation", "n": g.n, "provenance": "graph",
-                            "fg": list(fg), "bg": list(bg)})
+    fset = FeasibleSet(g.n, "pm1", pinned=pins)
+    return ProblemInstance(obj, fset, {"name": "segmentation", "n": g.n,
+                                       "provenance": "graph", "fg": list(fg), "bg": list(bg)})
 
 
 def build_dense_subgraph(g: Graph, k) -> ProblemInstance:
@@ -177,11 +173,9 @@ def build_dense_subgraph(g: Graph, k) -> ProblemInstance:
         vals += [-2.0 * w, -2.0 * w]
     A = SparseMatrix.from_coo(g.n, g.n, rows, cols, vals, symmetric=True)
     obj = QuadraticObjective(A, np.zeros(g.n))
-    lo, hi = _box(g.n, "zeroone")
-    fset = FeasibleSet(lo, hi, sum_constraint=float(k))
-    return ProblemInstance(obj, fset, "zeroone",
-                           {"name": "densesub", "n": g.n, "provenance": "graph",
-                            "k": k, "lambda_shift": lhat})
+    fset = FeasibleSet(g.n, "zeroone", sum_constraint=float(k))
+    return ProblemInstance(obj, fset, {"name": "densesub", "n": g.n,
+                                       "provenance": "graph", "k": k, "lambda_shift": lhat})
 
 
 def subgraph_weight(g: Graph, y) -> float:
@@ -223,11 +217,10 @@ def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
     vals = np.repeat(scale * w[ii, jj], k)
     A = SparseMatrix.from_coo(dim, dim, rows, cols, vals, symmetric=True)
     obj = QuadraticObjective(A, np.zeros(dim))
-    lo, hi = _box(dim, "zeroone")
-    fset = FeasibleSet(lo, hi, simplex_blocks=k)
-    return ProblemInstance(obj, fset, "zeroone",
-                           {"name": "modularity", "n": dim, "provenance": "graph",
-                            "nodes": g.n, "k_clusters": k, "lambda_shift": lhat})
+    fset = FeasibleSet(dim, "zeroone", simplex_blocks=k)
+    return ProblemInstance(obj, fset, {"name": "modularity", "n": dim,
+                                       "provenance": "graph", "nodes": g.n,
+                                       "k_clusters": k, "lambda_shift": lhat})
 
 
 def modularity_value(g: Graph, labels) -> float:
@@ -252,10 +245,8 @@ def build_mrf(g: Graph, unary) -> ProblemInstance:
     if b.shape[0] != g.n:
         raise ValueError("unary term length %d, graph has %d nodes" % (b.shape[0], g.n))
     obj = QuadraticObjective(laplacian(g), b)
-    lo, hi = _box(g.n, "zeroone")
-    fset = FeasibleSet(lo, hi)
-    return ProblemInstance(obj, fset, "zeroone",
-                           {"name": "mrf", "n": g.n, "provenance": "graph"})
+    fset = FeasibleSet(g.n, "zeroone")
+    return ProblemInstance(obj, fset, {"name": "mrf", "n": g.n, "provenance": "graph"})
 
 
 def generate(kind, params=None, seed=0) -> Graph:
@@ -324,7 +315,8 @@ class SolverView:
     For zero-one instances the quadratic is rewritten through
     y = (x+1)/2 (objective values are preserved exactly, constants
     included), and the feasible set is replaced by its image under
-    x = 2y - 1, built once per view.
+    x = 2y - 1.  The solvers read the one view each problem keeps
+    (``ProblemInstance.solver_view``).
     """
 
     __slots__ = ("problem", "objective", "feasible_set", "n")
@@ -341,7 +333,7 @@ class SolverView:
             c = src.c + 0.125 * float(np.dot(ones, A1)) + 0.5 * float(src.b.sum())
             self.objective = src.scaled(0.25, b, c)
             self.feasible_set = FeasibleSet(
-                2.0 * fs.lower - 1.0, 2.0 * fs.upper - 1.0,
+                self.n, "pm1",
                 None if fs.sum_constraint is None else 2.0 * fs.sum_constraint - self.n,
                 tuple((i, 2.0 * v - 1.0) for i, v in fs.pinned), fs.simplex_blocks)
 
@@ -376,7 +368,7 @@ class SolverView:
                 + float(np.linalg.norm(self.objective.b)))
 
 
-def round_feasible(y, fset, domain):
+def round_feasible(y, fset):
     """Round to binary and repair constraints; deterministic.
 
     Sum constraints are met by taking the coordinates with the largest
@@ -389,18 +381,14 @@ def round_feasible(y, fset, domain):
     if y.shape != (fset.n,):
         raise ValueError("point of shape %r, feasible set has %d coordinates"
                          % (y.shape, fset.n))
-    x = round_sign(y, domain)
+    x = round_sign(y, fset.domain)
     if fset.nonbinary_pin is not None:
         # pins are written in order up to the first non-binary one
         stop = fset.nonbinary_pin + 1
         x[fset.pin_index[:stop]] = fset.pin_value[:stop]
         return x, False
     x[fset.pin_index] = fset.pin_value
-    if fset.unit_map is None:
-        return x, True
-    _, lo, span = fset.unit_map
-    hi = lo + span
-
+    lo, hi = fset.lo, fset.hi
     if fset.sum_constraint is not None:
         if fset.sum_ones < 0:
             return x, False
@@ -412,6 +400,8 @@ def round_feasible(y, fset, domain):
         return x, True
 
     r = fset.simplex_blocks
+    if r is None:
+        return x, True
     nb = fset.n // r
     X = x.reshape(nb, r)
     pin2 = fset.pin_mask().reshape(nb, r)
@@ -430,15 +420,14 @@ def round_feasible(y, fset, domain):
     return X.reshape(-1), not bad.any()
 
 
-def check_binary_feasible(x, fset, domain, tol=BINARY_TOL):
+def check_binary_feasible(x, fset, tol=BINARY_TOL):
     """True iff x is binary to ``tol``, meets the pins, and its free
     coordinates at the upper value match the set's binary targets."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (fset.n,) or fset.nonbinary_pin is not None:
         return False
-    lo, hi = domain_bounds(domain)
-    at_hi = np.abs(x - hi) <= tol
-    if not np.all(at_hi | (np.abs(x - lo) <= tol)):
+    at_hi = np.abs(x - fset.hi) <= tol
+    if not np.all(at_hi | (np.abs(x - fset.lo) <= tol)):
         return False
     if np.any(np.abs(x[fset.pin_index] - fset.pin_value) > tol):
         return False
@@ -463,8 +452,8 @@ def finish_solve(problem, method, y, start, gap, outer, trace, converged,
     the wall time is measured from.
     """
     fset = problem.feasible_set
-    x_binary, feasible = round_feasible(y, fset, problem.domain)
-    feasible = feasible and check_binary_feasible(x_binary, fset, problem.domain)
+    x_binary, feasible = round_feasible(y, fset)
+    feasible = feasible and check_binary_feasible(x_binary, fset)
     return SolveReport(
         method=method,
         problem=dict(problem.meta, domain=problem.domain, **meta),

@@ -1,11 +1,13 @@
 """Exact Euclidean projections onto the feasible sets used by the solvers."""
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
+from .reformulations import domain_bounds
 
 
 BINARY_TOL = 1e-9  # how far a pin or a target may sit from a binary value
@@ -13,42 +15,44 @@ BINARY_TOL = 1e-9  # how far a pin or a target may sit from a binary value
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Box bounds plus at most one coupling constraint.
+    """The n-coordinate binary domain's box plus at most one coupling constraint.
 
-    ``sum_constraint`` fixes the coordinate sum to k; ``simplex_blocks``
-    partitions the coordinates into consecutive one-hot blocks of that
-    size (each sums to 1 under ``_unit_map``).  ``pinned`` freezes
-    coordinates.  At most one of the two coupling constraints may be set.
+    ``domain`` is ``"pm1"`` or ``"zeroone"`` (see
+    ``reformulations.domain_bounds``); every coordinate lies in the box
+    [lo, hi] of its two binary values.  ``sum_constraint`` fixes the
+    coordinate sum to k; ``simplex_blocks`` partitions the coordinates into
+    consecutive one-hot blocks of that size, one coordinate per block at
+    hi.  ``pinned`` freezes coordinates.  At most one of the two coupling
+    constraints may be set.
 
     Construction prepares what projection, rounding and the oracle read:
+    the floats ``lo``, ``hi`` and ``span`` = hi - lo, ``free`` (the
+    unpinned coordinates, a full slice when nothing is pinned), whose map
+    y = (x - lo) / span to [0, 1] commutes with projection;
     ``pin_index``/``pin_value`` (the pins in order, read-only),
-    ``pinned_total``, the pin mask, ``unit_map`` with ``sum_target`` or
-    ``block_groups`` (see ``_group_blocks``), and binary targets to
-    ``BINARY_TOL``: ``nonbinary_pin``, the position in ``pinned`` of the
-    first pin at neither bound (or None); ``sum_ones`` and ``block_ones``,
-    the free coordinates at the upper bound in every binary point (-1
-    where there is none).
+    ``pinned_total``, the pin mask, ``sum_target`` (the free coordinates'
+    mapped sum) or ``block_groups`` (see ``_group_blocks``), and binary
+    targets to ``BINARY_TOL``: ``nonbinary_pin``, the position in
+    ``pinned`` of the first pin at neither bound (or None); ``sum_ones``
+    and ``block_ones``, the free coordinates at hi in every binary point
+    (-1 where there is none).
     """
 
-    lower: np.ndarray
-    upper: np.ndarray
+    n: int
+    domain: str
     sum_constraint: float | None = None
     pinned: tuple = field(default_factory=tuple)
     simplex_blocks: int | None = None
 
     def __post_init__(self):
-        lo = np.array(self.lower, dtype=np.float64).reshape(-1)
-        up = np.array(self.upper, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
+        n = operator.index(self.n)
+        if n < 0:
+            raise ValueError("coordinate count must be nonnegative, got %d" % n)
+        lo, hi = domain_bounds(self.domain)
+        span = hi - lo
         object.__setattr__(self, "pinned", tuple((int(i), float(v)) for i, v in self.pinned))
-        if lo.shape != up.shape:
-            raise ValueError("lower/upper length mismatch")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
-            raise ValueError("bounds must be finite")
-        if np.any(lo > up):
-            raise ValueError("lower bound exceeds upper bound")
-        n = lo.shape[0]
+        # slack scales with the box, so SolverView's image under 2x - 1 passes too
+        slack = 1e-12 * span
         seen = set()
         for i, v in self.pinned:
             if not 0 <= i < n:
@@ -56,9 +60,7 @@ class FeasibleSet:
             if i in seen:
                 raise ValueError("pinned index %d repeated" % i)
             seen.add(i)
-            # slack scales with the box, so SolverView's image under 2x - 1 passes too
-            slack = 1e-12 * max(1.0, up[i] - lo[i])
-            if not (lo[i] - slack <= v <= up[i] + slack):
+            if not (lo - slack <= v <= hi + slack):
                 raise ValueError("pinned value %g outside bounds at index %d" % (v, i))
         if self.sum_constraint is not None and self.simplex_blocks is not None:
             raise ValueError("sum constraint and simplex blocks are mutually exclusive")
@@ -66,35 +68,34 @@ class FeasibleSet:
         pin_value = np.array([v for _, v in self.pinned], dtype=np.float64)
         mask = np.zeros(n, dtype=bool)
         mask[pin_index] = True
+        free = slice(None)
+        if mask.any():
+            free = np.flatnonzero(~mask)
+            free.flags.writeable = False
         for arr in (pin_index, pin_value, mask):
             arr.flags.writeable = False
-        at_bound = ((np.abs(pin_value - lo[pin_index]) <= BINARY_TOL)
-                    | (np.abs(pin_value - up[pin_index]) <= BINARY_TOL))
-        prep = {"pin_index": pin_index, "pin_value": pin_value, "_pin_mask": mask,
-                "pinned_total": sum(v for _, v in self.pinned),
+        at_bound = ((np.abs(pin_value - lo) <= BINARY_TOL)
+                    | (np.abs(pin_value - hi) <= BINARY_TOL))
+        pinned_total = sum(v for _, v in self.pinned)
+        prep = {"n": n, "lo": lo, "hi": hi, "span": span, "free": free,
+                "pin_index": pin_index, "pin_value": pin_value, "_pin_mask": mask,
+                "pinned_total": pinned_total,
                 "nonbinary_pin": None if at_bound.all() else int(np.argmin(at_bound)),
-                "unit_map": None, "sum_target": None, "sum_ones": None,
-                "block_groups": (), "block_ones": None}
+                "sum_target": None, "sum_ones": None, "block_groups": (), "block_ones": None}
         if self.sum_constraint is not None:
             k = prep["sum_constraint"] = float(self.sum_constraint)
-            lo_eff, up_eff = lo.copy(), up.copy()
-            lo_eff[pin_index] = up_eff[pin_index] = pin_value
-            _, lo0, span = prep["unit_map"] = _unit_map(lo, up, mask)
-            slack = 1e-9 * max(1.0, span)
-            if not (lo_eff.sum() - slack <= k <= up_eff.sum() + slack):
-                raise ValueError("sum constraint %g infeasible for the box" % k)
             m = n - pin_index.shape[0]
-            target = (k - prep["pinned_total"] - m * lo0) / span if span > 0 and m else 0.0
+            slack = 1e-9 * span
+            if not (pinned_total + m * lo - slack <= k <= pinned_total + m * hi + slack):
+                raise ValueError("sum constraint %g infeasible for the box" % k)
+            target = (k - pinned_total - m * lo) / span if m else 0.0
             prep.update(sum_target=target, sum_ones=int(_ones(target, m)))
         if self.simplex_blocks is not None:
             r = prep["simplex_blocks"] = int(self.simplex_blocks)
             if r < 1 or n % r != 0:
                 raise ValueError("block size %d does not partition %d coordinates" % (r, n))
-            _, lo0, span = prep["unit_map"] = _unit_map(lo, up, mask)
-            if span <= 0:
-                raise ValueError("simplex blocks require lower < upper")
             pinned_at = np.zeros(n)
-            pinned_at[pin_index] = (pin_value - lo0) / span
+            pinned_at[pin_index] = (pin_value - lo) / span
             over = np.flatnonzero(np.bincount(pin_index // r, weights=pinned_at[pin_index],
                                               minlength=n // r) > 1.0 + 1e-12)
             if over.shape[0]:
@@ -107,39 +108,13 @@ class FeasibleSet:
         for name, value in prep.items():
             object.__setattr__(self, name, value)
 
-    @property
-    def n(self):
-        return self.lower.shape[0]
-
     def pin_mask(self):
         """Read-only mask of the pinned coordinates."""
         return self._pin_mask
 
 
-def _unit_map(lo, up, mask):
-    """(free, lo, span): the map y = (x - lo) / span of the free coordinates.
-
-    ``free`` indexes the unpinned coordinates (a full slice when nothing
-    is pinned); their bounds, or all bounds when every coordinate is
-    pinned, must share one ``lo`` and one ``lo + span``, which the map
-    takes to 0 and 1.  Projection commutes with the map.
-    """
-    free = slice(None)
-    if mask.any():
-        free = np.flatnonzero(~mask)
-        free.flags.writeable = False
-    lof, upf = (lo[free], up[free]) if not mask.all() else (lo, up)
-    if lof.shape[0] == 0:
-        return free, 0.0, 1.0
-    lo0, hi0 = float(lof[0]), float(upf[0])
-    if np.any(lof != lo0) or np.any(upf != hi0):
-        raise ValueError("sum and block constraints require uniform bounds "
-                         "on free coordinates")
-    return free, lo0, hi0 - lo0
-
-
 def _ones(target, cap):
-    """The integer within BINARY_TOL of a unit-map target, if in [0, cap]; else -1."""
+    """The integer within BINARY_TOL of a mapped target, if in [0, cap]; else -1."""
     t = np.rint(target)
     ok = (np.abs(target - t) <= BINARY_TOL) & (t >= 0) & (t <= cap)
     return np.where(ok, t, -1).astype(np.int64)
@@ -172,7 +147,7 @@ def project_box(a, fset):
     a = np.asarray(a, dtype=np.float64)
     if a.shape[0] != fset.n:
         raise ValueError("dimension mismatch")
-    x = np.clip(a, fset.lower, fset.upper)
+    x = np.clip(a, fset.lo, fset.hi)
     x[fset.pin_index] = fset.pin_value
     return x
 
@@ -316,20 +291,15 @@ def project_feasible(a, fset, warm=None):
     a = np.asarray(a, dtype=np.float64)
     if a.shape[0] != fset.n:
         raise ValueError("dimension mismatch")
-    if fset.unit_map is None:
+    if fset.sum_constraint is None and fset.simplex_blocks is None:
         return project_box(a, fset)
     x = np.empty_like(a)
     x[fset.pin_index] = fset.pin_value
-    free, lo, span = fset.unit_map
-
+    lo, span = fset.lo, fset.span
     if fset.sum_constraint is not None:
-        if span > 0:
-            y = project_capped_simplex((a[free] - lo) / span, fset.sum_target, warm)
-            x[free] = lo + span * y
-        else:
-            x[free] = lo
+        y = project_capped_simplex((a[fset.free] - lo) / span, fset.sum_target, warm)
+        x[fset.free] = lo + span * y
         return x
-
     # simplex blocks: one row-wise projection per count of free coordinates
     for _, free_idx, target in fset.block_groups:
         x[free_idx] = lo + span * project_capped_simplex((a[free_idx] - lo) / span, target)

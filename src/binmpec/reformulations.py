@@ -1,4 +1,4 @@
-"""Equivalence-set predicates, sign rounding, domain transforms, h ratio.
+"""Equivalence-set predicates, sign rounding, the binary domains, h ratio.
 
 Five continuous characterizations of the binary set are supported as
 membership predicates.  With x, v of length n:
@@ -68,18 +68,6 @@ def round_sign(x, domain="pm1"):
     """Nearest binary point; sign(0) := +1, and 0.5 rounds up in {0, 1}."""
     lo, hi = domain_bounds(domain)
     return np.where(np.asarray(x, dtype=np.float64) >= 0.5 * (lo + hi), hi, lo)
-
-
-def domain_transform(x, from_domain, to_domain):
-    """Affine bijection between the {-1,+1} and {0,1} representations."""
-    domain_bounds(from_domain)
-    domain_bounds(to_domain)
-    if from_domain == to_domain:
-        raise ValueError("domains must differ")
-    x = np.asarray(x, dtype=np.float64)
-    if from_domain == "pm1":
-        return (x + 1.0) / 2.0
-    return 2.0 * x - 1.0
 
 
 def h_ratio(x):

@@ -122,6 +122,10 @@ class QuadraticModel:
         self.alpha, self.u, self.t = float(alpha), u, float(t)
         if not (self.mu >= 0.0 and self.alpha >= 0.0):
             raise ValueError("penalty weights must be nonnegative")
+        for name, vec in (("linear", self.linear), ("w", w), ("u", u)):
+            if vec is not None and np.shape(vec) != (self.A.n_rows,):
+                raise ValueError("%s of shape %r, A has %d rows"
+                                 % (name, np.shape(vec), self.A.n_rows))
         lipschitz = objective.lipschitz + self.mu
         if self.alpha:
             lipschitz += self.alpha * float(np.dot(u, u))

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's own algorithms:
 eigenvalues come from cyclic Jacobi rotations, projections from
-active-set enumeration, QP solves from plain unaccelerated projected
-gradient, ball maxima from a dense angular grid, and CSR transposes from
+active-set enumeration, QP solves from the KKT systems of every face
+of the box, ball maxima from a dense angular grid, and CSR transposes from
 a scatter loop over every stored entry.
 
 The ``*_loop`` functions at the end are the one-row-, one-block- or
@@ -108,13 +108,44 @@ def simplex_projection_oracle(a, k):
     return best[1]
 
 
-def pgd_reference(grad, lipschitz, project, x0, iters=100000):
-    """Plain projected gradient descent, no acceleration."""
-    x = project(np.asarray(x0, dtype=np.float64))
-    step = 1.0 / lipschitz
-    for _ in range(iters):
-        x = project(x - step * grad(x))
-    return x
+def qp_face_reference(A, b, lo, hi, k=None):
+    """Exact minimizer of 0.5 x'Ax + b'x over [lo, hi]^n, with sum(x) = k
+    when k is given, for a positive definite dense A and n <= 6.
+
+    Each of the 3^n faces (every coordinate at lo, at hi or free) has one
+    stationary point: the solution of its KKT system for the free
+    coordinates, with the sum row when there is one.  Every feasible such
+    point is a candidate, and the least objective among them is the
+    minimum: the global minimizer is the one candidate in the relative
+    interior of its face.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n = b.shape[0]
+    if n > 6:
+        raise ValueError("3^n faces are too many for n = %d" % n)
+    best = None
+    for face in itertools.product((lo, hi, None), repeat=n):
+        free = np.array([v is None for v in face])
+        x = np.array([0.0 if v is None else v for v in face])
+        m = int(free.sum())
+        rhs = -(b[free] + A[np.ix_(free, ~free)] @ x[~free])
+        if k is None:
+            x[free] = np.linalg.solve(A[np.ix_(free, free)], rhs)
+        elif m == 0:
+            if abs(x.sum() - k) > 1e-12:
+                continue
+        else:
+            kkt = np.ones((m + 1, m + 1))
+            kkt[:m, :m] = A[np.ix_(free, free)]
+            kkt[m, m] = 0.0
+            x[free] = np.linalg.solve(kkt, np.append(rhs, k - x[~free].sum()))[:m]
+        if x.min() < lo - 1e-12 or x.max() > hi + 1e-12:
+            continue
+        f = 0.5 * float(x @ A @ x) + float(b @ x)
+        if best is None or f < best[0]:
+            best = (f, x)
+    return best[1]
 
 
 def ball_linear_max_oracle(x, radius, grid=400000):
@@ -176,12 +207,13 @@ def project_blocks_loop(a, fset, project=None):
     return x
 
 
-def round_blocks_loop(y, fset, domain):
+def round_blocks_loop(y, fset):
     """Binary rounding of a simplex-block set, one block at a time: pins
     first, then a per-block argmax over the free coordinates."""
     y = np.asarray(y, dtype=np.float64)
-    lo, hi = (-1.0, 1.0) if domain == "pm1" else (0.0, 1.0)
-    x = np.where(y >= 0.0, 1.0, -1.0) if domain == "pm1" else np.where(y >= 0.5, 1.0, 0.0)
+    pm1 = fset.domain == "pm1"
+    lo, hi = (-1.0, 1.0) if pm1 else (0.0, 1.0)
+    x = np.where(y >= 0.0, 1.0, -1.0) if pm1 else np.where(y >= 0.5, 1.0, 0.0)
     pin = np.zeros(fset.n, dtype=bool)
     for i, v in fset.pinned:
         pin[i] = True

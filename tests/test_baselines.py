@@ -19,8 +19,8 @@ K3 = Graph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
 def identity_instance(n, b=None):
     obj = QuadraticObjective(SparseMatrix.identity(n),
                              np.zeros(n) if b is None else np.asarray(b, float))
-    fs = FeasibleSet(np.full(n, -1.0), np.full(n, 1.0))
-    return ProblemInstance(obj, fs, "pm1")
+    fs = FeasibleSet(n, "pm1")
+    return ProblemInstance(obj, fs)
 
 
 class TestConfig:
@@ -51,8 +51,7 @@ class TestLpRound:
         # f = -sum(x): relaxation already sits at the all-ones vertex
         A = SparseMatrix(3, 3, [0, 0, 0, 0], [], [], symmetric=True)
         obj = QuadraticObjective(A, -np.ones(3))
-        prob = ProblemInstance(obj, FeasibleSet(np.full(3, -1.0), np.full(3, 1.0)),
-                               "pm1")
+        prob = ProblemInstance(obj, FeasibleSet(3, "pm1"))
         rep = solve_lp_round(prob)
         assert rep.method == "lp"
         assert rep.x_binary == (1.0, 1.0, 1.0)
@@ -130,8 +129,7 @@ class TestIht:
             prob = build_bisection(g)
             rep = solve_iht(prob)
             assert rep.feasible
-            assert check_binary_feasible(np.array(rep.x_binary),
-                                         prob.feasible_set, prob.domain)
+            assert check_binary_feasible(np.array(rep.x_binary), prob.feasible_set)
 
     def test_best_seen_never_worse_than_start(self):
         rng = np.random.default_rng(151)

@@ -20,8 +20,8 @@ C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
 def identity_instance(n, b=None, scale=1.0):
     obj = QuadraticObjective(SparseMatrix.identity(n, scale=scale),
                              np.zeros(n) if b is None else np.asarray(b, float))
-    fs = FeasibleSet(np.full(n, -1.0), np.full(n, 1.0))
-    return ProblemInstance(obj, fs, "pm1")
+    fs = FeasibleSet(n, "pm1")
+    return ProblemInstance(obj, fs)
 
 
 class TestConfig:

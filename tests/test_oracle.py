@@ -12,19 +12,19 @@ from binmpec.projections import FeasibleSet
 from binmpec.subsolver import QuadraticObjective
 
 
-def quadratic_instance(dense, b, c, fset, domain):
+def quadratic_instance(dense, b, c, fset):
     dense = np.asarray(dense, dtype=np.float64)
     rows, cols = np.nonzero(dense)
     A = SparseMatrix.from_coo(dense.shape[0], dense.shape[0], rows, cols,
                               dense[rows, cols], symmetric=True)
-    return ProblemInstance(QuadraticObjective(A, b, c), fset, domain)
+    return ProblemInstance(QuadraticObjective(A, b, c), fset)
 
 
 class TestExamples:
     def test_single_variable(self):
         # f(x) = 0.5 x^2 - x over {-1, +1}: minimum -0.5 at x = +1
-        fs = FeasibleSet(np.full(1, -1.0), np.full(1, 1.0))
-        prob = quadratic_instance([[1.0]], [-1.0], 0.0, fs, "pm1")
+        fs = FeasibleSet(1, "pm1")
+        prob = quadratic_instance([[1.0]], [-1.0], 0.0, fs)
         x, f, count = brute_force(prob)
         assert x.tolist() == [1.0]
         assert f == pytest.approx(-0.5)
@@ -65,9 +65,9 @@ class TestLimits:
 
 class TestTieBreak:
     def test_all_ties_returns_all_lo(self):
-        fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0))
+        fs = FeasibleSet(3, "pm1")
         A = np.zeros((3, 3))
-        prob = quadratic_instance(A, np.zeros(3), 7.0, fs, "pm1")
+        prob = quadratic_instance(A, np.zeros(3), 7.0, fs)
         x, f, count = brute_force(prob)
         assert x.tolist() == [-1.0, -1.0, -1.0]
         assert f == 7.0
@@ -77,8 +77,8 @@ class TestTieBreak:
         # f = 0.5 (x0 + x1)^2 ties at the two mixed-sign points; the one
         # with x0 = lo reads as the smaller index and wins
         A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        fs = FeasibleSet(np.full(2, -1.0), np.full(2, 1.0))
-        prob = quadratic_instance(A, np.zeros(2), 0.0, fs, "pm1")
+        fs = FeasibleSet(2, "pm1")
+        prob = quadratic_instance(A, np.zeros(2), 0.0, fs)
         x, f, _ = brute_force(prob)
         assert f == pytest.approx(0.0, abs=1e-12)
         assert x.tolist() == [-1.0, 1.0]
@@ -90,8 +90,8 @@ class TestCounts:
         assert feasible_count_binomial(4, 0) == 1
 
     def test_cardinality_count_matches_binomial(self):
-        fs = FeasibleSet(np.zeros(6), np.ones(6), sum_constraint=2.0)
-        prob = quadratic_instance(np.eye(6), np.zeros(6), 0.0, fs, "zeroone")
+        fs = FeasibleSet(6, "zeroone", sum_constraint=2.0)
+        prob = quadratic_instance(np.eye(6), np.zeros(6), 0.0, fs)
         _, _, count = brute_force(prob)
         assert count == feasible_count_binomial(6, 2)
 
@@ -106,8 +106,8 @@ class TestCounts:
 
     def test_infeasible_sum_rejected(self):
         # sum = 1 over {-1, +1}^2 has no binary point
-        fs = FeasibleSet(np.full(2, -1.0), np.full(2, 1.0), sum_constraint=1.0)
-        prob = quadratic_instance(np.eye(2), np.zeros(2), 0.0, fs, "pm1")
+        fs = FeasibleSet(2, "pm1", sum_constraint=1.0)
+        prob = quadratic_instance(np.eye(2), np.zeros(2), 0.0, fs)
         with pytest.raises(ValueError, match="no binary point"):
             brute_force(prob)
 
@@ -116,28 +116,28 @@ class TestNonBinaryPins:
     # a pin at neither bound used to be substituted as is, so the
     # "binary" optimum held a fractional or out-of-domain coordinate
     def test_zero_one_box(self):
-        fs = FeasibleSet(np.zeros(3), np.ones(3), pinned=((0, 0.5),))
-        prob = quadratic_instance(np.eye(3), np.zeros(3), 0.0, fs, "zeroone")
+        fs = FeasibleSet(3, "zeroone", pinned=((0, 0.5),))
+        prob = quadratic_instance(np.eye(3), np.zeros(3), 0.0, fs)
         with pytest.raises(ValueError, match="pinned value 0.5 at index 0"):
             brute_force(prob)
 
     def test_simplex_blocks(self):
-        fs = FeasibleSet(np.zeros(4), np.ones(4), simplex_blocks=2,
+        fs = FeasibleSet(4, "zeroone", simplex_blocks=2,
                          pinned=((0, 0.5),))
-        prob = quadratic_instance(np.eye(4), np.zeros(4), 0.0, fs, "zeroone")
+        prob = quadratic_instance(np.eye(4), np.zeros(4), 0.0, fs)
         with pytest.raises(ValueError, match="pinned value 0.5 at index 0"):
             brute_force(prob)
 
     def test_pm1_pin_at_zero(self):
-        fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0), pinned=((2, 0.0),))
-        prob = quadratic_instance(np.eye(3), np.zeros(3), 0.0, fs, "pm1")
+        fs = FeasibleSet(3, "pm1", pinned=((2, 0.0),))
+        prob = quadratic_instance(np.eye(3), np.zeros(3), 0.0, fs)
         with pytest.raises(ValueError, match="pinned value 0 at index 2"):
             brute_force(prob)
 
     def test_binary_pins_accepted(self):
-        fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0),
+        fs = FeasibleSet(3, "pm1",
                          pinned=((0, 1.0), (2, -1.0)))
-        prob = quadratic_instance(np.eye(3), np.zeros(3), 0.0, fs, "pm1")
+        prob = quadratic_instance(np.eye(3), np.zeros(3), 0.0, fs)
         x, _, count = brute_force(prob)
         assert count == 2
         assert x[0] == 1.0 and x[2] == -1.0
@@ -156,7 +156,7 @@ def enumerate_reference(problem):
             if x[i] != v:
                 skip = True
                 break
-        if skip or not check_binary_feasible(x, fset, problem.domain):
+        if skip or not check_binary_feasible(x, fset):
             continue
         count += 1
         f = problem.objective.value(x)
@@ -176,23 +176,20 @@ class TestCrossCheck:
             c = float(rng.standard_normal())
             mode = trial % 3
             if mode == 0:
-                fs = FeasibleSet(np.full(n, -1.0), np.full(n, 1.0))
-                domain = "pm1"
+                fs = FeasibleSet(n, "pm1")
             elif mode == 1:
                 k = int(rng.integers(0, n + 1))
-                fs = FeasibleSet(np.zeros(n), np.ones(n), sum_constraint=float(k))
-                domain = "zeroone"
+                fs = FeasibleSet(n, "zeroone", sum_constraint=float(k))
             else:
                 divisors = [d for d in range(1, n + 1) if n % d == 0]
                 r = int(rng.choice(divisors))
-                fs = FeasibleSet(np.zeros(n), np.ones(n), simplex_blocks=r)
-                domain = "zeroone"
-            prob = quadratic_instance(dense, b, c, fs, domain)
+                fs = FeasibleSet(n, "zeroone", simplex_blocks=r)
+            prob = quadratic_instance(dense, b, c, fs)
             x, f, count = brute_force(prob)
             _, want_f, want_count = enumerate_reference(prob)
             assert count == want_count
             assert f == pytest.approx(want_f, abs=1e-9)
-            assert check_binary_feasible(x, fs, domain)
+            assert check_binary_feasible(x, fs)
             assert prob.objective.value(x) == pytest.approx(f, abs=1e-12)
 
     def test_with_pins(self):
@@ -203,9 +200,9 @@ class TestCrossCheck:
             dense = halfm @ halfm.T
             b = rng.standard_normal(n)
             pin_idx = int(rng.integers(0, n))
-            fs = FeasibleSet(np.zeros(n), np.ones(n),
+            fs = FeasibleSet(n, "zeroone",
                              pinned=((pin_idx, float(rng.integers(0, 2))),))
-            prob = quadratic_instance(dense, b, 0.0, fs, "zeroone")
+            prob = quadratic_instance(dense, b, 0.0, fs)
             x, f, count = brute_force(prob)
             _, want_f, want_count = enumerate_reference(prob)
             assert count == want_count == 2 ** (n - 1)
@@ -223,12 +220,11 @@ class TestCrossCheck:
                 if rng.uniform() < 0.6:
                     i = q * r + int(rng.integers(0, r))
                     pins[i] = float(rng.integers(0, 2))
-            fs = FeasibleSet(np.zeros(n), np.ones(n), simplex_blocks=r,
+            fs = FeasibleSet(n, "zeroone", simplex_blocks=r,
                              pinned=tuple(sorted(pins.items())))
-            prob = quadratic_instance(halfm @ halfm.T, rng.standard_normal(n), 0.0,
-                                      fs, "zeroone")
+            prob = quadratic_instance(halfm @ halfm.T, rng.standard_normal(n), 0.0, fs)
             x, f, count = brute_force(prob)
             _, want_f, want_count = enumerate_reference(prob)
             assert count == want_count
             assert f == pytest.approx(want_f, abs=1e-9)
-            assert check_binary_feasible(x, fs, "zeroone")
+            assert check_binary_feasible(x, fs)

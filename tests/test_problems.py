@@ -51,15 +51,15 @@ def dense_instance(M):
     rows, cols = np.nonzero(np.ones_like(M))
     A = SparseMatrix.from_coo(n, n, rows, cols, M[rows, cols], symmetric=True)
     return ProblemInstance(QuadraticObjective(A, np.zeros(n)),
-                           FeasibleSet(np.full(n, -1.0), np.full(n, 1.0)), "pm1")
+                           FeasibleSet(n, "pm1"))
 
 
-def identity_instance(fset, domain):
-    """An instance with A = I over ``fset``, whose box is the domain's."""
+def identity_instance(fset):
+    """An instance with A = I over ``fset``."""
     n = fset.n
     A = SparseMatrix.from_coo(n, n, np.arange(n), np.arange(n), np.ones(n),
                               symmetric=True)
-    return ProblemInstance(QuadraticObjective(A, np.zeros(n)), fset, domain)
+    return ProblemInstance(QuadraticObjective(A, np.zeros(n)), fset)
 
 
 GRID34 = grid_graph(3, 4)
@@ -406,16 +406,12 @@ class TestGenerate:
 
 class TestProblemInstanceValidation:
     def test_domain_checked(self):
+        # the domain is the feasible set's, checked where the set is built
         obj = QuadraticObjective(laplacian(P3), np.zeros(3))
-        fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0))
-        with pytest.raises(ValueError):
-            ProblemInstance(obj, fs, "spin")
-
-    def test_box_must_match_domain(self):
-        obj = QuadraticObjective(laplacian(P3), np.zeros(3))
-        fs = FeasibleSet(np.zeros(3), np.ones(3))
+        for domain in ("pm1", "zeroone"):
+            assert ProblemInstance(obj, FeasibleSet(3, domain)).domain == domain
         with pytest.raises(ValueError, match="domain"):
-            ProblemInstance(obj, fs, "pm1")
+            FeasibleSet(3, "spin")
 
     def test_indefinite_rejected(self):
         # a single negative eigenvalue must be caught
@@ -423,9 +419,9 @@ class TestProblemInstanceValidation:
         A = SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [1.0, -1.0],
                                   symmetric=True)
         obj = QuadraticObjective(A, np.zeros(2))
-        fs = FeasibleSet(np.full(2, -1.0), np.full(2, 1.0))
+        fs = FeasibleSet(2, "pm1")
         with pytest.raises(ValueError, match="positive semidefinite"):
-            ProblemInstance(obj, fs, "pm1")
+            ProblemInstance(obj, fs)
 
     def test_non_dominant_indefinite_rejected(self):
         # eigenvalues 3 and -1; the Gershgorin bound fails, so the
@@ -433,9 +429,9 @@ class TestProblemInstanceValidation:
         A = SparseMatrix.from_coo(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
                                   [1.0, 2.0, 2.0, 1.0], symmetric=True)
         obj = QuadraticObjective(A, np.zeros(2))
-        fs = FeasibleSet(np.full(2, -1.0), np.full(2, 1.0))
+        fs = FeasibleSet(2, "pm1")
         with pytest.raises(ValueError, match="positive semidefinite"):
-            ProblemInstance(obj, fs, "pm1")
+            ProblemInstance(obj, fs)
 
     def test_near_degenerate_indefinite_rejected(self):
         # eigenvalues {-1e-5, 0 (98 times), 1} in a random orthonormal
@@ -465,11 +461,10 @@ class TestProblemInstanceValidation:
     def test_shared_meta_dict_left_as_passed(self):
         meta = {"name": "mine"}
         laplace = ProblemInstance(QuadraticObjective(laplacian(P3), np.zeros(3)),
-                                  FeasibleSet(np.full(3, -1.0), np.full(3, 1.0)),
-                                  "pm1", meta)
+                                  FeasibleSet(3, "pm1"), meta)
         dense = dense_instance(np.array([[2.0, 1.5, 1.5], [1.5, 2.0, 1.5],
                                          [1.5, 1.5, 2.0]]))
-        shared = ProblemInstance(dense.objective, dense.feasible_set, "pm1", meta)
+        shared = ProblemInstance(dense.objective, dense.feasible_set, meta)
         assert meta == {"name": "mine"}
         assert laplace.meta == {"name": "mine", "psd_check": "gershgorin",
                                 "norm_check": "eigvalsh", "n": 3}
@@ -479,7 +474,7 @@ class TestProblemInstanceValidation:
     def test_zero_matrix_certified(self):
         A = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
         prob = ProblemInstance(QuadraticObjective(A, np.ones(2)),
-                               FeasibleSet(np.zeros(2), np.ones(2)), "zeroone")
+                               FeasibleSet(2, "zeroone"))
         assert prob.meta["psd_check"] == "gershgorin"
 
     @pytest.mark.parametrize("solve", [solve_epm, solve_adm, solve_lp_round,
@@ -504,12 +499,11 @@ class TestProblemInstanceValidation:
                              ids=["epm", "adm", "lp", "l2box"])
     def test_failed_rounding_reported_infeasible(self, solve):
         # three +-1 coordinates cannot sum to zero, so no rounding succeeds
-        fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0), sum_constraint=0.0)
-        prob = ProblemInstance(QuadraticObjective(SparseMatrix.identity(3), np.zeros(3)),
-                               fs, "pm1")
+        fs = FeasibleSet(3, "pm1", sum_constraint=0.0)
+        prob = ProblemInstance(QuadraticObjective(SparseMatrix.identity(3), np.zeros(3)), fs)
         rep = solve(prob)
         assert not rep.feasible
-        assert not check_binary_feasible(np.array(rep.x_binary), fs, "pm1")
+        assert not check_binary_feasible(np.array(rep.x_binary), fs)
 
 
 def fista_like(rng, n, steps):
@@ -529,16 +523,14 @@ VIEW_SETS = {
     "modularity": lambda: build_modularity(
         generate("four_gauss_knn", {"n": 24}, seed=5), 4),
     "pinned-sum": lambda: identity_instance(FeasibleSet(
-        np.zeros(40), np.ones(40), sum_constraint=15.0,
-        pinned=((30, 1.0), (3, 1.0), (7, 0.0))), "zeroone"),
+        40, "zeroone", sum_constraint=15.0, pinned=((30, 1.0), (3, 1.0), (7, 0.0)))),
     "pinned-blocks": lambda: identity_instance(FeasibleSet(
-        np.zeros(24), np.ones(24), simplex_blocks=4,
-        pinned=((5, 1.0), (0, 0.0), (9, 0.0), (10, 0.0))), "zeroone"),
+        24, "zeroone", simplex_blocks=4, pinned=((5, 1.0), (0, 0.0), (9, 0.0), (10, 0.0)))),
 }
 VIEW_BOX_SETS = {
     "mrf": lambda: build_mrf(GRID34, np.linspace(-1.0, 1.0, 12)),
     "pinned-box": lambda: identity_instance(FeasibleSet(
-        np.zeros(30), np.ones(30), pinned=((4, 1.0), (2, 0.0))), "zeroone"),
+        30, "zeroone", pinned=((4, 1.0), (2, 0.0)))),
 }
 
 
@@ -563,6 +555,24 @@ class TestSolverView:
         for _ in range(20):
             x = project(rng.uniform(-2.0, 2.0, view.n))
             assert np.array_equal(x, project(x))
+
+    def test_built_once_per_problem_on_first_solve(self, monkeypatch):
+        built = []
+        init = SolverView.__init__
+
+        def counted(view, problem):
+            built.append(problem)
+            init(view, problem)
+
+        monkeypatch.setattr(SolverView, "__init__", counted)
+        prob = build_dense_subgraph(GRID34, 5)
+        assert built == []
+        first = solve_epm(prob)
+        solve_adm(prob)
+        solve_l2box_admm(prob)
+        assert built == [prob] and prob.solver_view is prob.solver_view
+        # each solve starts its own warm threshold on the kept view
+        assert without_wall_time(solve_epm(prob)) == without_wall_time(first)
 
     def test_pm1_passthrough(self):
         prob = build_bisection(C4)
@@ -619,9 +629,9 @@ class TestSolverView:
 
     def test_image_constructs_at_the_tolerance_edges(self):
         # a pin and a sum just outside the zero-one box, within its slack
-        fs = FeasibleSet(np.zeros(3), np.ones(3), sum_constraint=-0.9e-9,
+        fs = FeasibleSet(3, "zeroone", sum_constraint=-0.9e-9,
                          pinned=((0, -0.9e-12),))
-        view = SolverView(identity_instance(fs, "zeroone"))
+        view = SolverView(identity_instance(fs))
         assert view.feasible_set.sum_ones == fs.sum_ones == 0
 
     @pytest.mark.parametrize("build", sorted(VIEW_BOX_SETS))
@@ -666,7 +676,7 @@ class TestWarmStateStaysInOneSolve:
         a = build_bisection(generate("four_gauss_knn", {"n": 24}, seed=3))
         g = generate("four_gauss_knn", {"n": 24}, seed=4)
         # b shares a's feasible set, so state kept on the set would carry over
-        b = ProblemInstance(build_bisection(g).objective, a.feasible_set, "pm1")
+        b = ProblemInstance(build_bisection(g).objective, a.feasible_set)
         fresh = without_wall_time(solve_epm(b))
         before = fset_state(a.feasible_set)
         solve_epm(a)
@@ -680,53 +690,53 @@ class TestWarmStateStaysInOneSolve:
 
 class TestRoundFeasible:
     def test_plain_box(self):
-        fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0))
-        x, ok = round_feasible(np.array([0.2, -0.3, 0.0]), fs, "pm1")
+        fs = FeasibleSet(3, "pm1")
+        x, ok = round_feasible(np.array([0.2, -0.3, 0.0]), fs)
         assert ok
         assert x.tolist() == [1.0, -1.0, 1.0]
 
     def test_sum_repair_top_k(self):
-        fs = FeasibleSet(np.zeros(4), np.ones(4), sum_constraint=2.0)
-        x, ok = round_feasible(np.array([0.9, 0.8, 0.2, 0.1]), fs, "zeroone")
+        fs = FeasibleSet(4, "zeroone", sum_constraint=2.0)
+        x, ok = round_feasible(np.array([0.9, 0.8, 0.2, 0.1]), fs)
         assert ok
         assert x.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_sum_repair_tie_lowest_index(self):
-        fs = FeasibleSet(np.zeros(3), np.ones(3), sum_constraint=1.0)
-        x, ok = round_feasible(np.array([0.5, 0.5, 0.5]), fs, "zeroone")
+        fs = FeasibleSet(3, "zeroone", sum_constraint=1.0)
+        x, ok = round_feasible(np.array([0.5, 0.5, 0.5]), fs)
         assert ok
         assert x.tolist() == [1.0, 0.0, 0.0]
 
     def test_pm1_sum_zero(self):
-        fs = FeasibleSet(np.full(4, -1.0), np.full(4, 1.0), sum_constraint=0.0)
-        x, ok = round_feasible(np.array([0.6, 0.5, -0.1, -0.9]), fs, "pm1")
+        fs = FeasibleSet(4, "pm1", sum_constraint=0.0)
+        x, ok = round_feasible(np.array([0.6, 0.5, -0.1, -0.9]), fs)
         assert ok
         assert x.tolist() == [1.0, 1.0, -1.0, -1.0]
         assert x.sum() == 0.0
 
     def test_blocks_argmax(self):
-        fs = FeasibleSet(np.zeros(4), np.ones(4), simplex_blocks=2)
-        x, ok = round_feasible(np.array([0.4, 0.6, 0.7, 0.3]), fs, "zeroone")
+        fs = FeasibleSet(4, "zeroone", simplex_blocks=2)
+        x, ok = round_feasible(np.array([0.4, 0.6, 0.7, 0.3]), fs)
         assert ok
         assert x.tolist() == [0.0, 1.0, 1.0, 0.0]
 
     def test_nonbinary_pin_flags_infeasible(self):
-        fs = FeasibleSet(np.zeros(2), np.ones(2), pinned=((0, 0.5),))
-        _, ok = round_feasible(np.array([0.9, 0.9]), fs, "zeroone")
+        fs = FeasibleSet(2, "zeroone", pinned=((0, 0.5),))
+        _, ok = round_feasible(np.array([0.9, 0.9]), fs)
         assert not ok
 
     def test_impossible_sum_flags_infeasible(self):
-        fs = FeasibleSet(np.full(3, -1.0), np.full(3, 1.0), sum_constraint=0.0)
-        _, ok = round_feasible(np.zeros(3), fs, "pm1")
+        fs = FeasibleSet(3, "pm1", sum_constraint=0.0)
+        _, ok = round_feasible(np.zeros(3), fs)
         assert not ok
 
     def test_near_integral_sum_flags_infeasible(self):
         # 2 + 5e-7 ones is no count within the 1e-9 integrality tolerance
-        fs = FeasibleSet(np.zeros(4), np.ones(4), sum_constraint=2 + 5e-7)
-        x, ok = round_feasible(np.array([0.9, 0.8, 0.1, 0.2]), fs, "zeroone")
+        fs = FeasibleSet(4, "zeroone", sum_constraint=2 + 5e-7)
+        x, ok = round_feasible(np.array([0.9, 0.8, 0.1, 0.2]), fs)
         assert not ok
-        assert not check_binary_feasible(x, fs, "zeroone")
-        prob = identity_instance(fs, "zeroone")
+        assert not check_binary_feasible(x, fs)
+        prob = identity_instance(fs)
         with pytest.raises(ValueError, match="admits no binary point"):
             brute_force(prob)
         with pytest.raises(ValueError, match="feasible binary starting point"):
@@ -734,37 +744,36 @@ class TestRoundFeasible:
 
     @pytest.mark.parametrize("shape", [(3,), (5,), (2, 2)])
     def test_wrong_shape_rejected(self, shape):
-        fs = FeasibleSet(np.full(4, -1.0), np.full(4, 1.0))
+        fs = FeasibleSet(4, "pm1")
         with pytest.raises(ValueError, match="4 coordinates"):
-            round_feasible(np.ones(shape), fs, "pm1")
+            round_feasible(np.ones(shape), fs)
 
     def test_output_always_feasible_when_flagged(self):
         rng = np.random.default_rng(97)
         sets = [
-            FeasibleSet(np.full(5, -1.0), np.full(5, 1.0)),
-            FeasibleSet(np.zeros(6), np.ones(6), sum_constraint=2.0),
-            FeasibleSet(np.zeros(6), np.ones(6), simplex_blocks=3),
-            FeasibleSet(np.full(4, -1.0), np.full(4, 1.0), sum_constraint=0.0,
+            FeasibleSet(5, "pm1"),
+            FeasibleSet(6, "zeroone", sum_constraint=2.0),
+            FeasibleSet(6, "zeroone", simplex_blocks=3),
+            FeasibleSet(4, "pm1", sum_constraint=0.0,
                         pinned=((0, 1.0),)),
         ]
         for fs in sets:
-            domain = "pm1" if fs.lower[0] == -1.0 else "zeroone"
             for _ in range(50):
                 y = rng.uniform(-1.5, 1.5, fs.n)
-                x, ok = round_feasible(y, fs, domain)
+                x, ok = round_feasible(y, fs)
                 if ok:
-                    assert check_binary_feasible(x, fs, domain)
+                    assert check_binary_feasible(x, fs)
                     # a feasible output rounds to itself: the shared solve
                     # epilogue passes hard thresholding's answer through
-                    again, ok_again = round_feasible(x, fs, domain)
+                    again, ok_again = round_feasible(x, fs)
                     assert ok_again
                     assert again.tobytes() == x.tobytes()
 
 
 class TestRoundBlocks:
-    def check(self, y, fs, domain="zeroone"):
-        x, ok = round_feasible(y, fs, domain)
-        want, want_ok = round_blocks_loop(y, fs, domain)
+    def check(self, y, fs):
+        x, ok = round_feasible(y, fs)
+        want, want_ok = round_blocks_loop(y, fs)
         assert ok == want_ok
         assert x.tobytes() == want.tobytes()
         return x, ok
@@ -793,26 +802,26 @@ class TestRoundBlocks:
                               - {i for i in range(n) if i // r in hot})
                 if free:
                     pins.insert(len(pins) // 2, (free[0], 1e-3))
-            fs = FeasibleSet(np.zeros(n), np.ones(n), simplex_blocks=r, pinned=pins)
+            fs = FeasibleSet(n, "zeroone", simplex_blocks=r, pinned=pins)
             y = rng.choice([0.0, 0.5, 0.7, -np.inf], n) if trial % 3 == 0 \
                 else rng.uniform(-1.0, 2.0, n)
             self.check(y, fs)
 
     def test_ties_take_lowest_free_index(self):
-        fs = FeasibleSet(np.zeros(6), np.ones(6), simplex_blocks=3, pinned=((3, 0.0),))
+        fs = FeasibleSet(6, "zeroone", simplex_blocks=3, pinned=((3, 0.0),))
         x, ok = self.check(np.array([0.4, 0.4, 0.4, 0.9, 0.2, 0.2]), fs)
         assert ok
         assert x.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
     def test_all_free_minus_inf_picks_first_free(self):
-        fs = FeasibleSet(np.zeros(3), np.ones(3), simplex_blocks=3, pinned=((0, 0.0),))
+        fs = FeasibleSet(3, "zeroone", simplex_blocks=3, pinned=((0, 0.0),))
         x, ok = self.check(np.array([-np.inf, -np.inf, -np.inf]), fs)
         assert ok
         assert x.tolist() == [0.0, 1.0, 0.0]
 
     def test_unsatisfiable_block_stops_repair(self):
         # block 1 is pinned all-zero; block 2 is left as rounded
-        fs = FeasibleSet(np.zeros(6), np.ones(6), simplex_blocks=2,
+        fs = FeasibleSet(6, "zeroone", simplex_blocks=2,
                          pinned=((2, 0.0), (3, 0.0)))
         x, ok = self.check(np.array([0.9, 0.8, 0.1, 0.1, 0.7, 0.6]), fs)
         assert not ok
@@ -821,26 +830,26 @@ class TestRoundBlocks:
 
 class TestCheckBinaryFeasible:
     def test_accepts_and_rejects(self):
-        fs = FeasibleSet(np.zeros(4), np.ones(4), sum_constraint=2.0)
-        assert check_binary_feasible(np.array([1.0, 1.0, 0.0, 0.0]), fs, "zeroone")
-        assert not check_binary_feasible(np.array([1.0, 0.0, 0.0, 0.0]), fs, "zeroone")
-        assert not check_binary_feasible(np.array([0.5, 0.5, 0.5, 0.5]), fs, "zeroone")
+        fs = FeasibleSet(4, "zeroone", sum_constraint=2.0)
+        assert check_binary_feasible(np.array([1.0, 1.0, 0.0, 0.0]), fs)
+        assert not check_binary_feasible(np.array([1.0, 0.0, 0.0, 0.0]), fs)
+        assert not check_binary_feasible(np.array([0.5, 0.5, 0.5, 0.5]), fs)
 
     def test_pins_enforced(self):
-        fs = FeasibleSet(np.full(2, -1.0), np.full(2, 1.0), pinned=((0, 1.0),))
-        assert check_binary_feasible(np.array([1.0, -1.0]), fs, "pm1")
-        assert not check_binary_feasible(np.array([-1.0, -1.0]), fs, "pm1")
+        fs = FeasibleSet(2, "pm1", pinned=((0, 1.0),))
+        assert check_binary_feasible(np.array([1.0, -1.0]), fs)
+        assert not check_binary_feasible(np.array([-1.0, -1.0]), fs)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_wrong_length_is_infeasible(self, n):
-        fs = FeasibleSet(np.full(4, -1.0), np.full(4, 1.0))
-        assert check_binary_feasible(np.ones(4), fs, "pm1")
-        assert not check_binary_feasible(np.ones(n), fs, "pm1")
+        fs = FeasibleSet(4, "pm1")
+        assert check_binary_feasible(np.ones(4), fs)
+        assert not check_binary_feasible(np.ones(n), fs)
 
     def test_longer_balanced_vector_fails_sum_set(self):
-        fs = FeasibleSet(np.full(4, -1.0), np.full(4, 1.0), sum_constraint=0.0)
-        assert not check_binary_feasible(np.array([1.0, -1.0] * 3), fs, "pm1")
-        assert not check_binary_feasible(np.array([[1.0, -1.0], [1.0, -1.0]]), fs, "pm1")
+        fs = FeasibleSet(4, "pm1", sum_constraint=0.0)
+        assert not check_binary_feasible(np.array([1.0, -1.0] * 3), fs)
+        assert not check_binary_feasible(np.array([[1.0, -1.0], [1.0, -1.0]]), fs)
 
 
 @st.composite
@@ -876,16 +885,18 @@ def small_sets(draw):
         ones = draw(st.integers(0, m))
         frac = draw(st.sampled_from([0.0, 0.0, 0.5, 5e-7, 1e-10])) if ones < m else 0.0
         k = sum(v for _, v in pins) + m * lo + (ones + frac) * (hi - lo)
-    fs = FeasibleSet(np.full(n, lo), np.full(n, hi), sum_constraint=k, pinned=pins,
+    fs = FeasibleSet(n, domain, sum_constraint=k, pinned=pins,
                      simplex_blocks=r if kind == "blocks" else None)
     y = np.array(draw(st.lists(st.floats(lo - 0.5, hi + 0.5), min_size=n, max_size=n)))
     nonbinary = any(1e-9 < v - lo and 1e-9 < hi - v for _, v in pins)
-    return fs, domain, y, nonbinary
+    return fs, y, nonbinary
 
 
-def has_binary_point(fs, lo, hi):
-    """Whether some point of {lo, hi}^n meets the pins and the sum within
-    1e-9 and has one upper value per block, by plain enumeration."""
+def has_binary_point(fs):
+    """Whether some point of {lo, hi}^n, the set's domain, meets the pins
+    and the sum within 1e-9 and has one upper value per block, by plain
+    enumeration."""
+    lo, hi = (-1.0, 1.0) if fs.domain == "pm1" else (0.0, 1.0)
     for bits in itertools.product((lo, hi), repeat=fs.n):
         x = np.array(bits)
         if any(abs(x[i] - v) > 1e-9 for i, v in fs.pinned):
@@ -905,14 +916,14 @@ class TestBinaryTargets:
     @settings(max_examples=200)
     @given(small_sets())
     def test_rounding_oracle_and_check_agree(self, case):
-        fs, domain, y, nonbinary = case
-        prob = identity_instance(fs, domain)
+        fs, y, nonbinary = case
+        prob = identity_instance(fs)
         SolverView(prob)  # the {-1, +1} image constructs
-        exists = has_binary_point(fs, fs.lower[0], fs.upper[0])
-        x, ok = round_feasible(y, fs, domain)
+        exists = has_binary_point(fs)
+        x, ok = round_feasible(y, fs)
         assert ok == exists
         if ok:
-            assert check_binary_feasible(x, fs, domain)
+            assert check_binary_feasible(x, fs)
         try:
             x_star, _, _ = brute_force(prob)
         except ValueError as exc:
@@ -921,4 +932,4 @@ class TestBinaryTargets:
                 assert "not binary" in str(exc)
             return
         assert exists and not nonbinary
-        assert check_binary_feasible(x_star, fs, domain)
+        assert check_binary_feasible(x_star, fs)

@@ -12,22 +12,26 @@ from binmpec.projections import (FeasibleSet, project_box, project_capped_simple
 from reference import project_blocks_loop, simplex_projection_oracle
 
 
-def box_set(n, lo=-1.0, hi=1.0, **kw):
-    return FeasibleSet(lower=np.full(n, lo), upper=np.full(n, hi), **kw)
+def box_set(n, domain="pm1", **kw):
+    return FeasibleSet(n, domain, **kw)
 
 
 class TestFeasibleSetValidation:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            FeasibleSet(lower=np.zeros(2), upper=np.zeros(3))
+    def test_unknown_domain(self):
+        with pytest.raises(ValueError, match="domain must be"):
+            FeasibleSet(2, "spin")
 
-    def test_nonfinite_bounds(self):
-        with pytest.raises(ValueError):
-            FeasibleSet(lower=np.array([-np.inf]), upper=np.array([1.0]))
+    def test_negative_n(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FeasibleSet(-1, "pm1")
+        with pytest.raises(TypeError):
+            FeasibleSet(2.5, "pm1")
 
-    def test_crossed_bounds(self):
-        with pytest.raises(ValueError):
-            FeasibleSet(lower=np.array([1.0]), upper=np.array([0.0]))
+    def test_domain_sets_the_box(self):
+        for domain, lo in (("pm1", -1.0), ("zeroone", 0.0)):
+            fs = FeasibleSet(3, domain)
+            assert (fs.lo, fs.hi, fs.span) == (lo, 1.0, 1.0 - lo)
+            assert project_box([2.0, -3.0, 0.25], fs).tolist() == [1.0, lo, 0.25]
 
     def test_pin_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -43,7 +47,7 @@ class TestFeasibleSetValidation:
 
     def test_sum_and_blocks_exclusive(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
-            box_set(4, lo=0.0, hi=1.0, sum_constraint=2.0, simplex_blocks=2)
+            box_set(4, "zeroone", sum_constraint=2.0, simplex_blocks=2)
 
     def test_sum_infeasible_for_box(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -51,20 +55,17 @@ class TestFeasibleSetValidation:
 
     def test_blocks_must_partition(self):
         with pytest.raises(ValueError):
-            box_set(4, lo=0.0, hi=1.0, simplex_blocks=3)
+            box_set(4, "zeroone", simplex_blocks=3)
 
     def test_blocks_on_any_uniform_box(self):
         # one-hot on [-1, 1]: one coordinate per block at 1, the rest at -1
         fs = box_set(6, simplex_blocks=3)
         x = project_feasible([0.2, 3.0, -0.4, 2.5, -2.0, 0.1], fs)
         assert x.tolist() == [-1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
-        with pytest.raises(ValueError, match="uniform"):
-            FeasibleSet(lower=np.array([0.0, 0.0, -1.0, 0.0]),
-                        upper=np.ones(4), simplex_blocks=2)
 
     def test_blocks_pin_oversubscription(self):
         with pytest.raises(ValueError, match="oversubscribe"):
-            box_set(2, lo=0.0, hi=1.0, simplex_blocks=2,
+            box_set(2, "zeroone", simplex_blocks=2,
                     pinned=((0, 0.8), (1, 0.8)))
 
 
@@ -147,7 +148,7 @@ class TestProjectFeasible:
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_blocks(self):
-        fs = box_set(4, lo=0.0, hi=1.0, simplex_blocks=2)
+        fs = box_set(4, "zeroone", simplex_blocks=2)
         out = project_feasible([0.8, 0.8, 0.0, 0.0], fs)
         assert np.allclose(out, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
@@ -165,22 +166,8 @@ class TestProjectFeasible:
         with pytest.raises(ValueError, match="infeasible"):
             box_set(2, sum_constraint=1.0, pinned=((0, 1.0), (1, -1.0)))
 
-    def test_sum_needs_uniform_bounds(self):
-        with pytest.raises(ValueError, match="uniform"):
-            FeasibleSet(lower=np.array([-1.0, 0.0]),
-                        upper=np.array([1.0, 1.0]), sum_constraint=0.5)
-
-    def test_sum_bounds_may_differ_on_pins(self):
-        # only the free coordinates must share their bounds
-        fs = FeasibleSet(lower=np.array([-1.0, 0.0, 0.0]),
-                         upper=np.array([2.0, 1.0, 1.0]), sum_constraint=2.0,
-                         pinned=((0, 1.5),))
-        out = project_feasible([9.0, 0.3, 0.1], fs)
-        assert out[0] == 1.5
-        assert out[1:] == pytest.approx([0.35, 0.15], abs=1e-12)
-
     def test_blocks_with_pin(self):
-        fs = box_set(2, lo=0.0, hi=1.0, simplex_blocks=2, pinned=((0, 1.0),))
+        fs = box_set(2, "zeroone", simplex_blocks=2, pinned=((0, 1.0),))
         out = project_feasible([0.3, 0.9], fs)
         assert np.allclose(out, [1.0, 0.0], atol=1e-12)
 
@@ -198,7 +185,7 @@ def random_feasible_sets(seed, count):
             out.append(box_set(n, sum_constraint=k))
         else:
             r = int(rng.choice([d for d in range(1, n + 1) if n % d == 0]))
-            out.append(box_set(n, lo=0.0, hi=1.0, simplex_blocks=r))
+            out.append(box_set(n, "zeroone", simplex_blocks=r))
     return out
 
 
@@ -261,7 +248,7 @@ class TestFeasibleSetCache:
         assert fs.pinned_total == 0
 
     def test_block_groups_by_free_count(self):
-        fs = box_set(9, lo=0.0, hi=1.0, simplex_blocks=3,
+        fs = box_set(9, "zeroone", simplex_blocks=3,
                      pinned=((4, 0.0), (6, 1.0), (7, 0.0), (8, 0.0)))
         groups = [(b.tolist(), f.tolist(), t.tolist()) for b, f, t in fs.block_groups]
         assert groups == [([2], [[]], [0.0]),
@@ -271,7 +258,7 @@ class TestFeasibleSetCache:
 
     def test_block_targets_subtract_pins_in_index_order(self):
         # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit
-        fs = box_set(8, lo=0.0, hi=1.0, simplex_blocks=4,
+        fs = box_set(8, "zeroone", simplex_blocks=4,
                      pinned=((2, 0.3), (1, 0.2), (0, 0.1), (5, 0.25)))
         got = {int(b[0]): float(t[0]) for b, _, t in fs.block_groups}
         assert got == {0: 1.0 - ((0.1 + 0.2) + 0.3), 1: 0.75}
@@ -279,7 +266,7 @@ class TestFeasibleSetCache:
 
     def test_oversubscription_names_first_block(self):
         with pytest.raises(ValueError, match="block 1"):
-            box_set(6, lo=0.0, hi=1.0, simplex_blocks=2,
+            box_set(6, "zeroone", simplex_blocks=2,
                     pinned=((5, 0.7), (2, 0.6), (3, 0.6)))
 
     def test_project_box_matches_pin_loop(self):
@@ -383,7 +370,7 @@ def block_sets(draw):
     value = st.one_of(st.sampled_from([-40.0, -1.0, 0.0, 0.25, 0.5, 1.0, 3.0, 1e4]),
                       st.floats(-1e4, 1e4, allow_nan=False))
     a = np.array(draw(st.lists(value, min_size=r * nb, max_size=r * nb)))
-    fs = FeasibleSet(np.zeros(r * nb), np.ones(r * nb), simplex_blocks=r, pinned=pins)
+    fs = FeasibleSet(r * nb, "zeroone", simplex_blocks=r, pinned=pins)
     return fs, a
 
 
@@ -421,7 +408,7 @@ class TestBatchedBlocks:
         monkeypatch.setattr(projections, "project_capped_simplex",
                             counted("capped", projections.project_capped_simplex))
         monkeypatch.setattr(kernels, "simplex_walk", counted("walk", kernels.simplex_walk))
-        fs = box_set(48 * 4, lo=0.0, hi=1.0, simplex_blocks=4)
+        fs = box_set(48 * 4, "zeroone", simplex_blocks=4)
         x = project_feasible(np.random.default_rng(3).normal(size=fs.n), fs)
         assert calls == {"capped": 1, "walk": 1}
         assert np.allclose(x.reshape(-1, 4).sum(axis=1), 1.0, atol=1e-12)
@@ -476,7 +463,7 @@ class TestWarmStart:
         lo = -1.0 if domain == "pm1" else 0.0
         n = 400
         pins = tuple((int(i), 1.0) for i in rng.choice(n, 9, replace=False))
-        fs = box_set(n, lo=lo, hi=1.0, pinned=pins,
+        fs = box_set(n, domain, pinned=pins,
                      sum_constraint=9.0 + (150.5 if lo == 0.0 else 0.0))
         warm = projections.WarmStart()
         for a in fista_like(rng, n, 40, lo=lo - 0.5, hi=1.5):
@@ -564,13 +551,13 @@ class TestColdPath:
 def sum_sets(draw):
     # past k = 512 one ulp of the sum exceeds 1e-13
     n = draw(st.one_of(st.integers(2, 40), st.integers(1100, 1400)))
-    lo = draw(st.sampled_from([-1.0, 0.0]))
+    domain, lo = draw(st.sampled_from([("pm1", -1.0), ("zeroone", 0.0)]))
     pinned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n // 2))
     pins = tuple((i, draw(st.sampled_from([lo, 1.0]))) for i in pinned)
     nf = n - len(pins)
     frac = draw(st.floats(0.0, 1.0))
     k = sum(v for _, v in pins) + nf * lo + frac * nf * (1.0 - lo)
-    fs = box_set(n, lo=lo, hi=1.0, pinned=pins, sum_constraint=k)
+    fs = box_set(n, domain, pinned=pins, sum_constraint=k)
     seed = draw(st.integers(0, 2 ** 32 - 1))
     return fs, np.random.default_rng(seed).uniform(lo - 2.0, 3.0, n)
 

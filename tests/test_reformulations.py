@@ -2,12 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from binmpec.epm import epm_v_update
-from binmpec.reformulations import (MpecVariant, domain_bounds, domain_transform,
-                                    h_ratio, membership, round_sign)
+from binmpec.reformulations import (MpecVariant, domain_bounds, h_ratio, membership,
+                                    round_sign)
 
 ALL_VARIANTS = tuple(MpecVariant)
 
@@ -92,31 +90,6 @@ class TestRoundSign:
         assert out.tolist() == [1.0, -1.0, -1.0]
         out = round_sign(np.array([0.5 - 1e-16, np.nan]), domain="zeroone")
         assert out.tolist() == [0.0, 0.0]
-
-
-class TestDomainTransform:
-    def test_pm1_to_zeroone(self):
-        out = domain_transform(np.array([-1.0, 1.0, 0.0]), "pm1", "zeroone")
-        assert out.tolist() == [0.0, 1.0, 0.5]
-
-    def test_zeroone_to_pm1(self):
-        out = domain_transform(np.array([0.0, 1.0, 0.25]), "zeroone", "pm1")
-        assert out.tolist() == [-1.0, 1.0, -0.5]
-
-    def test_same_domain_rejected(self):
-        with pytest.raises(ValueError):
-            domain_transform(np.zeros(2), "pm1", "pm1")
-
-    def test_unknown_domain_rejected(self):
-        with pytest.raises(ValueError):
-            domain_transform(np.zeros(2), "pm1", "ising")
-
-    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
-    def test_roundtrip_property(self, values):
-        x = np.array(values)
-        back = domain_transform(domain_transform(x, "pm1", "zeroone"),
-                                "zeroone", "pm1")
-        assert np.allclose(back, x, atol=1e-15)
 
 
 class TestHRatio:

@@ -6,7 +6,7 @@ from binmpec.linalg import SparseMatrix, matvec
 from binmpec.projections import FeasibleSet, project_feasible
 from binmpec.subsolver import QuadraticModel, QuadraticObjective, minimize_fista
 
-from reference import minimize_fista_callbacks, pgd_reference
+from reference import minimize_fista_callbacks, qp_face_reference
 
 
 def dense_to_sparse(dense):
@@ -16,8 +16,8 @@ def dense_to_sparse(dense):
                                  dense[rows, cols], symmetric=True)
 
 
-def box_set(n, lo=-1.0, hi=1.0, **kw):
-    return FeasibleSet(lower=np.full(n, lo), upper=np.full(n, hi), **kw)
+def box_set(n, domain="pm1", **kw):
+    return FeasibleSet(n, domain, **kw)
 
 
 class TestQuadraticObjective:
@@ -101,9 +101,9 @@ def solve_over(obj, fs, x0, tol, max_iter, linear=None):
 class TestSolveQp:
     # minimize_fista on a QuadraticModel over a FeasibleSet's projection
     def test_unconstrained_minimum_inside_box(self):
-        # 0.5 ||x||^2 over [-5, 5]^2 from a far corner
+        # 0.5 ||x||^2 over [-1, 1]^2 from a far corner
         obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
-        x, _, _, converged = solve_over(obj, box_set(2, -5.0, 5.0), np.array([5.0, -5.0]),
+        x, _, _, converged = solve_over(obj, box_set(2), np.array([1.0, -1.0]),
                                         tol=1e-10, max_iter=20000)
         assert np.allclose(x, 0.0, atol=1e-6)
         assert converged
@@ -118,7 +118,7 @@ class TestSolveQp:
         # min x'x - 2 sum(x) over [0,1]^2 with sum = 1 lands at (0.5, 0.5)
         obj = QuadraticObjective(SparseMatrix.identity(2, scale=2.0),
                                  np.array([-2.0, -2.0]))
-        fs = box_set(2, 0.0, 1.0, sum_constraint=1.0)
+        fs = box_set(2, "zeroone", sum_constraint=1.0)
         x, _, _, _ = solve_over(obj, fs, np.array([1.0, 0.0]), tol=1e-10, max_iter=20000)
         assert np.allclose(x, [0.5, 0.5], atol=1e-8)
 
@@ -139,7 +139,7 @@ class TestSolveQp:
     def test_result_feasible(self):
         rng = np.random.default_rng(37)
         for fs in (box_set(5), box_set(5, sum_constraint=1.5),
-                   box_set(6, 0.0, 1.0, simplex_blocks=3)):
+                   box_set(6, "zeroone", simplex_blocks=3)):
             dense = rng.standard_normal((fs.n, fs.n))
             dense = dense @ dense.T
             obj = QuadraticObjective(dense_to_sparse(dense),
@@ -177,7 +177,7 @@ class TestSolveQp:
                 y = project_feasible(rng.uniform(-2, 2, n), fs)
                 assert float(np.dot(g, y - x)) >= -1e-6
 
-    def test_matches_long_pgd_reference(self):
+    def test_matches_exact_face_reference(self):
         rng = np.random.default_rng(47)
         for trial in range(5):
             n = int(rng.integers(2, 7))
@@ -187,19 +187,21 @@ class TestSolveQp:
             fs = box_set(n) if trial % 2 else box_set(n, sum_constraint=1.0)
             x0 = rng.uniform(-1, 1, n)
             x, fx, _, _ = solve_over(obj, fs, x0, tol=1e-12, max_iter=50000)
-            ref = pgd_reference(obj.grad, obj.lipschitz,
-                                lambda z: project_feasible(z, fs), x0,
-                                iters=100000)
-            assert np.allclose(x, ref, atol=1e-5)
+            ref = qp_face_reference(dense, obj.b, -1.0, 1.0, fs.sum_constraint)
+            assert np.allclose(x, ref, rtol=0.0, atol=1e-8)
             assert fx <= obj.value(ref) + 1e-8
 
     def test_dimension_mismatches(self):
         obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
         with pytest.raises(ValueError):
             solve_over(obj, box_set(3), np.zeros(3), tol=1e-5, max_iter=2000)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="linear of shape"):
             solve_over(obj, box_set(2), np.zeros(2), tol=1e-5, max_iter=2000,
                        linear=np.zeros(3))
+        with pytest.raises(ValueError, match="w of shape"):
+            QuadraticModel(obj, mu=1.0, w=np.zeros(3))
+        with pytest.raises(ValueError, match="u of shape"):
+            QuadraticModel(obj, alpha=1.0, u=np.zeros((2, 1)), t=2.0)
 
 
 def model_shapes(obj, rng):
