@@ -21,10 +21,13 @@ class SparseMatrix:
     ``symmetric=True`` asserts (and validates to 1e-12) that for every
     stored (i, j, w) a matching (j, i, w) is stored.  Instances are
     immutable after construction and safe to share between solves.
+    ``factor`` is the dense W of a matrix built as W kron I_k
+    (``kron_identity``), through which ``matvec`` takes its products, and
+    None otherwise.
     """
 
     __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "symmetric",
-                 "_rows")
+                 "_rows", "factor")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values, symmetric=False):
         self.n_rows = int(n_rows)
@@ -33,6 +36,7 @@ class SparseMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self.symmetric = bool(symmetric)
+        self.factor = None
         self._validate()
         for arr in (self.row_offsets, self.col_indices, self.values, self._rows):
             arr.flags.writeable = False
@@ -107,6 +111,29 @@ class SparseMatrix:
         return cls(n_rows, n_cols, offsets, ucols, uvals, symmetric=symmetric)
 
     @classmethod
+    def kron_identity(cls, W, k):
+        """W kron I_k for a dense symmetric W, keeping a read-only copy of W
+        as ``factor``.  Node pair (i, j) with W_ij != 0 couples coordinates
+        i*k + c and j*k + c for every c; the triplets come in row-major
+        pair order."""
+        W = np.array(W, dtype=np.float64)
+        k = int(k)
+        if W.ndim != 2 or W.shape[0] != W.shape[1] or not W.size or k < 1:
+            raise ValueError("kron_identity needs a nonempty square W and k >= 1")
+        ii, jj = np.nonzero(W)
+        cl = np.arange(k)
+        rows = (ii[:, None] * k + cl).reshape(-1)
+        cols = (jj[:, None] * k + cl).reshape(-1)
+        dim = W.shape[0] * k
+        out = cls.from_coo(dim, dim, rows, cols, np.repeat(W[ii, jj], k), symmetric=True)
+        out._set_factor(W)
+        return out
+
+    def _set_factor(self, W):
+        W.flags.writeable = False
+        self.factor = W
+
+    @classmethod
     def identity(cls, n, scale=1.0):
         idx = np.arange(n, dtype=np.int64)
         return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.full(n, float(scale)),
@@ -126,10 +153,13 @@ class SparseMatrix:
         return out
 
     def scaled(self, alpha):
-        """New matrix alpha * M (same pattern)."""
-        return SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
-                            self.col_indices, self.values * float(alpha),
-                            symmetric=self.symmetric)
+        """New matrix alpha * M (same pattern, and alpha W as its factor)."""
+        alpha = float(alpha)
+        out = SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
+                           self.col_indices, self.values * alpha, symmetric=self.symmetric)
+        if self.factor is not None:
+            out._set_factor(self.factor * alpha)
+        return out
 
     def diagonal(self):
         d = np.zeros(min(self.n_rows, self.n_cols))
@@ -150,13 +180,17 @@ def _transpose_csr(n_rows, n_cols, offsets, cols, vals):
 
 
 def matvec(M, x):
-    """M x: ``np.bincount`` adds the stored products into their rows in
-    storage order, so each entry is the row's sum taken left to right,
-    bit-identical to the sequential row-by-row loop."""
+    """M x.  For M = W kron I_k it is vec(W X) with X = x as a (nodes, k)
+    matrix, one BLAS product (Van Loan 2000).  Otherwise ``np.bincount``
+    adds the stored products into their rows in storage order, so each
+    entry is the row's sum taken left to right, bit-identical to the
+    sequential row-by-row loop."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.n_cols,):
         raise ValueError("dimension mismatch: matrix is %dx%d, vector has length %d"
                          % (M.n_rows, M.n_cols, x.shape[0]))
+    if M.factor is not None:
+        return (M.factor @ x.reshape(M.factor.shape[0], -1)).reshape(-1)
     # with no stored entries bincount ignores the weights and returns ints
     return np.bincount(M.row_indices(), weights=M.values * x[M.col_indices],
                        minlength=M.n_rows).astype(np.float64, copy=False)

@@ -189,10 +189,11 @@ def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
 
     Coordinates hold the assignment matrix row by row, so each node's
     block of k consecutive coordinates forms one simplex constraint.  The
-    quadratic is (1/4m)(lhat I - Q kron I_k) with Q the modularity
+    quadratic is ((lhat I - Q) / 4m) kron I_k with Q the modularity
     matrix and lhat = 1.01 ||Q|| from the spectrum ``eigvalsh`` gives of
     the dense Q; on feasible binary points f = (lhat n - tr(Y'QY)) / (8m),
-    i.e., a constant minus half the modularity.
+    i.e., a constant minus half the modularity.  The CSR keeps the node
+    matrix as its ``factor``, and products with A go through it.
     """
     k = int(k_clusters)
     if k < 2:
@@ -207,15 +208,7 @@ def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
     lhat = 1.01 * float(max(-lam[0], lam[-1]))
     dim = g.n * k
     scale = 1.0 / (4.0 * m)
-    # node pair (i, j) with weight w != 0 couples coordinates i*k + c and
-    # j*k + c for every cluster c; triplets in row-major pair order
-    w = np.diag(np.full(g.n, lhat)) - Q
-    ii, jj = np.nonzero(w)
-    cl = np.arange(k)
-    rows = (ii[:, None] * k + cl).reshape(-1)
-    cols = (jj[:, None] * k + cl).reshape(-1)
-    vals = np.repeat(scale * w[ii, jj], k)
-    A = SparseMatrix.from_coo(dim, dim, rows, cols, vals, symmetric=True)
+    A = SparseMatrix.kron_identity(scale * (np.diag(np.full(g.n, lhat)) - Q), k)
     obj = QuadraticObjective(A, np.zeros(dim))
     fset = FeasibleSet(dim, "zeroone", simplex_blocks=k)
     return ProblemInstance(obj, fset, {"name": "modularity", "n": dim,

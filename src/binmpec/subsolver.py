@@ -122,6 +122,8 @@ class QuadraticModel:
         self.alpha, self.u, self.t = float(alpha), u, float(t)
         if not (self.mu >= 0.0 and self.alpha >= 0.0):
             raise ValueError("penalty weights must be nonnegative")
+        if (self.mu and w is None) or (self.alpha and u is None):
+            raise ValueError("mu > 0 needs w and alpha > 0 needs u")
         for name, vec in (("linear", self.linear), ("w", w), ("u", u)):
             if vec is not None and np.shape(vec) != (self.A.n_rows,):
                 raise ValueError("%s of shape %r, A has %d rows"

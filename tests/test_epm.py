@@ -3,12 +3,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from binmpec.adm import AdmConfig
+from binmpec.adm import AdmConfig, solve_adm
 from binmpec.epm import EpmConfig, epm_v_update, solve_epm
 from binmpec.linalg import SparseMatrix
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, ProblemInstance, build_bisection,
-                              build_mrf, generate)
+                              build_modularity, build_mrf, generate)
 from binmpec.projections import FeasibleSet
 from binmpec.subsolver import QuadraticModel, QuadraticObjective
 
@@ -155,11 +155,15 @@ class TestTraceInvariants:
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):
-        prob = build_bisection(C4)
-        a = solve_epm(prob, seed=7)
-        b = solve_epm(prob, seed=7)
-        assert a.trace == b.trace
-        assert a.x_binary == b.x_binary
+        # modularity products go through BLAS (W @ X), bisection's through bincount
+        modularity = build_modularity(generate("four_gauss_knn", {"n": 24, "knn": 3},
+                                               seed=5), 3)
+        for prob, solve in ((build_bisection(C4), solve_epm),
+                            (modularity, solve_epm), (modularity, solve_adm)):
+            a = solve(prob, seed=7)
+            b = solve(prob, seed=7)
+            assert a.trace == b.trace
+            assert a.x_binary == b.x_binary
 
     def test_different_seeds_still_optimal(self):
         prob = build_bisection(C4)

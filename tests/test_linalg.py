@@ -7,7 +7,10 @@ from binmpec.linalg import (DENSE_MAX, SparseMatrix, _transpose_csr,
                             gershgorin_lower_bound, matvec, quadratic_form,
                             spectral_norm_estimate, vector)
 
-from reference import jacobi_eigenvalues, jacobi_spectral_norm, transpose_csr_loop
+from binmpec.problems import build_modularity, generate
+
+from reference import (csr_matvec_loop, jacobi_eigenvalues, jacobi_spectral_norm,
+                       transpose_csr_loop)
 
 
 def dense_to_sparse(dense, symmetric=True):
@@ -179,6 +182,67 @@ class TestMatvec:
         m = dense_to_sparse(dense)
         x = rng.standard_normal(5)
         assert np.allclose(matvec(m, x), dense @ x, atol=1e-12)
+
+
+# modularity builds, up to the 48 nodes of the largest benchmark instance
+KRON_CASES = [(12, 2, 3), (24, 3, 5), (48, 4, 1001)]
+
+
+def modularity_problem(nodes, k, seed):
+    g = generate("four_gauss_knn", {"n": nodes, "knn": 3}, seed=seed)
+    return build_modularity(g, k)
+
+
+class TestKronIdentity:
+    @pytest.mark.parametrize("nodes,k,seed", KRON_CASES)
+    def test_to_dense_is_kron(self, nodes, k, seed):
+        A = modularity_problem(nodes, k, seed).objective.A
+        assert A.factor.shape == (nodes, nodes)
+        assert np.array_equal(A.to_dense(), np.kron(A.factor, np.eye(k)))
+
+    @pytest.mark.parametrize("nodes,k,seed", KRON_CASES)
+    def test_matvec_matches_csr_loop(self, nodes, k, seed):
+        A = modularity_problem(nodes, k, seed).objective.A
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, A.n_cols)
+        for M in (A, A.scaled(0.25)):
+            want = csr_matvec_loop(M.row_offsets, M.col_indices, M.values, x)
+            # relative to |M| |x|, the scale of each entry's rounding
+            size = csr_matvec_loop(M.row_offsets, M.col_indices, np.abs(M.values),
+                                   np.abs(x))
+            assert np.all(np.abs(matvec(M, x) - want) <= 1e-13 * size)
+
+    def test_solver_view_keeps_the_factor(self, monkeypatch):
+        prob = modularity_problem(24, 3, 5)
+        A = prob.solver_view.objective.A
+        assert np.array_equal(A.factor, 0.25 * prob.objective.A.factor)
+        assert not A.factor.flags.writeable
+        x = np.random.default_rng(11).uniform(-1.0, 1.0, A.n_cols)
+        want = csr_matvec_loop(A.row_offsets, A.col_indices, A.values, x)
+
+        def no_bincount(*args, **kwargs):
+            raise AssertionError("the factored product reached np.bincount")
+
+        monkeypatch.setattr(np, "bincount", no_bincount)
+        assert np.allclose(matvec(A, x), want, rtol=1e-13, atol=1e-15)
+
+    def test_factor_is_a_read_only_copy(self):
+        W = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        A = SparseMatrix.kron_identity(W, 3)
+        W[0, 0] = 5.0
+        assert A.factor[0, 0] == 2.0
+        with pytest.raises(ValueError):
+            A.factor[0, 0] = 7.0
+        assert SparseMatrix.identity(2).factor is None
+
+    @pytest.mark.parametrize("W,k", [(np.ones((2, 3)), 2), (np.ones(4), 2),
+                                     (np.zeros((0, 0)), 2), (np.eye(2), 0)])
+    def test_rejects_bad_shapes(self, W, k):
+        with pytest.raises(ValueError, match="kron_identity"):
+            SparseMatrix.kron_identity(W, k)
+
+    def test_rejects_asymmetric_W(self):
+        with pytest.raises(ValueError, match="symmetr"):
+            SparseMatrix.kron_identity(np.array([[1.0, 2.0], [0.0, 1.0]]), 2)
 
 
 class TestQuadraticForm:

@@ -297,6 +297,13 @@ class TestQuadraticModel:
         with pytest.raises(ValueError, match="nonnegative"):
             QuadraticModel(obj, **kw)
 
+    @pytest.mark.parametrize("kw,name", [({"mu": 1.0}, "w"), ({"alpha": 1.0, "t": 2.0}, "u")])
+    def test_weight_without_its_vector_rejected(self, kw, name):
+        # unchecked, these build and fail at the first evaluate with a bare TypeError
+        obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
+        with pytest.raises(ValueError, match="needs %s" % name):
+            QuadraticModel(obj, **kw)
+
 
 class TestMinimizeFista:
     def test_monotone_objective(self, monkeypatch):
