@@ -19,7 +19,15 @@ from .problems import (Graph, build_bisection, build_constrained_segmentation,
 from .report import trace_to_csv
 
 PROBLEMS = ("bisection", "densesub", "modularity", "mrf", "seg")
-METHODS = ("epm", "adm", "lp", "iht", "l2box")
+# method -> solve(problem, seed); the baselines are deterministic and take no seed
+_SOLVERS = {
+    "epm": lambda problem, seed: solve_epm(problem, seed=seed),
+    "adm": lambda problem, seed: solve_adm(problem, seed=seed),
+    "lp": lambda problem, seed: solve_lp_round(problem),
+    "iht": lambda problem, seed: solve_iht(problem),
+    "l2box": lambda problem, seed: solve_l2box_admm(problem),
+}
+METHODS = tuple(_SOLVERS)
 
 
 class _UsageError(Exception):
@@ -47,35 +55,48 @@ def load_graph(path, fmt="edgelist"):
     raise ValueError("unknown graph format: %r" % (fmt,))
 
 
-def _parse_edgelist(lines):
+def _read_entry(lineno, text, fields):
+    """The two integer ids and the float weight of one three-field line."""
+    parts = text.split()
+    if len(parts) != 3:
+        raise ValueError("line %d: expected '%s', got %r" % (lineno, fields, text))
+    try:
+        return int(parts[0]), int(parts[1]), float(parts[2])
+    except ValueError:
+        raise ValueError("line %d: could not parse %r" % (lineno, text))
+
+
+def _check_edge(lineno, u, v, w):
+    """Reject a self loop (0-indexed ids) and a weight not finite and >= 0."""
+    if u == v:
+        raise ValueError("line %d: self loop %d-%d" % (lineno, u, v))
+    if not np.isfinite(w) or w < 0:
+        raise ValueError("line %d: bad weight %r" % (lineno, w))
+
+
+def _merged_graph(n, entries):
+    """The graph on n nodes with duplicate edges merged by summing weights."""
     merged = {}
-    max_node = -1
+    for u, v, w in entries:
+        key = (min(u, v), max(u, v))
+        merged[key] = merged.get(key, 0.0) + w
+    return Graph(n, tuple((u, v, w) for (u, v), w in sorted(merged.items())))
+
+
+def _parse_edgelist(lines):
+    entries = []
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise ValueError("line %d: expected 'u v w', got %r" % (lineno, text))
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-            w = float(parts[2])
-        except ValueError:
-            raise ValueError("line %d: could not parse %r" % (lineno, text))
+        u, v, w = _read_entry(lineno, text, "u v w")
         if u < 0 or v < 0:
             raise ValueError("line %d: negative node id" % (lineno,))
-        if u == v:
-            raise ValueError("line %d: self loop %d-%d" % (lineno, u, v))
-        if not np.isfinite(w) or w < 0:
-            raise ValueError("line %d: bad weight %r" % (lineno, parts[2]))
-        key = (min(u, v), max(u, v))
-        merged[key] = merged.get(key, 0.0) + w
-        max_node = max(max_node, u, v)
-    if not merged:
+        _check_edge(lineno, u, v, w)
+        entries.append((u, v, w))
+    if not entries:
         raise ValueError("edge list holds no edges")
-    edges = tuple((u, v, w) for (u, v), w in sorted(merged.items()))
-    return Graph(max_node + 1, edges)
+    return _merged_graph(1 + max(max(u, v) for u, v, _ in entries), entries)
 
 
 def _parse_matrixmarket(lines):
@@ -94,8 +115,8 @@ def _parse_matrixmarket(lines):
         text = raw.strip()
         if not text or text.startswith("%"):
             continue
-        parts = text.split()
         if dims is None:
+            parts = text.split()
             if len(parts) != 3:
                 raise ValueError("line %d: expected 'rows cols nnz'" % (lineno,))
             try:
@@ -106,32 +127,17 @@ def _parse_matrixmarket(lines):
                 raise ValueError("line %d: need a square matrix" % (lineno,))
             dims = (rows, nnz)
             continue
-        if len(parts) != 3:
-            raise ValueError("line %d: expected 'i j w'" % (lineno,))
-        try:
-            i = int(parts[0])
-            j = int(parts[1])
-            w = float(parts[2])
-        except ValueError:
-            raise ValueError("line %d: could not parse %r" % (lineno, text))
+        i, j, w = _read_entry(lineno, text, "i j w")
         if i < 1 or j < 1 or i > dims[0] or j > dims[0]:
             raise ValueError("line %d: index out of range" % (lineno,))
-        if i == j:
-            raise ValueError("line %d: self loop %d-%d" % (lineno, i - 1, j - 1))
-        if not np.isfinite(w) or w < 0:
-            raise ValueError("line %d: bad weight %r" % (lineno, parts[2]))
+        _check_edge(lineno, i - 1, j - 1, w)
         entries.append((i - 1, j - 1, w))
     if dims is None:
         raise ValueError("missing size header")
     if len(entries) != dims[1]:
         raise ValueError("entry count %d does not match header nnz %d"
                          % (len(entries), dims[1]))
-    merged = {}
-    for u, v, w in entries:
-        key = (min(u, v), max(u, v))
-        merged[key] = merged.get(key, 0.0) + w
-    edges = tuple((u, v, w) for (u, v), w in sorted(merged.items()))
-    return Graph(dims[0], edges)
+    return _merged_graph(dims[0], entries)
 
 
 def _parse_ids(text):
@@ -177,23 +183,9 @@ def _build_problem(args):
     raise ValueError("unknown problem kind %r" % (args.problem,))
 
 
-def _run_method(method, problem, seed):
-    if method == "epm":
-        return solve_epm(problem, seed=seed)
-    if method == "adm":
-        return solve_adm(problem, seed=seed)
-    if method == "lp":
-        return solve_lp_round(problem)
-    if method == "iht":
-        return solve_iht(problem)
-    if method == "l2box":
-        return solve_l2box_admm(problem)
-    raise ValueError("unknown method %r" % (method,))
-
-
 def _cmd_solve(args):
     problem = _build_problem(args)
-    rep = _run_method(args.method, problem, args.seed)
+    rep = _SOLVERS[args.method](problem, args.seed)
     if args.trace:
         trace_to_csv(rep.trace, args.trace)
     if args.report:

@@ -1,10 +1,14 @@
-"""Exact penalty iteration for the bilinear binary reformulation.
+"""Block coordinate descent on the augmented bilinear reformulation.
 
-Minimizes f(x) + rho (n - <x, v>) over x in the box (intersected with the
-problem's side constraints) and v in the sqrt(n) ball, alternating exact
-block steps while escalating rho on a fixed schedule up to the cap
+Both solvers minimize f(x) + rho gap + (alpha/2) gap^2, gap = n - <x, v>,
+over x in the box (intersected with the problem's side constraints) and
+v in the sqrt(n) ball, alternating exact block steps (``alternate``).
+After each sweep the multiplier steps rho += alpha gap, clamped at
 2 * L_hat, where L_hat bounds the objective's change per unit step over
-the box.  At the cap the penalty is exact: minimizers are binary.
+the box: past that threshold the penalty is exact and minimizers are
+binary.  The exact penalty method is the case alpha = 0, where the
+multiplier step is idle and rho itself escalates on a fixed schedule up
+to the cap; ``adm`` starts at rho = 0 and escalates alpha instead.
 """
 
 import time
@@ -14,6 +18,8 @@ import numpy as np
 
 from .problems import finish_solve
 from .subsolver import QuadraticModel, check_schedule, minimize_fista
+
+ALPHA_CAP = 1e6
 
 
 @dataclass
@@ -43,9 +49,14 @@ def epm_v_update(x):
     return np.sqrt(x.shape[0]) * x / nrm
 
 
-def solve_epm(problem, config=None, seed=0):
-    """Run the penalty iteration; returns a SolveReport."""
-    config = config or EpmConfig()
+def alternate(problem, method, config, seed, rho0, alpha0):
+    """Alternate the x- and v-steps in rounds of ``config.inner_T`` sweeps.
+
+    With alpha0 = 0 (the exact penalty) rho grows by sigma between rounds
+    and a run stops once the gap is within ``feas_tol`` and x has settled;
+    otherwise alpha grows by sigma up to ``ALPHA_CAP`` and the gap alone
+    stops it.  Returns the SolveReport named ``method``.
+    """
     start = time.perf_counter()
     view = problem.solver_view
     obj = view.objective
@@ -57,7 +68,8 @@ def solve_epm(problem, config=None, seed=0):
     x = view.initial_point(seed)
     project = view.warm_projector()
     v = np.zeros(n)
-    rho = min(config.rho0, rho_cap)
+    rho = min(rho0, rho_cap)
+    alpha = alpha0
     gap = float(n)
     trace = []
     t = 0
@@ -67,21 +79,34 @@ def solve_epm(problem, config=None, seed=0):
         outer_used = outer + 1
         for _ in range(config.inner_T):
             x_prev = x
-            model = QuadraticModel(obj, obj.b - rho * v)
+            # the Lagrangian less its constant rho * n, which moves no step
+            model = QuadraticModel(obj, obj.b - rho * v, alpha=alpha, u=v, t=n)
             x, _, _, _ = minimize_fista(
                 model, project, x_prev,
                 tol=config.inner_tol, max_iter=config.inner_max_iter)
             v = epm_v_update(x)
             gap = float(n) - float(np.dot(x, v))
+            rho = min(rho + alpha * gap, rho_cap)
             t += 1
             trace.append((t, obj.value(x, model.product(x)), gap, rho))
-            x_change = np.linalg.norm(x - x_prev) / max(np.linalg.norm(x_prev), 1.0)
-            if gap <= config.feas_tol and x_change <= config.inner_tol:
+            # the exact penalty (alpha = 0) also waits for x to settle
+            settled = alpha or (np.linalg.norm(x - x_prev) / max(np.linalg.norm(x_prev), 1.0)
+                                <= config.inner_tol)
+            if gap <= config.feas_tol and settled:
                 converged = True
                 break
         if converged:
             break
-        rho = min(rho_cap, rho * config.sigma)
+        if alpha:
+            alpha = min(alpha * config.sigma, ALPHA_CAP)
+        else:
+            rho = min(rho_cap, rho * config.sigma)
 
-    return finish_solve(problem, "epm", view.to_original(x), start, gap, outer_used,
+    return finish_solve(problem, method, view.to_original(x), start, gap, outer_used,
                         trace, converged, x_relaxed=x, l_hat=l_hat, rho_cap=rho_cap)
+
+
+def solve_epm(problem, config=None, seed=0):
+    """Run the penalty iteration; returns a SolveReport."""
+    config = config or EpmConfig()
+    return alternate(problem, "epm", config, seed, config.rho0, 0.0)

@@ -1,5 +1,8 @@
 """Accelerated projected gradient descent for the convex x-subproblems."""
 
+import math
+import numbers
+
 import numpy as np
 
 from .linalg import NormBound, SparseMatrix, matvec, spectral_norm_estimate
@@ -65,10 +68,12 @@ class QuadraticObjective:
 
 
 def check_positive(config, *names):
-    """Raise ValueError unless every named field of config is finite and positive."""
+    """Raise ValueError unless every named field of config is a finite,
+    positive real number; bools and strings do not count."""
     for name in names:
         value = getattr(config, name)
-        if not (np.isfinite(value) and value > 0):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) and value > 0)):
             raise ValueError("%s must be finite and positive" % name)
 
 

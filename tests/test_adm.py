@@ -18,7 +18,8 @@ class TestConfig:
         {"sigma": float("nan")}, {"sigma": float("inf")},
         {"feas_tol": float("nan")}, {"feas_tol": float("inf")},
         {"max_outer": 2.5}, {"inner_T": 1.5}, {"inner_max_iter": True},
-        {"alpha0": 10.0 * ALPHA_CAP},
+        {"alpha0": 10.0 * ALPHA_CAP}, {"sigma": "3"}, {"alpha0": None},
+        {"alpha0": True},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

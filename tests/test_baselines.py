@@ -36,6 +36,7 @@ class TestConfig:
         {"penalty0": float("nan")}, {"penalty0": float("inf")},
         {"sigma": float("nan")}, {"sigma": float("inf")},
         {"max_iter": 2.5}, {"inner_T": 1.5}, {"max_iter": True}, {"inner_T": False},
+        {"tol": None}, {"penalty0": "1"}, {"sigma": True},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from binmpec.adm import AdmConfig, solve_adm
+from binmpec.adm import ALPHA_CAP, AdmConfig, solve_adm
 from binmpec.epm import EpmConfig, epm_v_update, solve_epm
 from binmpec.linalg import SparseMatrix
 from binmpec.oracle import brute_force
@@ -38,7 +38,7 @@ class TestConfig:
         {"sigma": float("nan")}, {"sigma": float("inf")},
         {"feas_tol": float("nan")}, {"feas_tol": float("inf")},
         {"inner_T": 1.5}, {"max_outer": 2.5}, {"inner_max_iter": True},
-        {"inner_T": "3"},
+        {"inner_T": "3"}, {"rho0": "0.1"}, {"rho0": None}, {"rho0": True},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -151,6 +151,52 @@ class TestTraceInvariants:
         for _, rep in reports:
             assert 1 <= rep.outer_iterations <= 100
             assert len(rep.trace) <= rep.outer_iterations * 10
+
+
+@pytest.fixture(scope="module")
+def schedule_instances():
+    er = generate("erdos_renyi", {"n": 12, "p": 0.4}, seed=2)
+    unary = np.random.default_rng(11).uniform(-0.5, 0.5, 12)
+    return {
+        "bisection": build_bisection(Graph(12, er.edges)),
+        "modularity": build_modularity(generate("four_gauss_knn", {"n": 12, "knn": 3},
+                                                seed=5), 3),
+        "mrf": build_mrf(Graph(12, er.edges), unary.tolist()),
+    }
+
+
+class TestSchedule:
+    """Each trace's penalty column, recomputed bit for bit from the
+    schedule: epm escalates rho between rounds of inner_T sweeps; adm
+    steps rho by alpha * gap every sweep and escalates alpha.  Short
+    rounds make every run escalate, and at inner_T = 1 rho reaches its
+    cap on all but the epm MRF run."""
+
+    @pytest.mark.parametrize("name", ["bisection", "modularity", "mrf"])
+    @pytest.mark.parametrize("solve,config", [
+        (solve_epm, EpmConfig(inner_T=3)), (solve_epm, EpmConfig(inner_T=1)),
+        (solve_adm, AdmConfig(inner_T=3)),
+        (solve_adm, AdmConfig(alpha0=ALPHA_CAP / 2, inner_T=1)),
+    ])
+    def test_penalty_column(self, schedule_instances, name, solve, config):
+        rep = solve(schedule_instances[name], config)
+        cap = rep.problem["rho_cap"]
+        expected = []
+        if rep.method == "epm":
+            rho = min(config.rho0, cap)
+            for i in range(len(rep.trace)):
+                if i and i % config.inner_T == 0:
+                    rho = min(rho * config.sigma, cap)
+                expected.append(rho)
+        else:
+            rho, alpha = 0.0, config.alpha0
+            for i, (_, _, gap, _) in enumerate(rep.trace):
+                if i and i % config.inner_T == 0:
+                    alpha = min(alpha * config.sigma, ALPHA_CAP)
+                rho = min(rho + alpha * gap, cap)
+                expected.append(rho)
+        assert [row[3] for row in rep.trace] == expected
+        assert len(rep.trace) > config.inner_T  # at least one escalation
 
 
 class TestDeterminism:
