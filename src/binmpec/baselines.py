@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import matvec
 from .problems import finish_solve, round_feasible
 from .projections import project_feasible
 from .subsolver import QuadraticModel, check_counts, check_positive, minimize_fista
@@ -70,15 +71,18 @@ def solve_iht(problem, config=None, x0=None):
         raise ValueError("could not form a feasible binary starting point")
     step = 1.0 / obj.lipschitz
     best_x = x
-    best_f = obj.value(x)
+    Ax = matvec(obj.A, x)
+    best_f = obj.value(x, Ax)
     trace = [(0, best_f, 0.0, 0.0)]
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        xn, ok = round_feasible(x - step * obj.grad(x), fs)
+        # one product per step: A xn scores xn and gives the next gradient
+        xn, ok = round_feasible(x - step * (Ax + obj.b), fs)
         if not ok:
             break
-        fn = obj.value(xn)
+        Axn = matvec(obj.A, xn)
+        fn = obj.value(xn, Axn)
         trace.append((it, fn, 0.0, 0.0))
         if fn < best_f:
             best_f = fn
@@ -86,7 +90,7 @@ def solve_iht(problem, config=None, x0=None):
         if np.array_equal(xn, x):
             converged = True
             break
-        x = xn
+        x, Ax = xn, Axn
     # best_x is feasible binary, so the shared rounding returns it unchanged
     return finish_solve(problem, "iht", best_x, start, 0.0, it, trace, converged)
 

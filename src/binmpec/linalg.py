@@ -4,7 +4,7 @@ import numpy as np
 
 DENSE_MAX = 256   # up to this order the norm bound comes from the dense spectrum
 CW_STEPS = 50     # Collatz-Wielandt steps above it
-PSD_RTOL = 1e-7   # lambda_min >= -PSD_RTOL max(1, L) counts as positive semidefinite
+PSD_RTOL = 1e-7   # lambda_min >= -PSD_RTOL max(1, norm bound) shows M >= 0
 
 
 def vector(values):
@@ -16,47 +16,44 @@ def vector(values):
 
 
 class SparseMatrix:
-    """CSR matrix storing both triangles of symmetric operands.
+    """Symmetric CSR matrix of order n, storing both triangles.
 
-    ``symmetric=True`` asserts (and validates to 1e-12) that for every
-    stored (i, j, w) a matching (j, i, w) is stored.  Instances are
-    immutable after construction and safe to share between solves.
-    ``factor`` is the dense W of a matrix built as W kron I_k
-    (``kron_identity``), through which ``matvec`` takes its products, and
-    None otherwise.
+    Construction validates (to 1e-12) that for every stored (i, j, w) a
+    matching (j, i, w) is stored.  Instances are immutable after
+    construction and safe to share between solves.  ``factor`` is the
+    dense W of a matrix built as W kron I_k (``kron_identity``), through
+    which ``matvec`` takes its products, and None otherwise.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values", "symmetric",
-                 "_rows", "factor")
+    __slots__ = ("n_rows", "row_offsets", "col_indices", "values", "_rows", "factor")
 
-    def __init__(self, n_rows, n_cols, row_offsets, col_indices, values, symmetric=False):
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
+    def __init__(self, n, row_offsets, col_indices, values):
+        self.n_rows = int(n)
         self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
-        self.symmetric = bool(symmetric)
         self.factor = None
         self._validate()
         for arr in (self.row_offsets, self.col_indices, self.values, self._rows):
             arr.flags.writeable = False
 
     def _validate(self):
-        if self.n_rows < 0 or self.n_cols < 0:
+        n = self.n_rows
+        if n < 0:
             raise ValueError("negative dimension")
         off = self.row_offsets
-        if off.shape[0] != self.n_rows + 1:
-            raise ValueError("row_offsets must have length n_rows + 1")
+        if off.shape[0] != n + 1:
+            raise ValueError("row_offsets must have length n + 1")
         if off[0] != 0 or np.any(np.diff(off) < 0):
             raise ValueError("row_offsets must start at 0 and be nondecreasing")
         nnz = int(off[-1])
         if self.col_indices.shape[0] != nnz or self.values.shape[0] != nnz:
             raise ValueError("col_indices/values length must match row_offsets[-1]")
         if nnz:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= self.n_cols:
+            if self.col_indices.min() < 0 or self.col_indices.max() >= n:
                 raise ValueError("column index out of range")
         # kept for matvec, which would otherwise rebuild it on every product
-        self._rows = rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(off))
+        self._rows = rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
         # columns may fall only where a new row starts
         bad = (rows[1:] == rows[:-1]) & (np.diff(self.col_indices) <= 0)
         if np.any(bad):
@@ -64,21 +61,16 @@ class SparseMatrix:
                              % rows[1:][bad][0])
         if not np.all(np.isfinite(self.values)):
             raise ValueError("matrix values must be finite")
-        if self.symmetric:
-            if self.n_rows != self.n_cols:
-                raise ValueError("symmetric matrix must be square")
-            t_off, t_col, t_val = _transpose_csr(
-                self.n_rows, self.n_cols, self.row_offsets, self.col_indices, self.values
-            )
-            if not np.array_equal(t_off, self.row_offsets) or not np.array_equal(
-                t_col, self.col_indices
-            ):
-                raise ValueError("symmetry flag set but sparsity pattern is not symmetric")
-            if np.any(np.abs(t_val - self.values) > 1e-12):
-                raise ValueError("symmetry flag set but values differ beyond 1e-12")
+        t_off, t_col, t_val = _transpose_csr(n, off, self.col_indices, self.values)
+        if not np.array_equal(t_off, off) or not np.array_equal(t_col, self.col_indices):
+            raise ValueError("matrix is not symmetric: its sparsity pattern differs "
+                             "from the transpose's")
+        if np.any(np.abs(t_val - self.values) > 1e-12):
+            raise ValueError("matrix is not symmetric: values differ from the "
+                             "transpose's beyond 1e-12")
 
     @classmethod
-    def from_coo(cls, n_rows, n_cols, rows, cols, vals, symmetric=False):
+    def from_coo(cls, n, rows, cols, vals):
         """Build from coordinate triplets; duplicate entries are summed."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -86,9 +78,9 @@ class SparseMatrix:
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("triplet arrays must have equal length")
         if rows.shape[0]:
-            if rows.min() < 0 or rows.max() >= n_rows:
+            if rows.min() < 0 or rows.max() >= n:
                 raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= n_cols:
+            if cols.min() < 0 or cols.max() >= n:
                 raise ValueError("column index out of range")
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
@@ -105,10 +97,10 @@ class SparseMatrix:
             urows = rows
             ucols = cols
             uvals = vals
-        counts = np.bincount(urows, minlength=n_rows)
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        counts = np.bincount(urows, minlength=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return cls(n_rows, n_cols, offsets, ucols, uvals, symmetric=symmetric)
+        return cls(n, offsets, ucols, uvals)
 
     @classmethod
     def kron_identity(cls, W, k):
@@ -124,8 +116,7 @@ class SparseMatrix:
         cl = np.arange(k)
         rows = (ii[:, None] * k + cl).reshape(-1)
         cols = (jj[:, None] * k + cl).reshape(-1)
-        dim = W.shape[0] * k
-        out = cls.from_coo(dim, dim, rows, cols, np.repeat(W[ii, jj], k), symmetric=True)
+        out = cls.from_coo(W.shape[0] * k, rows, cols, np.repeat(W[ii, jj], k))
         out._set_factor(W)
         return out
 
@@ -136,8 +127,7 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n, scale=1.0):
         idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.full(n, float(scale)),
-                   symmetric=True)
+        return cls(n, np.arange(n + 1, dtype=np.int64), idx, np.full(n, float(scale)))
 
     @property
     def nnz(self):
@@ -148,34 +138,35 @@ class SparseMatrix:
         return self._rows
 
     def to_dense(self):
-        out = np.zeros((self.n_rows, self.n_cols))
+        out = np.zeros((self.n_rows, self.n_rows))
         out[self.row_indices(), self.col_indices] = self.values
         return out
 
     def scaled(self, alpha):
         """New matrix alpha * M (same pattern, and alpha W as its factor)."""
         alpha = float(alpha)
-        out = SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
-                           self.col_indices, self.values * alpha, symmetric=self.symmetric)
+        out = SparseMatrix(self.n_rows, self.row_offsets, self.col_indices,
+                           self.values * alpha)
         if self.factor is not None:
             out._set_factor(self.factor * alpha)
         return out
 
     def diagonal(self):
-        d = np.zeros(min(self.n_rows, self.n_cols))
+        d = np.zeros(self.n_rows)
         on_diag = self.row_indices() == self.col_indices
         d[self.col_indices[on_diag]] = self.values[on_diag]
         return d
 
 
-def _transpose_csr(n_rows, n_cols, offsets, cols, vals):
-    """CSR arrays of the transpose.  A stable sort by column keeps each
-    column's entries in row order, so the column indices come out sorted."""
-    counts = np.bincount(cols, minlength=n_cols)
-    t_off = np.zeros(n_cols + 1, dtype=np.int64)
+def _transpose_csr(n, offsets, cols, vals):
+    """CSR arrays of the transpose of an order-n CSR.  A stable sort by
+    column keeps each column's entries in row order, so the column indices
+    come out sorted."""
+    counts = np.bincount(cols, minlength=n)
+    t_off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=t_off[1:])
     order = np.argsort(cols, kind="stable")
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(offsets))
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
     return t_off, rows[order], vals[order]
 
 
@@ -186,9 +177,9 @@ def matvec(M, x):
     entry is the row's sum taken left to right, bit-identical to the
     sequential row-by-row loop."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (M.n_cols,):
-        raise ValueError("dimension mismatch: matrix is %dx%d, vector has length %d"
-                         % (M.n_rows, M.n_cols, x.shape[0]))
+    if x.shape != (M.n_rows,):
+        raise ValueError("dimension mismatch: matrix has order %d, vector has length %d"
+                         % (M.n_rows, x.shape[0]))
     if M.factor is not None:
         return (M.factor @ x.reshape(M.factor.shape[0], -1)).reshape(-1)
     # with no stored entries bincount ignores the weights and returns ints
@@ -198,17 +189,13 @@ def matvec(M, x):
 
 def quadratic_form(M, x):
     """x' M x, computed as <x, matvec(M, x)>."""
-    if M.n_rows != M.n_cols:
-        raise ValueError("quadratic form requires a square matrix")
     x = np.asarray(x, dtype=np.float64)
     return float(np.dot(x, matvec(M, x)))
 
 
 def gershgorin_lower_bound(M):
     """min_i (m_ii - sum_{j != i} |m_ij|), a lower bound on every eigenvalue
-    of a symmetric M (Gershgorin's disc theorem); +inf when M is 0x0."""
-    if M.n_rows != M.n_cols:
-        raise ValueError("Gershgorin bound requires a square matrix")
+    of M (Gershgorin's disc theorem); +inf when M is 0x0."""
     rows = M.row_indices()
     off = rows != M.col_indices
     radius = np.bincount(rows[off], weights=np.abs(M.values[off]), minlength=M.n_rows)
@@ -216,35 +203,36 @@ def gershgorin_lower_bound(M):
 
 
 class NormBound(float):
-    """A certified upper bound on ||M||, usable as a float.  ``method`` is
+    """The certificate of a symmetric M: a certified upper bound on ||M||,
+    usable as a float, and how M >= 0 was shown.  ``method`` is
     ``"eigvalsh"`` or ``"collatz_wielandt"``; ``lam_min`` is the dense
     spectrum's least eigenvalue on the first path and Gershgorin's lower
-    bound on it on the second, so either settles M >= 0 without a second
-    spectrum."""
+    bound on it on the second.  ``psd`` is ``"gershgorin"`` or
+    ``"eigvalsh"``, whichever showed M >= 0, or None when neither did."""
 
-    def __new__(cls, value, method, lam_min):
+    def __new__(cls, value, method, lam_min, psd):
         self = super().__new__(cls, value)
-        self.method, self.lam_min = method, float(lam_min)
+        self.method, self.lam_min, self.psd = method, float(lam_min), psd
         return self
 
 
 def spectral_norm_estimate(M):
-    """Certified upper bound on ||M|| for a symmetric M, as a NormBound.
+    """The certificate of a symmetric M, as a NormBound.
 
-    Above ``DENSE_MAX``, when Gershgorin shows M >= 0, it is the
+    Gershgorin's lower bound on the spectrum is taken first.  Above
+    ``DENSE_MAX``, when it shows M >= 0, the norm bound is the
     Collatz-Wielandt bound ||M|| <= rho(|M|) <= max_i (|M|x)_i / x_i for
     any x > 0 (Horn & Johnson, Matrix Analysis, 8.1), least over
     ``CW_STEPS`` power steps on |M| from x = 1.  A row whose product is 0
     keeps its entry, so x stays positive; a row of k products rounds by
     less than (k + 3) eps, which the final factor covers.  Otherwise it is
     the largest |eigenvalue| of the dense copy plus the backward-error
-    margin n eps ||M||_F.
+    margin n eps ||M||_F, and M >= 0 is shown by Gershgorin or else by
+    the least eigenvalue of that spectrum.  Either shows it when it is at
+    least -PSD_RTOL max(1, bound).
     """
-    if M.n_rows != M.n_cols:
-        raise ValueError("spectral estimate requires a square matrix")
-    if not M.symmetric:
-        raise ValueError("spectral estimate requires the symmetric flag")
     eps = np.finfo(np.float64).eps
+    lower = gershgorin_lower_bound(M)
     if M.n_rows > DENSE_MAX:
         rows, cols, weights = M.row_indices(), M.col_indices, np.abs(M.values)
         x, bound = np.ones(M.n_rows), np.inf
@@ -255,11 +243,12 @@ def spectral_norm_estimate(M):
                 break  # |M| x = 0 with x > 0, so M = 0
             x = np.where(y > 0.0, y / np.max(y), x)
         bound *= 1.0 + 2.0 * (int(np.max(np.diff(M.row_offsets))) + 3) * eps
-        lower = gershgorin_lower_bound(M)
-        # problems._validate_psd repeats this test with a tolerance at least as wide
         if lower >= -PSD_RTOL * max(1.0, bound):
-            return NormBound(bound, "collatz_wielandt", lower)
+            return NormBound(bound, "collatz_wielandt", lower, "gershgorin")
     lam = np.linalg.eigvalsh(M.to_dense())
     margin = M.n_rows * eps * float(np.linalg.norm(M.values))
-    return NormBound(float(np.max(np.abs(lam), initial=0.0)) + margin, "eigvalsh",
-                     np.min(lam, initial=np.inf))
+    bound = float(np.max(np.abs(lam), initial=0.0)) + margin
+    lam_min = float(np.min(lam, initial=np.inf))
+    tol = PSD_RTOL * max(1.0, bound)
+    psd = "gershgorin" if lower >= -tol else "eigvalsh" if lam_min >= -tol else None
+    return NormBound(bound, "eigvalsh", lam_min, psd)

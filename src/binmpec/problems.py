@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PSD_RTOL, SparseMatrix, gershgorin_lower_bound, matvec
+from .linalg import SparseMatrix, matvec
 from .projections import BINARY_TOL, FeasibleSet, WarmStart, project_feasible
 from .reformulations import round_sign
 from .report import SolveReport
@@ -47,7 +47,7 @@ class Graph:
             rows += [u, v]
             cols += [v, u]
             vals += [w, w]
-        return SparseMatrix.from_coo(self.n, self.n, rows, cols, vals, symmetric=True)
+        return SparseMatrix.from_coo(self.n, rows, cols, vals)
 
     def degrees(self):
         d = np.zeros(self.n)
@@ -71,9 +71,12 @@ class ProblemInstance:
     def __post_init__(self):
         if self.feasible_set.n != self.objective.n:
             raise ValueError("feasible set and objective dimension mismatch")
+        bound = self.objective.norm_bound
+        if bound.psd is None:
+            raise ValueError("objective matrix is not positive semidefinite "
+                             "(lambda_min %g)" % bound.lam_min)
         # a copy, so a dict shared by several instances is left as passed
-        meta = dict(self.meta, psd_check=_validate_psd(self.objective),
-                    norm_check=self.objective.norm_bound.method)
+        meta = dict(self.meta, psd_check=bound.psd, norm_check=bound.method)
         meta.setdefault("n", self.objective.n)
         object.__setattr__(self, "meta", meta)
 
@@ -91,27 +94,6 @@ class ProblemInstance:
         return SolverView(self)
 
 
-def _validate_psd(obj):
-    """Reject objectives with a negative eigenvalue; name how A >= 0 was shown.
-
-    Returns ``"gershgorin"`` when the O(nnz) disc bound certifies every
-    eigenvalue nonnegative (all diagonally dominant matrices, graph
-    Laplacians among them).  Any other matrix is decided by ``"eigvalsh"``:
-    the least eigenvalue of the dense spectrum that ``spectral_norm_estimate``
-    took for the objective's norm bound; modularity and densest-k instances
-    take this path.  Both accept lambda_min down to -PSD_RTOL max(1, L),
-    with L the objective's Lipschitz bound.
-    """
-    tol = PSD_RTOL * max(1.0, obj.lipschitz)
-    if gershgorin_lower_bound(obj.A) >= -tol:
-        return "gershgorin"
-    lam_min = obj.norm_bound.lam_min
-    if lam_min < -tol:
-        raise ValueError("objective matrix is not positive semidefinite "
-                         "(lambda_min %g)" % lam_min)
-    return "eigvalsh"
-
-
 def laplacian(g: Graph) -> SparseMatrix:
     """Graph Laplacian D - W (symmetric PSD, zero row sums)."""
     rows, cols, vals = [], [], []
@@ -119,10 +101,7 @@ def laplacian(g: Graph) -> SparseMatrix:
         rows += [u, v, u, v]
         cols += [v, u, u, v]
         vals += [-w, -w, w, w]
-    if not rows:
-        return SparseMatrix(g.n, g.n, np.zeros(g.n + 1, dtype=np.int64), [], [],
-                            symmetric=True)
-    return SparseMatrix.from_coo(g.n, g.n, rows, cols, vals, symmetric=True)
+    return SparseMatrix.from_coo(g.n, rows, cols, vals)
 
 
 def build_bisection(g: Graph) -> ProblemInstance:
@@ -171,7 +150,7 @@ def build_dense_subgraph(g: Graph, k) -> ProblemInstance:
         rows += [u, v]
         cols += [v, u]
         vals += [-2.0 * w, -2.0 * w]
-    A = SparseMatrix.from_coo(g.n, g.n, rows, cols, vals, symmetric=True)
+    A = SparseMatrix.from_coo(g.n, rows, cols, vals)
     obj = QuadraticObjective(A, np.zeros(g.n))
     fset = FeasibleSet(g.n, "zeroone", sum_constraint=float(k))
     return ProblemInstance(obj, fset, {"name": "densesub", "n": g.n,

@@ -11,9 +11,9 @@ from .linalg import NormBound, SparseMatrix, matvec, spectral_norm_estimate
 class QuadraticObjective:
     """f(x) = 0.5 x'Ax + b'x + c with a certified gradient Lipschitz bound.
 
-    ``norm_bound`` is the certified upper bound on ||A|| that
-    ``spectral_norm_estimate`` returns, and ``lipschitz`` is 1.01 times
-    it, at least 1e-9.
+    ``norm_bound`` is the certificate of A that ``spectral_norm_estimate``
+    returns (an upper bound on ||A|| and how A >= 0 was shown), and
+    ``lipschitz`` is 1.01 times the bound, at least 1e-9.
     """
 
     __slots__ = ("A", "b", "c", "lipschitz", "norm_bound")
@@ -21,7 +21,7 @@ class QuadraticObjective:
     def __init__(self, A, b, c=0.0):
         if not isinstance(A, SparseMatrix):
             raise TypeError("A must be a SparseMatrix")
-        self.norm_bound = spectral_norm_estimate(A)  # rejects a non-square or unflagged A
+        self.norm_bound = spectral_norm_estimate(A)
         self._set_terms(A, b, c)
         self.lipschitz = max(1.01 * self.norm_bound, 1e-9)
         if not np.isfinite(self.lipschitz):
@@ -41,7 +41,8 @@ class QuadraticObjective:
 
         ||alpha A|| = alpha ||A||, so the norm bound and the Lipschitz
         bound are carried over by the same factor instead of being bounded
-        again; for a power-of-two alpha both are exact.
+        again; for a power-of-two alpha both are exact.  alpha A >= 0 just
+        when A >= 0, so the verdict is carried over as it is.
         """
         alpha = float(alpha)
         if not 0.0 < alpha < np.inf:
@@ -49,7 +50,8 @@ class QuadraticObjective:
         out = QuadraticObjective.__new__(QuadraticObjective)
         out._set_terms(self.A.scaled(alpha), b, c)
         bound = self.norm_bound
-        out.norm_bound = NormBound(alpha * bound, bound.method, alpha * bound.lam_min)
+        out.norm_bound = NormBound(alpha * bound, bound.method, alpha * bound.lam_min,
+                                   bound.psd)
         out.lipschitz = alpha * self.lipschitz
         return out
 

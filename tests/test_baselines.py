@@ -50,7 +50,7 @@ class TestConfig:
 class TestLpRound:
     def test_linear_objective_rounds_to_vertex(self):
         # f = -sum(x): relaxation already sits at the all-ones vertex
-        A = SparseMatrix(3, 3, [0, 0, 0, 0], [], [], symmetric=True)
+        A = SparseMatrix(3, [0, 0, 0, 0], [], [])
         obj = QuadraticObjective(A, -np.ones(3))
         prob = ProblemInstance(obj, FeasibleSet(3, "pm1"))
         rep = solve_lp_round(prob)

@@ -9,8 +9,9 @@ from reference import chunked_binary_scan, csr_matvec_loop, gray_scan_loop
 
 
 def random_csr(rng, n):
-    dense = rng.standard_normal((n, n))
-    dense[rng.uniform(size=(n, n)) < 0.5] = 0.0
+    half = np.triu(rng.standard_normal((n, n)))
+    half[rng.uniform(size=(n, n)) < 0.5] = 0.0
+    dense = half + np.triu(half, 1).T
     rows, cols = np.nonzero(dense)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.add.at(offsets[1:], rows, 1)
@@ -26,7 +27,7 @@ class TestAgainstReferenceLoops:
             n = int(rng.integers(1, 30))
             offsets, cols, vals, dense = random_csr(rng, n)
             x = rng.standard_normal(n)
-            got = matvec(SparseMatrix(n, n, offsets, cols, vals), x)
+            got = matvec(SparseMatrix(n, offsets, cols, vals), x)
             want = csr_matvec_loop(offsets, cols, vals, x)
             assert np.array_equal(got, want)
             assert np.allclose(got, dense @ x, rtol=1e-9, atol=1e-12)

@@ -13,11 +13,10 @@ from reference import (csr_matvec_loop, jacobi_eigenvalues, jacobi_spectral_norm
                        transpose_csr_loop)
 
 
-def dense_to_sparse(dense, symmetric=True):
+def dense_to_sparse(dense):
     dense = np.asarray(dense, dtype=np.float64)
     rows, cols = np.nonzero(dense)
-    return SparseMatrix.from_coo(dense.shape[0], dense.shape[1], rows, cols,
-                                 dense[rows, cols], symmetric=symmetric)
+    return SparseMatrix.from_coo(dense.shape[0], rows, cols, dense[rows, cols])
 
 
 P3_LAPLACIAN = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
@@ -39,7 +38,7 @@ class TestVector:
 
 class TestSparseMatrix:
     def test_from_coo_merges_duplicates(self):
-        m = SparseMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 5.0])
+        m = SparseMatrix.from_coo(2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 5.0])
         assert m.nnz == 2
         assert m.to_dense().tolist() == [[0.0, 5.0], [5.0, 0.0]]
 
@@ -54,28 +53,30 @@ class TestSparseMatrix:
 
     def test_bad_offsets_rejected(self):
         with pytest.raises(ValueError):
-            SparseMatrix(2, 2, [0, 1], [0], [1.0])
+            SparseMatrix(2, [0, 1], [0], [1.0])
         with pytest.raises(ValueError):
-            SparseMatrix(2, 2, [0, 2, 1], [0, 1, 0], [1.0, 1.0, 1.0])
+            SparseMatrix(2, [0, 2, 1], [0, 1, 0], [1.0, 1.0, 1.0])
 
     def test_unsorted_columns_rejected(self):
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 3, [0, 2], [2, 0], [1.0, 1.0])
+        # the full 2x2 of ones with row 0 stored as columns (1, 0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SparseMatrix(2, [0, 2, 4], [1, 0, 0, 1], [1.0, 1.0, 1.0, 1.0])
 
     def test_column_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 2, [0, 1], [2], [1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            SparseMatrix(2, [0, 1, 1], [2], [1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            SparseMatrix.from_coo(2, [0], [2], [1.0])
 
     def test_nonfinite_values_rejected(self):
         with pytest.raises(ValueError):
-            SparseMatrix(1, 1, [0, 1], [0], [float("nan")])
+            SparseMatrix(1, [0, 1], [0], [float("nan")])
 
-    def test_symmetric_flag_validated(self):
+    def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="pattern"):
-            SparseMatrix(2, 2, [0, 1, 1], [1], [1.0], symmetric=True)
+            SparseMatrix(2, [0, 1, 1], [1], [1.0])
         with pytest.raises(ValueError, match="values"):
-            SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, 2.0],
-                                  symmetric=True)
+            SparseMatrix.from_coo(2, [0, 1], [1, 0], [1.0, 2.0])
 
     def test_immutable_after_construction(self):
         m = SparseMatrix.identity(2)
@@ -84,21 +85,23 @@ class TestSparseMatrix:
 
     def test_unsorted_column_error_names_row(self):
         with pytest.raises(ValueError, match="within row 1"):
-            SparseMatrix(3, 3, [0, 1, 3, 3], [2, 1, 1], [1.0, 1.0, 1.0])
+            SparseMatrix(3, [0, 1, 3, 3], [2, 1, 1], [1.0, 1.0, 1.0])
 
     def test_columns_may_fall_across_row_boundary(self):
-        m = SparseMatrix(2, 3, [0, 2, 3], [1, 2, 0], [1.0, 2.0, 3.0])
-        assert m.to_dense().tolist() == [[0.0, 1.0, 2.0], [3.0, 0.0, 0.0]]
+        # row 0 ends at column 2, row 1 starts at column 0
+        m = SparseMatrix(3, [0, 2, 3, 4], [1, 2, 0, 0], [1.0, 2.0, 1.0, 2.0])
+        assert m.to_dense().tolist() == [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0],
+                                         [2.0, 0.0, 0.0]]
 
     def test_dense_and_diagonal_match_per_row_reads(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
-            r, c = (int(v) for v in rng.integers(0, 8, 2))
-            dense = rng.standard_normal((r, c)) * (rng.random((r, c)) < 0.4)
-            m = dense_to_sparse(dense, symmetric=False)
+            n = int(rng.integers(0, 8))
+            half = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4))
+            dense = half + half.T
+            m = dense_to_sparse(dense)
             assert np.array_equal(m.to_dense(), dense)
-            k = min(r, c)
-            assert np.array_equal(m.diagonal(), dense[np.arange(k), np.arange(k)])
+            assert np.array_equal(m.diagonal(), np.diag(dense))
 
     def test_transpose_matches_loop_reference(self):
         rng = np.random.default_rng(17)
@@ -106,7 +109,7 @@ class TestSparseMatrix:
             n = int(rng.integers(1, 30))
             half = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
             m = dense_to_sparse(half + half.T)
-            got = _transpose_csr(n, n, m.row_offsets, m.col_indices, m.values)
+            got = _transpose_csr(n, m.row_offsets, m.col_indices, m.values)
             want = transpose_csr_loop(n, n, m.row_offsets, m.col_indices, m.values)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
@@ -124,8 +127,8 @@ class TestGershgorinLowerBound:
         assert gershgorin_lower_bound(m) == -1.0
 
     def test_empty_and_zero_matrices(self):
-        assert gershgorin_lower_bound(SparseMatrix(0, 0, [0], [], [])) == np.inf
-        zero = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
+        assert gershgorin_lower_bound(SparseMatrix(0, [0], [], [])) == np.inf
+        zero = SparseMatrix(2, [0, 0, 0], [], [])
         assert gershgorin_lower_bound(zero) == 0.0
 
     def test_bounds_every_eigenvalue(self):
@@ -137,10 +140,6 @@ class TestGershgorinLowerBound:
             lam_min = jacobi_eigenvalues(dense)[0]
             assert gershgorin_lower_bound(dense_to_sparse(dense)) <= lam_min + 1e-12
 
-    def test_rejects_rectangular(self):
-        with pytest.raises(ValueError, match="square"):
-            gershgorin_lower_bound(SparseMatrix(2, 3, [0, 1, 2], [0, 2], [1.0, 1.0]))
-
 
 class TestMatvec:
     def test_identity(self):
@@ -148,7 +147,7 @@ class TestMatvec:
         assert matvec(m, [1.0, 2.0, 3.0]).tolist() == [1.0, 2.0, 3.0]
 
     def test_zero_matrix(self):
-        m = SparseMatrix(3, 3, [0, 0, 0, 0], [], [], symmetric=True)
+        m = SparseMatrix(3, [0, 0, 0, 0], [], [])
         assert matvec(m, [4.0, 5.0, 6.0]).tolist() == [0.0, 0.0, 0.0]
 
     def test_laplacian_nullspace(self):
@@ -203,7 +202,7 @@ class TestKronIdentity:
     @pytest.mark.parametrize("nodes,k,seed", KRON_CASES)
     def test_matvec_matches_csr_loop(self, nodes, k, seed):
         A = modularity_problem(nodes, k, seed).objective.A
-        x = np.random.default_rng(seed).uniform(-1.0, 1.0, A.n_cols)
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, A.n_rows)
         for M in (A, A.scaled(0.25)):
             want = csr_matvec_loop(M.row_offsets, M.col_indices, M.values, x)
             # relative to |M| |x|, the scale of each entry's rounding
@@ -216,7 +215,7 @@ class TestKronIdentity:
         A = prob.solver_view.objective.A
         assert np.array_equal(A.factor, 0.25 * prob.objective.A.factor)
         assert not A.factor.flags.writeable
-        x = np.random.default_rng(11).uniform(-1.0, 1.0, A.n_cols)
+        x = np.random.default_rng(11).uniform(-1.0, 1.0, A.n_rows)
         want = csr_matvec_loop(A.row_offsets, A.col_indices, A.values, x)
 
         def no_bincount(*args, **kwargs):
@@ -272,11 +271,6 @@ class TestQuadraticForm:
         x = rng.standard_normal(6)
         assert quadratic_form(m, x) == pytest.approx(float(np.dot(x, matvec(m, x))), abs=1e-12)
 
-    def test_rejects_rectangular(self):
-        m = SparseMatrix(2, 3, [0, 1, 2], [0, 2], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            quadratic_form(m, np.ones(3))
-
 
 class TestSpectralNormEstimate:
     def test_diagonal_example(self):
@@ -289,17 +283,24 @@ class TestSpectralNormEstimate:
         assert spectral_norm_estimate(m) == pytest.approx(2.0, abs=1e-5)
 
     def test_zero_matrix(self):
-        m = SparseMatrix(3, 3, [0, 0, 0, 0], [], [], symmetric=True)
+        m = SparseMatrix(3, [0, 0, 0, 0], [], [])
         assert spectral_norm_estimate(m) == 0.0
-
-    def test_requires_symmetric_flag(self):
-        m = SparseMatrix(2, 2, [0, 1, 2], [1, 0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="symmetric"):
-            spectral_norm_estimate(m)
 
     def test_negative_dominant_eigenvalue(self):
         m = dense_to_sparse(np.diag([-5.0, 2.0]))
         assert spectral_norm_estimate(m) == pytest.approx(5.0, abs=1e-5)
+
+    @pytest.mark.parametrize("dense,psd", [
+        (P3_LAPLACIAN, "gershgorin"),
+        ([[1.0, 2.0], [2.0, 4.0]], "eigvalsh"),  # eigenvalues 0 and 5
+        (np.diag([-5.0, 2.0]), None),
+        # lambda_min inside and outside -PSD_RTOL max(1, bound)
+        (np.diag([-0.5e-7, 0.5]), "gershgorin"),
+        (np.diag([-2e-7, 0.5]), None),
+        (np.diag([-2e-7, 4.0]), "gershgorin"),
+        (np.diag([-5e-7, 4.0]), None)])
+    def test_psd_verdict(self, dense, psd):
+        assert spectral_norm_estimate(dense_to_sparse(dense)).psd == psd
 
     def test_against_jacobi_oracle(self):
         rng = np.random.default_rng(21)
@@ -359,6 +360,7 @@ class TestSpectralNormEstimate:
         assert bound >= exact_norm(m)
         assert bound == pytest.approx(-lam[0], rel=1e-12)
         assert bound.lam_min == lam[0]
+        assert bound.psd is None
 
 
 def grid_laplacian(side, rng):

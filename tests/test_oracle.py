@@ -15,8 +15,7 @@ from binmpec.subsolver import QuadraticObjective
 def quadratic_instance(dense, b, c, fset):
     dense = np.asarray(dense, dtype=np.float64)
     rows, cols = np.nonzero(dense)
-    A = SparseMatrix.from_coo(dense.shape[0], dense.shape[0], rows, cols,
-                              dense[rows, cols], symmetric=True)
+    A = SparseMatrix.from_coo(dense.shape[0], rows, cols, dense[rows, cols])
     return ProblemInstance(QuadraticObjective(A, b, c), fset)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def dense_instance(M):
     """A pm1 instance with the symmetric dense matrix M as its A."""
     n = M.shape[0]
     rows, cols = np.nonzero(np.ones_like(M))
-    A = SparseMatrix.from_coo(n, n, rows, cols, M[rows, cols], symmetric=True)
+    A = SparseMatrix.from_coo(n, rows, cols, M[rows, cols])
     return ProblemInstance(QuadraticObjective(A, np.zeros(n)),
                            FeasibleSet(n, "pm1"))
 
@@ -57,38 +58,56 @@ def dense_instance(M):
 def identity_instance(fset):
     """An instance with A = I over ``fset``."""
     n = fset.n
-    A = SparseMatrix.from_coo(n, n, np.arange(n), np.arange(n), np.ones(n),
-                              symmetric=True)
+    A = SparseMatrix.from_coo(n, np.arange(n), np.arange(n), np.ones(n))
     return ProblemInstance(QuadraticObjective(A, np.zeros(n)), fset)
 
 
+def grid_builds(g):
+    """The five builders on the grid ``g``, pins at its first and last node."""
+    return {
+        "bisection": lambda: build_bisection(g),
+        "segmentation": lambda: build_constrained_segmentation(g, fg=[0], bg=[g.n - 1]),
+        "mrf": lambda: build_mrf(g, np.linspace(-1.0, 1.0, g.n)),
+        "densesub": lambda: build_dense_subgraph(g, g.n // 2),
+        "modularity": lambda: build_modularity(g, 3),
+    }
+
+
 GRID34 = grid_graph(3, 4)
-GRID_BUILDS = {
-    "bisection": lambda: build_bisection(GRID34),
-    "segmentation": lambda: build_constrained_segmentation(GRID34, fg=[0], bg=[11]),
-    "mrf": lambda: build_mrf(GRID34, np.linspace(-1.0, 1.0, 12)),
-    "densesub": lambda: build_dense_subgraph(GRID34, 6),
-    "modularity": lambda: build_modularity(GRID34, 3),
-}
+# the "-n288" kinds take a 16 x 18 grid, above DENSE_MAX, where the
+# Laplacians take the Collatz-Wielandt bound
+GRID_BUILDS = dict(grid_builds(GRID34), **{
+    kind + "-n288": build for kind, build in grid_builds(grid_graph(16, 18)).items()})
 # Laplacians are diagonally dominant; the shifted matrices are not
 GRID_CERTIFICATES = {"bisection": "gershgorin", "segmentation": "gershgorin",
                      "mrf": "gershgorin", "densesub": "eigvalsh",
                      "modularity": "eigvalsh"}
 
 
-@pytest.fixture
-def spectral_calls(monkeypatch):
-    """Count spectral_norm_estimate calls under every name it is bound to."""
-    real = binmpec.linalg.spectral_norm_estimate
+def count_calls(monkeypatch, name):
+    """Count calls to ``binmpec.linalg.<name>`` under every name a binmpec
+    module binds it to; returns the list of first arguments."""
+    real = getattr(binmpec.linalg, name)
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    for module in (binmpec.linalg, binmpec.subsolver):
-        monkeypatch.setattr(module, "spectral_norm_estimate", counting)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "binmpec" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    return count_calls(monkeypatch, "spectral_norm_estimate")
+
+
+@pytest.fixture
+def gershgorin_calls(monkeypatch):
+    return count_calls(monkeypatch, "gershgorin_lower_bound")
 
 
 class TestGraph:
@@ -118,7 +137,6 @@ class TestGraph:
 
     def test_adjacency_symmetric(self):
         W = P3.adjacency()
-        assert W.symmetric
         assert W.to_dense().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
@@ -135,6 +153,10 @@ class TestLaplacian:
         g = Graph(3, ())
         L = laplacian(g)
         assert L.nnz == 0
+        assert L.row_offsets.tolist() == [0, 0, 0, 0]
+        assert L.row_offsets.dtype == np.int64
+        assert L.col_indices.shape == (0,) and L.col_indices.dtype == np.int64
+        assert L.values.shape == (0,) and L.values.dtype == np.float64
         assert L.to_dense().tolist() == [[0.0] * 3] * 3
 
     def test_zero_row_sums_and_psd(self):
@@ -333,7 +355,7 @@ class TestModularity:
         Q = graph.adjacency().to_dense() - np.outer(d, d) / (2.0 * m)
         rows, cols, vals = modularity_triplets_loop(
             Q, prob.meta["lambda_shift"], 1.0 / (4.0 * m), k)
-        want = SparseMatrix.from_coo(prob.n, prob.n, rows, cols, vals, symmetric=True)
+        want = SparseMatrix.from_coo(prob.n, rows, cols, vals)
         got = prob.objective.A
         for attr in ("row_offsets", "col_indices", "values"):
             assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
@@ -416,8 +438,7 @@ class TestProblemInstanceValidation:
     def test_indefinite_rejected(self):
         # a single negative eigenvalue must be caught
         from binmpec.linalg import SparseMatrix
-        A = SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [1.0, -1.0],
-                                  symmetric=True)
+        A = SparseMatrix.from_coo(2, [0, 1], [0, 1], [1.0, -1.0])
         obj = QuadraticObjective(A, np.zeros(2))
         fs = FeasibleSet(2, "pm1")
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -426,8 +447,7 @@ class TestProblemInstanceValidation:
     def test_non_dominant_indefinite_rejected(self):
         # eigenvalues 3 and -1; the Gershgorin bound fails, so the
         # dense eigvalsh check must reject it
-        A = SparseMatrix.from_coo(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
-                                  [1.0, 2.0, 2.0, 1.0], symmetric=True)
+        A = SparseMatrix.from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 1.0])
         obj = QuadraticObjective(A, np.zeros(2))
         fs = FeasibleSet(2, "pm1")
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -445,11 +465,14 @@ class TestProblemInstanceValidation:
             dense_instance(0.5 * (M + M.T))
 
     @pytest.mark.parametrize("kind", sorted(GRID_BUILDS))
-    def test_grid_builds_certified_with_one_estimate(self, kind, spectral_calls):
+    def test_grid_builds_certified_with_one_estimate(self, kind, spectral_calls,
+                                                     gershgorin_calls):
         prob = GRID_BUILDS[kind]()
-        assert prob.meta["psd_check"] == GRID_CERTIFICATES[kind]
-        # the Lipschitz estimate of the builder's objective, nothing else
+        assert prob.meta["psd_check"] == GRID_CERTIFICATES[kind.split("-")[0]]
+        # the Lipschitz estimate of the builder's objective, nothing else;
+        # it decides A >= 0 with its one Gershgorin bound
         assert spectral_calls == [prob.objective.A]
+        assert gershgorin_calls == [prob.objective.A]
 
     def test_non_dominant_psd_modularity_accepted(self):
         g = generate("four_gauss_knn", {"n": 8, "knn": 3}, seed=2)
@@ -472,7 +495,7 @@ class TestProblemInstanceValidation:
                                "norm_check": "eigvalsh", "n": 3}
 
     def test_zero_matrix_certified(self):
-        A = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
+        A = SparseMatrix(2, [0, 0, 0], [], [])
         prob = ProblemInstance(QuadraticObjective(A, np.ones(2)),
                                FeasibleSet(2, "zeroone"))
         assert prob.meta["psd_check"] == "gershgorin"

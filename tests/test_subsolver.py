@@ -12,8 +12,7 @@ from reference import minimize_fista_callbacks, qp_face_reference
 def dense_to_sparse(dense):
     dense = np.asarray(dense, dtype=np.float64)
     rows, cols = np.nonzero(dense)
-    return SparseMatrix.from_coo(dense.shape[0], dense.shape[1], rows, cols,
-                                 dense[rows, cols], symmetric=True)
+    return SparseMatrix.from_coo(dense.shape[0], rows, cols, dense[rows, cols])
 
 
 def box_set(n, domain="pm1", **kw):
@@ -34,7 +33,7 @@ class TestQuadraticObjective:
         assert obj.lipschitz >= 4.0
 
     def test_zero_matrix_gets_floor(self):
-        A = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
+        A = SparseMatrix(2, [0, 0, 0], [], [])
         obj = QuadraticObjective(A, np.ones(2))
         assert obj.lipschitz > 0.0
 
@@ -48,15 +47,14 @@ class TestQuadraticObjective:
     def test_bad_lipschitz_rejected(self, bad):
         # scaled() is the one way a caller sets L; alpha * L must stay finite
         # and positive, and with no stored entries nothing else checks it
-        empty = QuadraticObjective(SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True),
+        empty = QuadraticObjective(SparseMatrix(2, [0, 0, 0], [], []),
                                    np.zeros(2))
         with pytest.raises(ValueError, match="finite and positive"):
             empty.scaled(bad, np.zeros(2))
 
     def test_requires_symmetric_sparse(self):
-        asym = SparseMatrix(2, 2, [0, 1, 1], [1], [1.0])
         with pytest.raises(ValueError, match="symmetric"):
-            QuadraticObjective(asym, np.zeros(2))
+            SparseMatrix(2, [0, 1, 1], [1], [1.0])
         with pytest.raises(TypeError):
             QuadraticObjective(np.eye(2), np.zeros(2))
 
@@ -71,6 +69,7 @@ class TestQuadraticObjective:
         assert obj.lipschitz == src.lipschitz / 4.0
         assert obj.norm_bound == src.norm_bound / 4.0
         assert obj.norm_bound.lam_min == src.norm_bound.lam_min / 4.0
+        assert obj.norm_bound.psd == src.norm_bound.psd == "gershgorin"
         assert np.array_equal(obj.A.to_dense(), src.A.to_dense() / 4.0)
         x = np.array([0.5, -1.0])
         want = 0.125 * float(x @ src.A.to_dense() @ x) + float(x @ [1.0, 2.0]) - 3.0
@@ -81,7 +80,7 @@ class TestQuadraticObjective:
         with pytest.raises(ValueError, match="positive"):
             src.scaled(0.0, np.zeros(2))
         # with no stored entries nothing else stops an infinite L
-        empty = QuadraticObjective(SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True),
+        empty = QuadraticObjective(SparseMatrix(2, [0, 0, 0], [], []),
                                    np.zeros(2))
         with pytest.raises(ValueError, match="finite and positive"):
             empty.scaled(np.inf, np.zeros(2))
@@ -109,7 +108,7 @@ class TestSolveQp:
         assert converged
 
     def test_pure_linear_drives_to_corner(self):
-        A = SparseMatrix(2, 2, [0, 0, 0], [], [], symmetric=True)
+        A = SparseMatrix(2, [0, 0, 0], [], [])
         obj = QuadraticObjective(A, np.array([1.0, -1.0]))
         x, _, _, _ = solve_over(obj, box_set(2), np.zeros(2), tol=1e-12, max_iter=5000)
         assert np.allclose(x, [-1.0, 1.0], atol=1e-9)
