@@ -7,8 +7,7 @@ from .baselines import (BaselineConfig, BaselineMethod, solve_iht,
                         solve_l2box_admm, solve_lp_round)
 from .epm import EpmConfig, epm_v_update, solve_epm
 from .kernels import active_backend
-from .linalg import (SparseMatrix, matvec, quadratic_form,
-                     spectral_norm_estimate, vector)
+from .linalg import SparseMatrix, matvec, spectral_norm_estimate, vector
 from .oracle import SizeLimitError, brute_force, feasible_count_binomial
 from .problems import (Graph, ProblemInstance, SolverView, build_bisection,
                        build_constrained_segmentation, build_dense_subgraph,
@@ -33,7 +32,7 @@ __all__ = [
     "check_binary_feasible", "epm_v_update",
     "feasible_count_binomial", "generate", "h_ratio", "laplacian", "matvec",
     "membership", "modularity_value", "project_box",
-    "project_capped_simplex", "project_feasible", "quadratic_form",
+    "project_capped_simplex", "project_feasible",
     "round_feasible", "round_sign", "solve_adm", "solve_epm", "solve_iht",
     "solve_l2box_admm", "solve_lp_round",
     "spectral_norm_estimate", "subgraph_weight", "trace_to_csv", "vector",

@@ -28,11 +28,11 @@ def active_backend():
 # The walk locates the segment where g crosses k and interpolates tau.
 
 def _simplex_walk_vec(bvals, deltas, n, k):
-    active = np.cumsum(deltas[:-1])
+    active = deltas[:-1].cumsum()
     drops = active * np.diff(bvals)
     g_at = np.empty(bvals.shape[0], dtype=np.float64)
     g_at[0] = float(n)
-    g_at[1:] = float(n) - np.cumsum(drops)
+    g_at[1:] = float(n) - drops.cumsum()
     hit = np.nonzero(g_at[1:] <= k)[0]
     if hit.shape[0] == 0:
         return bvals[-1]
@@ -57,7 +57,7 @@ def simplex_walk(bvals, deltas, n, k):
     # rho the count of j with j*s_j > S_j - k; (S_j - k) / j rises up to
     # j = rho and does not rise after it, so tau is its maximum over j
     # (Held, Wolfe & Crowder 1974; Duchi et al. 2008; Condat 2016)
-    csum = np.cumsum(bvals, axis=1)
+    csum = bvals.cumsum(axis=1)
     csum -= k[:, None]
     csum /= np.arange(1, n + 1)
     return csum.max(axis=1)

@@ -178,19 +178,13 @@ def matvec(M, x):
     sequential row-by-row loop."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.n_rows,):
-        raise ValueError("dimension mismatch: matrix has order %d, vector has length %d"
-                         % (M.n_rows, x.shape[0]))
+        raise ValueError("dimension mismatch: matrix has order %d, vector has shape %r"
+                         % (M.n_rows, x.shape))
     if M.factor is not None:
         return (M.factor @ x.reshape(M.factor.shape[0], -1)).reshape(-1)
     # with no stored entries bincount ignores the weights and returns ints
     return np.bincount(M.row_indices(), weights=M.values * x[M.col_indices],
                        minlength=M.n_rows).astype(np.float64, copy=False)
-
-
-def quadratic_form(M, x):
-    """x' M x, computed as <x, matvec(M, x)>."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.dot(x, matvec(M, x)))
 
 
 def gershgorin_lower_bound(M):

@@ -27,8 +27,8 @@ class FeasibleSet:
 
     Construction prepares what projection, rounding and the oracle read:
     the floats ``lo``, ``hi`` and ``span`` = hi - lo, ``free`` (the
-    unpinned coordinates, a full slice when nothing is pinned), whose map
-    y = (x - lo) / span to [0, 1] commutes with projection;
+    unpinned coordinates, in index order), whose map y = (x - lo) / span
+    to [0, 1] commutes with projection;
     ``pin_index``/``pin_value`` (the pins in order, read-only),
     ``pinned_total``, the pin mask, ``sum_target`` (the free coordinates'
     mapped sum) or ``block_groups`` (see ``_group_blocks``), and binary
@@ -68,11 +68,8 @@ class FeasibleSet:
         pin_value = np.array([v for _, v in self.pinned], dtype=np.float64)
         mask = np.zeros(n, dtype=bool)
         mask[pin_index] = True
-        free = slice(None)
-        if mask.any():
-            free = np.flatnonzero(~mask)
-            free.flags.writeable = False
-        for arr in (pin_index, pin_value, mask):
+        free = np.flatnonzero(~mask)
+        for arr in (pin_index, pin_value, mask, free):
             arr.flags.writeable = False
         at_bound = ((np.abs(pin_value - lo) <= BINARY_TOL)
                     | (np.abs(pin_value - hi) <= BINARY_TOL))
@@ -142,13 +139,19 @@ def _group_blocks(pin2, pinned_at):
     return tuple(groups)
 
 
+def _check_shape(a, fset):
+    if a.shape != (fset.n,):
+        raise ValueError("dimension mismatch: the set has %d coordinates, the input "
+                         "has shape %r" % (fset.n, a.shape))
+
+
 def project_box(a, fset):
     """Clamp to the box, then overwrite pinned coordinates."""
     a = np.asarray(a, dtype=np.float64)
-    if a.shape[0] != fset.n:
-        raise ValueError("dimension mismatch")
-    x = np.clip(a, fset.lo, fset.hi)
-    x[fset.pin_index] = fset.pin_value
+    _check_shape(a, fset)
+    x = a.clip(fset.lo, fset.hi)
+    if fset.pinned:
+        x[fset.pin_index] = fset.pin_value
     return x
 
 
@@ -234,13 +237,14 @@ def _newton_tau(a, k, tau):
     g(tau) = sum clip(a - tau, 0, 1) is linear between break points, with
     slope minus the number of coordinates strictly inside (0, 1); the
     piece is fixed by how many a - tau reach 1 and how many exceed 0, both
-    monotone in tau.  A step solves the linear equation of its piece, so a
-    step that stays on its piece lands on the crossing.  On a flat piece
-    that misses k the step starts from the piece's edge toward k, with the
-    slope just past it.  Returns None after NEWTON_STEPS steps without
-    settling (Newton can cycle on a function that is neither convex nor
-    concave).  See Cominetti, Mascarenhas & Silva 2014 for Newton on this
-    problem.
+    monotone in tau, and both are counted on the clipped vector x, as its
+    entries equal to 1 and its nonzero entries.  A step solves the linear
+    equation of its piece, so a step that stays on its piece lands on the
+    crossing.  On a flat piece that misses k the step starts from the
+    piece's edge toward k, with the slope just past it.  Returns None
+    after NEWTON_STEPS steps without settling (Newton can cycle on a
+    function that is neither convex nor concave).  See Cominetti,
+    Mascarenhas & Silva 2014 for Newton on this problem.
     """
     piece = None
     for _ in range(NEWTON_STEPS):
@@ -249,8 +253,8 @@ def _newton_tau(a, k, tau):
         miss = x.sum() - k
         if abs(miss) <= 1e-13:
             return tau, x
-        top = np.count_nonzero(d >= 1.0)
-        pos = np.count_nonzero(d > 0.0)
+        top = np.count_nonzero(x == 1.0)
+        pos = np.count_nonzero(x)
         if (top, pos) == piece:
             return tau, x
         if pos > top:
@@ -269,33 +273,48 @@ def _newton_tau(a, k, tau):
 
 def _project_capped_rows(a, k):
     m, n = a.shape
-    k = np.broadcast_to(np.asarray(k, dtype=np.float64), (m,))
-    ok = (k >= -1e-9) & (k <= min(n, 1.0) + 1e-9)  # NaN fails both
-    if not ok.all():
-        bad = k[~ok][0]
+    k = np.asarray(k, dtype=np.float64)
+    if k.shape != (m,):
+        k = np.broadcast_to(k, (m,))
+    cap = min(n, 1.0) + 1e-9
+    # a NaN target makes both reductions NaN, and NaN fails both tests
+    if not (k.min(initial=0.0) >= -1e-9 and k.max(initial=0.0) <= cap):
+        bad = k[~((k >= -1e-9) & (k <= cap))][0]
         if -1e-9 <= bad <= n + 1e-9:
             raise ValueError("row target %g above 1; 2-D calls take targets in [0, 1]" % bad)
         raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]" % (bad, n))
     if n == 0:
         return a.copy()
-    tau = kernels.simplex_walk(np.sort(a, axis=1)[:, ::-1], None, n, k)
-    return np.clip(a - tau[:, None], 0.0, 1.0)
+    rows = a.copy()
+    rows.sort(axis=1)
+    tau = kernels.simplex_walk(rows[:, ::-1], None, n, k)
+    x = a - tau[:, None]
+    return x.clip(0.0, 1.0, out=x)
 
 
 def project_feasible(a, fset, warm=None):
-    """Exact projection dispatcher for a full FeasibleSet.
+    """Exact projection dispatcher for a full FeasibleSet; ``a`` must have
+    shape (n,).
 
-    ``warm``, a ``WarmStart``, is handed to the capped-simplex projection
-    of a sum constraint; box and block sets ignore it.
+    With nothing pinned, ``a``'s image in [0, 1] is projected whole, the
+    blocks as its rows, with no gather or scatter.  ``warm``, a
+    ``WarmStart``, is handed to the capped-simplex projection of a sum
+    constraint; box and block sets ignore it.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.shape[0] != fset.n:
-        raise ValueError("dimension mismatch")
+    _check_shape(a, fset)
     if fset.sum_constraint is None and fset.simplex_blocks is None:
         return project_box(a, fset)
+    lo, span = fset.lo, fset.span
+    if not fset.pinned:
+        y = (a - lo) / span
+        if fset.sum_constraint is not None:
+            return lo + span * project_capped_simplex(y, fset.sum_target, warm)
+        for _, free_idx, target in fset.block_groups:  # one group; none when n = 0
+            y = project_capped_simplex(y.reshape(free_idx.shape), target)
+        return (lo + span * y).reshape(-1)
     x = np.empty_like(a)
     x[fset.pin_index] = fset.pin_value
-    lo, span = fset.lo, fset.span
     if fset.sum_constraint is not None:
         y = project_capped_simplex((a[fset.free] - lo) / span, fset.sum_target, warm)
         x[fset.free] = lo + span * y

@@ -65,9 +65,6 @@ class QuadraticObjective:
             Ax = matvec(self.A, x)
         return 0.5 * float(np.dot(x, Ax)) + float(np.dot(self.b, x)) + self.c
 
-    def grad(self, x):
-        return matvec(self.A, x) + self.b
-
 
 def check_positive(config, *names):
     """Raise ValueError unless every named field of config is a finite,
@@ -123,15 +120,16 @@ class QuadraticModel:
 
     def __init__(self, objective, linear=None, mu=0.0, w=None, alpha=0.0, u=None, t=0.0):
         self.A = objective.A
-        self.linear = objective.b if linear is None else linear
+        self.linear = objective.b if linear is None else np.asarray(linear)
         self.c = objective.c
         self.mu, self.w = float(mu), w
-        self.alpha, self.u, self.t = float(alpha), u, float(t)
+        self.alpha, self.t = float(alpha), float(t)
+        self.u = None if u is None else np.asarray(u)
         if not (self.mu >= 0.0 and self.alpha >= 0.0):
             raise ValueError("penalty weights must be nonnegative")
         if (self.mu and w is None) or (self.alpha and u is None):
             raise ValueError("mu > 0 needs w and alpha > 0 needs u")
-        for name, vec in (("linear", self.linear), ("w", w), ("u", u)):
+        for name, vec in (("linear", self.linear), ("w", w), ("u", self.u)):
             if vec is not None and np.shape(vec) != (self.A.n_rows,):
                 raise ValueError("%s of shape %r, A has %d rows"
                                  % (name, np.shape(vec), self.A.n_rows))
@@ -148,12 +146,12 @@ class QuadraticModel:
         """(f(x), A x) with one product."""
         Ax = matvec(self.A, x)
         self._x, self._Ax = x, Ax
-        f = 0.5 * float(np.dot(x, Ax)) + float(np.dot(self.linear, x)) + self.c
+        f = 0.5 * float(x.dot(Ax)) + float(self.linear.dot(x)) + self.c
         if self.mu:
             d = x - self.w
-            f += 0.5 * self.mu * float(np.dot(d, d))
+            f += 0.5 * self.mu * float(d.dot(d))
         if self.alpha:
-            g = self.t - float(np.dot(self.u, x))
+            g = self.t - float(self.u.dot(x))
             f += 0.5 * self.alpha * g * g
         return f, Ax
 
@@ -163,7 +161,7 @@ class QuadraticModel:
         if self.mu:
             g += self.mu * (x - self.w)
         if self.alpha:
-            g -= (self.alpha * (self.t - float(np.dot(self.u, x)))) * self.u
+            g -= (self.alpha * (self.t - float(self.u.dot(x)))) * self.u
         return g
 
     def product(self, x):
@@ -177,15 +175,17 @@ def minimize_fista(model, project, x0, tol=1e-5, max_iter=2000):
     Whenever the accelerated candidate raises the objective, the momentum
     is discarded and a plain projected-gradient step is taken instead, so
     the objective sequence never increases.  Stops when the relative
-    iterate change drops below tol.  Each iteration takes one product with
-    A (two on a restart): the product at an iterate serves its value and
-    its next gradient, and the extrapolated point's follows by linearity,
-    A y = A x_new + beta (A x_new - A x).  The returned x is the model's
-    last evaluated point.
+    iterate change ||x_new - x|| / max(||x||, 1) drops below tol; each
+    norm is sqrt(v'v), as ``np.linalg.norm`` takes it for a 1-D vector.
+    Each iteration takes one product with A (two on a restart): the
+    product at an iterate serves its value and its next gradient, and the
+    extrapolated point's follows by linearity, A y = A x_new + beta
+    (A x_new - A x).  The returned x is the model's last evaluated point.
     """
     step = 1.0 / model.lipschitz
     x = project(np.asarray(x0, dtype=np.float64))
     fx, Ax = model.evaluate(x)
+    x_norm = math.sqrt(float(x.dot(x)))
     y, Ay = x, Ax
     tk = 1.0
     iterations = 0
@@ -197,14 +197,16 @@ def minimize_fista(model, project, x0, tol=1e-5, max_iter=2000):
             x_new = project(x - step * model.grad(x, Ax))
             f_new, Ax_new = model.evaluate(x_new)
             tk = 1.0
-        rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1.0)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        dx = x_new - x
+        rel = math.sqrt(float(dx.dot(dx))) / max(x_norm, 1.0)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
         beta = (tk - 1.0) / t_next
-        y = x_new + beta * (x_new - x)
+        y = x_new + beta * dx
         Ay = Ax_new + beta * (Ax_new - Ax)
         x, Ax, fx, tk = x_new, Ax_new, f_new, t_next
         iterations = it + 1
         if rel <= tol:
             converged = True
             break
+        x_norm = math.sqrt(float(x.dot(x)))
     return x, fx, iterations, converged

@@ -13,6 +13,13 @@ that the split-half scan replaced, ``minimize_fista_callbacks`` is
 the FISTA loop on value/gradient callbacks that the quadratic model
 replaced, and ``project_conjugated`` is the {-1, +1} projection that
 projecting onto the set's prepared {-1, +1} image replaced.
+
+``minimize_fista_norms``, ``project_feasible_scatter``,
+``newton_tau_compare`` and ``project_capped_rows_broadcast`` are the
+x-step loop and projection pieces as they were before their per-call
+overhead was cut, kept verbatim so the tests can ask for equal bytes.
+``objective_grad`` and ``quadratic_form`` are the gradient and the
+quadratic form the library no longer needs.
 """
 
 import itertools
@@ -406,3 +413,117 @@ def project_conjugated(z, fset, warm=None):
 
     y = project_feasible((z + 1.0) / 2.0, fset, warm)
     return 2.0 * y - 1.0
+
+
+def minimize_fista_norms(model, project, x0, tol=1e-5, max_iter=2000):
+    """``subsolver.minimize_fista`` with two ``np.linalg.norm`` calls and
+    two step differences per iteration."""
+    step = 1.0 / model.lipschitz
+    x = project(np.asarray(x0, dtype=np.float64))
+    fx, Ax = model.evaluate(x)
+    y, Ay = x, Ax
+    tk = 1.0
+    iterations = 0
+    converged = False
+    for it in range(max_iter):
+        x_new = project(y - step * model.grad(y, Ay))
+        f_new, Ax_new = model.evaluate(x_new)
+        if f_new > fx + 1e-12:
+            x_new = project(x - step * model.grad(x, Ax))
+            f_new, Ax_new = model.evaluate(x_new)
+            tk = 1.0
+        rel = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1.0)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        beta = (tk - 1.0) / t_next
+        y = x_new + beta * (x_new - x)
+        Ay = Ax_new + beta * (Ax_new - Ax)
+        x, Ax, fx, tk = x_new, Ax_new, f_new, t_next
+        iterations = it + 1
+        if rel <= tol:
+            converged = True
+            break
+    return x, fx, iterations, converged
+
+
+def project_feasible_scatter(a, fset, warm=None):
+    """``projections.project_feasible`` that fills a fresh vector through
+    the pin scatter and index gathers and scatters, pins or none."""
+    from binmpec.projections import project_box, project_capped_simplex
+
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape[0] != fset.n:
+        raise ValueError("dimension mismatch")
+    if fset.sum_constraint is None and fset.simplex_blocks is None:
+        return project_box(a, fset)
+    x = np.empty_like(a)
+    x[fset.pin_index] = fset.pin_value
+    lo, span = fset.lo, fset.span
+    if fset.sum_constraint is not None:
+        y = project_capped_simplex((a[fset.free] - lo) / span, fset.sum_target, warm)
+        x[fset.free] = lo + span * y
+        return x
+    # simplex blocks: one row-wise projection per count of free coordinates
+    for _, free_idx, target in fset.block_groups:
+        x[free_idx] = lo + span * project_capped_simplex((a[free_idx] - lo) / span, target)
+    return x
+
+
+def newton_tau_compare(a, k, tau, steps=6):
+    """``projections._newton_tau`` reading its piece counts off a - tau."""
+    piece = None
+    for _ in range(steps):
+        d = a - tau
+        x = d.clip(0.0, 1.0)
+        miss = x.sum() - k
+        if abs(miss) <= 1e-13:
+            return tau, x
+        top = np.count_nonzero(d >= 1.0)
+        pos = np.count_nonzero(d > 0.0)
+        if (top, pos) == piece:
+            return tau, x
+        if pos > top:
+            tau += miss / (pos - top)
+        elif miss < 0.0:
+            # the largest coordinates at 0 turn on below their a
+            edge = a[d <= 0.0].max()
+            tau = edge + miss / np.count_nonzero(a == edge)
+        else:
+            # the smallest coordinates at 1 turn off above their a - 1
+            edge = a[d >= 1.0].min()
+            tau = (edge - 1.0) + miss / np.count_nonzero(a == edge)
+        piece = (top, pos)
+    return None
+
+
+def project_capped_rows_broadcast(a, k):
+    """``projections._project_capped_rows`` checking its targets through
+    ``np.broadcast_to`` and three elementwise tests."""
+    from binmpec import kernels
+
+    m, n = a.shape
+    k = np.broadcast_to(np.asarray(k, dtype=np.float64), (m,))
+    ok = (k >= -1e-9) & (k <= min(n, 1.0) + 1e-9)  # NaN fails both
+    if not ok.all():
+        bad = k[~ok][0]
+        if -1e-9 <= bad <= n + 1e-9:
+            raise ValueError("row target %g above 1; 2-D calls take targets in [0, 1]" % bad)
+        raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]" % (bad, n))
+    if n == 0:
+        return a.copy()
+    tau = kernels.simplex_walk(np.sort(a, axis=1)[:, ::-1], None, n, k)
+    return np.clip(a - tau[:, None], 0.0, 1.0)
+
+
+def objective_grad(objective, x):
+    """Gradient A x + b of a QuadraticObjective."""
+    from binmpec.linalg import matvec
+
+    return matvec(objective.A, x) + objective.b
+
+
+def quadratic_form(M, x):
+    """x' M x, computed as <x, matvec(M, x)>."""
+    from binmpec.linalg import matvec
+
+    x = np.asarray(x, dtype=np.float64)
+    return float(np.dot(x, matvec(M, x)))

@@ -17,3 +17,9 @@ def test_adm_exports_only_its_solver():
     exported = {name for name in binmpec.__all__
                 if getattr(getattr(binmpec, name), "__module__", None) == "binmpec.adm"}
     assert exported == defined
+
+
+def test_test_helpers_are_not_library_code():
+    # no src caller needed them; tests/reference.py keeps both as references
+    assert not hasattr(binmpec.linalg, "quadratic_form")
+    assert not hasattr(binmpec.QuadraticObjective, "grad")

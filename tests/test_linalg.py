@@ -1,16 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binmpec.linalg import (DENSE_MAX, SparseMatrix, _transpose_csr,
-                            gershgorin_lower_bound, matvec, quadratic_form,
-                            spectral_norm_estimate, vector)
+                            gershgorin_lower_bound, matvec, spectral_norm_estimate,
+                            vector)
 
 from binmpec.problems import build_modularity, generate
 
 from reference import (csr_matvec_loop, jacobi_eigenvalues, jacobi_spectral_norm,
-                       transpose_csr_loop)
+                       quadratic_form, transpose_csr_loop)
 
 
 def dense_to_sparse(dense):
@@ -159,6 +161,16 @@ class TestMatvec:
         m = SparseMatrix.identity(3)
         with pytest.raises(ValueError, match="dimension"):
             matvec(m, np.ones(4))
+
+    @pytest.mark.parametrize("kron", [False, True])
+    @pytest.mark.parametrize("shape", [(), (6, 2), (1, 6), (2, 3)])
+    def test_rejects_inputs_not_of_shape_n(self, kron, shape):
+        # a 0-d input once raised IndexError from the message itself; a
+        # factor product must not reshape a 2-D input into an answer
+        m = (SparseMatrix.kron_identity(np.array([[1.0, 2.0], [2.0, 0.0]]), 3) if kron
+             else SparseMatrix.identity(6))
+        with pytest.raises(ValueError, match=r"vector has shape %s" % re.escape(repr(shape))):
+            matvec(m, np.ones(shape))
 
     def test_linearity_random(self):
         rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from binmpec import kernels, projections
 from binmpec.projections import (FeasibleSet, project_box, project_capped_simplex,
                                  project_feasible)
 
-from reference import project_blocks_loop, simplex_projection_oracle
+from reference import (newton_tau_compare, project_blocks_loop, project_capped_rows_broadcast,
+                       project_feasible_scatter, simplex_projection_oracle)
 
 
 def box_set(n, domain="pm1", **kw):
@@ -170,6 +172,27 @@ class TestProjectFeasible:
         fs = box_set(2, "zeroone", simplex_blocks=2, pinned=((0, 1.0),))
         out = project_feasible([0.3, 0.9], fs)
         assert np.allclose(out, [1.0, 0.0], atol=1e-12)
+
+
+SHAPE_SETS = {
+    "box": lambda pins: box_set(6, pinned=pins),
+    "sum": lambda pins: box_set(6, sum_constraint=0.0, pinned=pins),
+    "blocks": lambda pins: box_set(6, "zeroone", simplex_blocks=3,
+                                   pinned=tuple((i, 0.0) for i, _ in pins)),
+}
+
+
+class TestInputShape:
+    # a pinless set skips the pin scatter that once made an (n, 2) input
+    # fail, so every input not of shape (n,) is refused up front
+    @pytest.mark.parametrize("project", [project_box, project_feasible])
+    @pytest.mark.parametrize("kind", sorted(SHAPE_SETS))
+    @pytest.mark.parametrize("pins", [(), ((1, 1.0),)])
+    @pytest.mark.parametrize("shape", [(), (6, 2), (2, 3)])
+    def test_rejects_inputs_not_of_shape_n(self, project, kind, pins, shape):
+        fs = SHAPE_SETS[kind](pins)
+        with pytest.raises(ValueError, match=r"input has shape %s" % re.escape(repr(shape))):
+            project(np.full(shape, 0.5), fs)
 
 
 def random_feasible_sets(seed, count):
@@ -572,3 +595,69 @@ class TestWarmIdempotence:
             # also after the threshold has moved on
             project_feasible(a[::-1].copy(), fs, warm)
             assert same_bits(project_feasible(x, fs, warm), x)
+
+
+@st.composite
+def box_sets(draw):
+    n = draw(st.integers(1, 30))
+    domain, lo = draw(st.sampled_from([("pm1", -1.0), ("zeroone", 0.0)]))
+    pinned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n // 2))
+    pins = tuple((i, draw(st.sampled_from([lo, 1.0]))) for i in pinned)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return box_set(n, domain, pinned=pins), np.random.default_rng(seed).uniform(lo - 2.0, 3.0, n)
+
+
+class TestSameBytes:
+    """The dispatcher and the projection pieces give the bytes they gave
+    before their per-call overhead was cut (reference.py keeps those)."""
+
+    @given(st.one_of(box_sets(), sum_sets(), block_sets()))
+    def test_project_feasible_warm_and_cold(self, case):
+        fs, a = case
+        try:
+            want = project_feasible_scatter(a, fs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                project_feasible(a, fs)
+            assert str(got.value) == str(exc)
+            return
+        assert same_bits(project_feasible(a, fs), want)
+        # a drifting sequence through one WarmStart each
+        warm, warm_ref = projections.WarmStart(), projections.WarmStart()
+        for z in fista_like(np.random.default_rng(fs.n), fs.n, 6, fs.lo - 0.5, fs.hi + 0.5):
+            z = z + a
+            assert same_bits(project_feasible(z, fs, warm), project_feasible_scatter(z, fs, warm_ref))
+            assert warm.tau == warm_ref.tau
+
+    @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+           st.floats(-3.0, 3.0))
+    def test_newton_tau(self, n, frac, seed, tau):
+        rng = np.random.default_rng(seed)
+        # ties, and coordinates at or next to a break point of the start
+        a = np.round(rng.uniform(-1.0, 2.0, n), int(rng.integers(0, 3)))
+        near = rng.uniform(size=n) < 0.5
+        a[near] = tau + rng.choice([0.0, 1e-9, 0.9995, 1.0, 1.0 + 1e-9], near.sum())
+        k = frac * n
+        got = projections._newton_tau(a, k, tau)
+        want = newton_tau_compare(a, k, tau, projections.NEWTON_STEPS)
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] == want[0] and same_bits(got[1], want[1])
+
+    @given(st.integers(0, 9), st.integers(0, 6), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["rows", "scalar", "list", "nan", "high"]))
+    def test_capped_rows(self, m, n, seed, targets):
+        rng = np.random.default_rng(seed)
+        a = np.round(rng.uniform(-2.0, 3.0, (m, n)), int(rng.integers(0, 3)))
+        k = {"rows": rng.uniform(0.0, 1.0, m), "scalar": 0.5,
+             "list": [0.25] * m, "nan": np.full(m, np.nan),
+             "high": np.linspace(0.0, 2.0, m)}[targets]
+        try:
+            want = project_capped_rows_broadcast(a, k)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                project_capped_simplex(a, k)
+            assert str(got.value) == str(exc)
+            return
+        assert same_bits(project_capped_simplex(a, k), want)

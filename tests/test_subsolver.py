@@ -3,10 +3,11 @@ import pytest
 
 from binmpec import subsolver
 from binmpec.linalg import SparseMatrix, matvec
-from binmpec.projections import FeasibleSet, project_feasible
+from binmpec.projections import FeasibleSet, WarmStart, project_feasible
 from binmpec.subsolver import QuadraticModel, QuadraticObjective, minimize_fista
 
-from reference import minimize_fista_callbacks, qp_face_reference
+from reference import (minimize_fista_callbacks, minimize_fista_norms, objective_grad,
+                       qp_face_reference)
 
 
 def dense_to_sparse(dense):
@@ -26,7 +27,7 @@ class TestQuadraticObjective:
         x = np.array([2.0, 1.0])
         # 0.5 * 2 * (4 + 1) + (2 - 1) + 3
         assert obj.value(x) == pytest.approx(9.0, abs=1e-12)
-        assert np.allclose(obj.grad(x), [5.0, 1.0], atol=1e-12)
+        assert np.allclose(objective_grad(obj, x), [5.0, 1.0], atol=1e-12)
 
     def test_default_lipschitz_covers_spectrum(self):
         obj = QuadraticObjective(dense_to_sparse(np.diag([4.0, 1.0])), np.zeros(2))
@@ -171,7 +172,7 @@ class TestSolveQp:
             fs = box_set(n) if trial % 2 else box_set(n, sum_constraint=0.0)
             x, _, _, _ = solve_over(obj, fs, rng.uniform(-1, 1, n),
                                     tol=1e-12, max_iter=50000)
-            g = obj.grad(x)
+            g = objective_grad(obj, x)
             for _ in range(100):
                 y = project_feasible(rng.uniform(-2, 2, n), fs)
                 assert float(np.dot(g, y - x)) >= -1e-6
@@ -221,17 +222,17 @@ def model_shapes(obj, rng):
     return [
         ("epm", QuadraticModel(obj, obj.b - rho * v),
          lambda z: obj.value(z) - rho * float(np.dot(z, v)),
-         lambda z: obj.grad(z) - rho * v, obj.lipschitz, 0.0),
+         lambda z: objective_grad(obj, z) - rho * v, obj.lipschitz, 0.0),
         ("adm", QuadraticModel(obj, obj.b - rho * v, alpha=alpha, u=v, t=n),
          lambda z: obj.value(z) + rho * adm_gap(z) + 0.5 * alpha * adm_gap(z) ** 2,
-         lambda z: obj.grad(z) - (rho + alpha * adm_gap(z)) * v,
+         lambda z: objective_grad(obj, z) - (rho + alpha * adm_gap(z)) * v,
          obj.lipschitz + alpha * float(np.dot(v, v)), rho * n),
         ("l2box", QuadraticModel(obj, mu=mu, w=w),
          lambda z: obj.value(z) + 0.5 * mu * float(np.dot(z - w, z - w)),
-         lambda z: obj.grad(z) + mu * (z - w), obj.lipschitz + mu, 0.0),
+         lambda z: objective_grad(obj, z) + mu * (z - w), obj.lipschitz + mu, 0.0),
         ("qp", QuadraticModel(obj, obj.b + extra),
          lambda z: obj.value(z) + float(np.dot(extra, z)),
-         lambda z: obj.grad(z) + extra, obj.lipschitz, 0.0),
+         lambda z: objective_grad(obj, z) + extra, obj.lipschitz, 0.0),
     ]
 
 
@@ -362,6 +363,56 @@ class TestMinimizeFista:
                 assert np.allclose(x, rx, rtol=0.0, atol=1e-9), name
                 assert abs(iters - riters) <= 1, (name, iters, riters)
                 assert conv and rconv
+
+    def test_same_bytes_as_norm_loop(self, monkeypatch):
+        # the loop before the step difference was shared and the norms
+        # taken as sqrt(v'v): equal bytes, values, counts and verdicts, on
+        # every model shape (mu > 0 for l2box, alpha > 0 for adm), with
+        # restarts that run, through pinned and pinless sum and box sets
+        evaluations = []
+        evaluate = QuadraticModel.evaluate
+
+        def counting(self, x):
+            evaluations.append(1)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(QuadraticModel, "evaluate", counting)
+        rng = np.random.default_rng(83)
+        restarts = {}
+        for trial in range(8):
+            n = int(rng.integers(3, 12))
+            obj = random_objective(rng, n)
+            pins = ((0, 1.0),) if trial % 4 > 1 else ()
+            fs = box_set(n, pinned=pins) if trial % 2 else box_set(n, sum_constraint=0.5,
+                                                                   pinned=pins)
+            x0 = rng.uniform(-1.0, 1.0, n)
+            for name, model, _, _, _, _ in model_shapes(obj, rng):
+                for tol in (1e-5, 1e-12):
+                    warm, warm_ref = WarmStart(), WarmStart()
+                    evaluations.clear()
+                    got = minimize_fista(model, lambda z: project_feasible(z, fs, warm), x0,
+                                         tol=tol, max_iter=400)
+                    restarts[name] = restarts.get(name, 0) + len(evaluations) - 1 - got[2]
+                    want = minimize_fista_norms(
+                        model, lambda z: project_feasible(z, fs, warm_ref), x0,
+                        tol=tol, max_iter=400)
+                    assert got[0].tobytes() == want[0].tobytes(), name
+                    assert got[1:] == want[1:], name
+        assert all(count > 0 for count in restarts.values()), restarts
+
+    def test_evaluate_same_value_as_np_dot(self):
+        rng = np.random.default_rng(89)
+        obj = random_objective(rng, 9)
+        for name, model, _, _, _, _ in model_shapes(obj, rng):
+            x = rng.uniform(-1.0, 1.0, 9)
+            Ax = matvec(obj.A, x)
+            want = 0.5 * float(np.dot(x, Ax)) + float(np.dot(model.linear, x)) + model.c
+            if model.mu:
+                want += 0.5 * model.mu * float(np.dot(x - model.w, x - model.w))
+            if model.alpha:
+                gap = model.t - float(np.dot(model.u, x))
+                want += 0.5 * model.alpha * gap * gap
+            assert model.evaluate(x)[0] == want, name
 
     def test_one_product_per_value_evaluation(self, monkeypatch):
         counts = {"products": 0, "values": 0, "grads": 0}
