@@ -125,6 +125,7 @@ def solve_l2box_admm(problem, config=None):
 
     mu = config.penalty0
     x = view.project(np.zeros(n))
+    project = view.warm_projector()
     z = _sphere_step(np.zeros(n))
     u = np.zeros(n)
     trace = []
@@ -133,7 +134,7 @@ def solve_l2box_admm(problem, config=None):
     gap = float(n)
     for it in range(1, config.max_iter + 1):
         model = QuadraticModel(obj, mu=mu, w=z - u)
-        x, _, _, _ = minimize_fista(model, view.project, x, tol=1e-7, max_iter=2000)
+        x, _, _, _ = minimize_fista(model, project, x, tol=1e-7, max_iter=2000)
         z = _sphere_step(x + u)
         u = u + x - z
         gap = float(n) - float(np.dot(x, z))

@@ -1,8 +1,8 @@
 """Hot numerical kernels, vectorized numpy.
 
 The capped-simplex walk locates a projection's threshold along one
-vector; along every row of a matrix at once, for row targets in [0, 1],
-the threshold comes from sorted prefix sums.  The binary scan
+vector; along every column of a matrix at once, for column targets in
+[0, 1], the threshold comes from sorted prefix sums.  The binary scan
 enumerates {lo, hi}^m by splitting the coordinates in two halves: each
 half is tabulated once, and the objective of every feasible pair comes
 from one matrix product per chunk.  Both are deterministic, so one seed
@@ -46,9 +46,11 @@ def simplex_walk(bvals, deltas, n, k):
     """Crossing tau of g(tau) = k.
 
     1-D: ``bvals`` holds the 2n break points sorted ascending, ``deltas``
-    their slope changes.  2-D: each row of ``bvals`` is one row of the
-    input sorted descending, ``deltas`` is None, and each row's k[i] lies
-    in [0, 1]; tau comes from the sorted prefix sums.
+    their slope changes.  2-D: ``bvals`` is (n, m), each column one input
+    row of n values sorted descending, ``deltas`` is None, and each
+    column's k[j] lies in [0, 1]; tau comes from the sorted prefix sums.
+    Reducing along axis 0 gives the bits a row-major layout gives: each
+    prefix sum still adds in order, and max does not depend on order.
     """
     if bvals.ndim == 1:
         return _simplex_walk_vec(bvals, deltas, n, float(k))
@@ -57,10 +59,10 @@ def simplex_walk(bvals, deltas, n, k):
     # rho the count of j with j*s_j > S_j - k; (S_j - k) / j rises up to
     # j = rho and does not rise after it, so tau is its maximum over j
     # (Held, Wolfe & Crowder 1974; Duchi et al. 2008; Condat 2016)
-    csum = bvals.cumsum(axis=1)
-    csum -= k[:, None]
-    csum /= np.arange(1, n + 1)
-    return csum.max(axis=1)
+    csum = bvals.cumsum(axis=0)
+    csum -= k
+    csum /= np.arange(1, n + 1)[:, None]
+    return np.maximum.reduce(csum, axis=0)
 
 
 # ---------------------------------------------------------------------------

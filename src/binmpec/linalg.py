@@ -124,11 +124,6 @@ class SparseMatrix:
         W.flags.writeable = False
         self.factor = W
 
-    @classmethod
-    def identity(cls, n, scale=1.0):
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, np.arange(n + 1, dtype=np.int64), idx, np.full(n, float(scale)))
-
     @property
     def nnz(self):
         return int(self.row_offsets[-1])
@@ -182,8 +177,10 @@ def matvec(M, x):
                          % (M.n_rows, x.shape))
     if M.factor is not None:
         return (M.factor @ x.reshape(M.factor.shape[0], -1)).reshape(-1)
+    weights = x[M.col_indices]
+    weights *= M.values
     # with no stored entries bincount ignores the weights and returns ints
-    return np.bincount(M.row_indices(), weights=M.values * x[M.col_indices],
+    return np.bincount(M.row_indices(), weights=weights,
                        minlength=M.n_rows).astype(np.float64, copy=False)
 
 

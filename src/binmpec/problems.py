@@ -364,7 +364,7 @@ def round_feasible(y, fset):
     if fset.sum_constraint is not None:
         if fset.sum_ones < 0:
             return x, False
-        free = np.flatnonzero(~fset.pin_mask())
+        free = fset.free
         order = np.lexsort((free, -y[free]))  # by value desc, then index asc
         chosen = free[order[:fset.sum_ones]]
         x[free] = lo

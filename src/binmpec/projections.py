@@ -9,6 +9,13 @@ import numpy as np
 from . import kernels
 from .reformulations import domain_bounds
 
+# the ufunc behind ndarray.clip, without its Python wrapper; unlike
+# np.minimum(np.maximum(...)) it keeps -0.0
+try:
+    from numpy._core.umath import clip as _clip  # numpy 2
+except ImportError:
+    from numpy.core.umath import clip as _clip  # numpy 1.24
+
 
 BINARY_TOL = 1e-9  # how far a pin or a target may sit from a binary value
 
@@ -149,7 +156,7 @@ def project_box(a, fset):
     """Clamp to the box, then overwrite pinned coordinates."""
     a = np.asarray(a, dtype=np.float64)
     _check_shape(a, fset)
-    x = a.clip(fset.lo, fset.hi)
+    x = _clip(a, fset.lo, fset.hi)
     if fset.pinned:
         x[fset.pin_index] = fset.pin_value
     return x
@@ -207,8 +214,8 @@ def project_capped_simplex(a, k, warm=None):
         return np.zeros(n)
     if k >= n - 1e-13:
         return np.ones(n)
-    if (abs(a.sum() - k) <= max(1e-13, 4.0 * math.ulp(k))
-            and a.min() >= 0.0 and a.max() <= 1.0):
+    if (abs(np.add.reduce(a) - k) <= max(1e-13, 4.0 * math.ulp(k))
+            and np.minimum.reduce(a) >= 0.0 and np.maximum.reduce(a) <= 1.0):
         return a.copy()
     found = None
     if warm is not None and warm.tau is not None:
@@ -217,7 +224,7 @@ def project_capped_simplex(a, k, warm=None):
         walk = _sorted_tau(a, n, k)
         found = _newton_tau(a, k, walk)
         if found is None:
-            found = walk, (a - walk).clip(0.0, 1.0)
+            found = walk, _clip(a - walk, 0.0, 1.0)
     tau, x = found
     if warm is not None:
         warm.tau = tau
@@ -226,9 +233,10 @@ def project_capped_simplex(a, k, warm=None):
 
 def _sorted_tau(a, n, k):
     bvals = np.concatenate((a - 1.0, a))
-    deltas = np.concatenate((np.ones(n, dtype=np.int64), -np.ones(n, dtype=np.int64)))
     order = np.argsort(bvals, kind="stable")
-    return kernels.simplex_walk(bvals[order], deltas[order], n, k)
+    # the first n break points, a - 1, turn a slope on; the last n turn it off
+    deltas = np.where(order < n, 1, -1)
+    return kernels.simplex_walk(bvals[order], deltas, n, k)
 
 
 def _newton_tau(a, k, tau):
@@ -249,8 +257,8 @@ def _newton_tau(a, k, tau):
     piece = None
     for _ in range(NEWTON_STEPS):
         d = a - tau
-        x = d.clip(0.0, 1.0)
-        miss = x.sum() - k
+        x = _clip(d, 0.0, 1.0)
+        miss = np.add.reduce(x) - k
         if abs(miss) <= 1e-13:
             return tau, x
         top = np.count_nonzero(x == 1.0)
@@ -285,11 +293,13 @@ def _project_capped_rows(a, k):
         raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]" % (bad, n))
     if n == 0:
         return a.copy()
-    rows = a.copy()
-    rows.sort(axis=1)
-    tau = kernels.simplex_walk(rows[:, ::-1], None, n, k)
+    # one column per row: the kernel reduces along axis 0 of a contiguous
+    # (n, m) array, with no per-row loop
+    cols = a.T.copy()
+    cols.sort(axis=0)
+    tau = kernels.simplex_walk(cols[::-1], None, n, k)
     x = a - tau[:, None]
-    return x.clip(0.0, 1.0, out=x)
+    return _clip(x, 0.0, 1.0, out=x)
 
 
 def project_feasible(a, fset, warm=None):
@@ -305,21 +315,35 @@ def project_feasible(a, fset, warm=None):
     _check_shape(a, fset)
     if fset.sum_constraint is None and fset.simplex_blocks is None:
         return project_box(a, fset)
-    lo, span = fset.lo, fset.span
     if not fset.pinned:
-        y = (a - lo) / span
+        y = _to_unit(a, fset)
         if fset.sum_constraint is not None:
-            return lo + span * project_capped_simplex(y, fset.sum_target, warm)
+            return _from_unit(project_capped_simplex(y, fset.sum_target, warm), fset)
         for _, free_idx, target in fset.block_groups:  # one group; none when n = 0
             y = project_capped_simplex(y.reshape(free_idx.shape), target)
-        return (lo + span * y).reshape(-1)
+        return _from_unit(y, fset).reshape(-1)
     x = np.empty_like(a)
     x[fset.pin_index] = fset.pin_value
     if fset.sum_constraint is not None:
-        y = project_capped_simplex((a[fset.free] - lo) / span, fset.sum_target, warm)
-        x[fset.free] = lo + span * y
+        y = _to_unit(a[fset.free], fset)
+        x[fset.free] = _from_unit(project_capped_simplex(y, fset.sum_target, warm), fset)
         return x
     # simplex blocks: one row-wise projection per count of free coordinates
     for _, free_idx, target in fset.block_groups:
-        x[free_idx] = lo + span * project_capped_simplex((a[free_idx] - lo) / span, target)
+        y = project_capped_simplex(_to_unit(a[free_idx], fset), target)
+        x[free_idx] = _from_unit(y, fset)
     return x
+
+
+def _to_unit(a, fset):
+    """(a - lo) / span, as a new array."""
+    y = a - fset.lo
+    y /= fset.span
+    return y
+
+
+def _from_unit(y, fset):
+    """lo + span * y, in place on y, a projection's own output."""
+    y *= fset.span
+    y += fset.lo
+    return y

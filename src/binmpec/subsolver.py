@@ -191,10 +191,10 @@ def minimize_fista(model, project, x0, tol=1e-5, max_iter=2000):
     iterations = 0
     converged = False
     for it in range(max_iter):
-        x_new = project(y - step * model.grad(y, Ay))
+        x_new = project(_step(y, step, model.grad(y, Ay)))
         f_new, Ax_new = model.evaluate(x_new)
         if f_new > fx + 1e-12:
-            x_new = project(x - step * model.grad(x, Ax))
+            x_new = project(_step(x, step, model.grad(x, Ax)))
             f_new, Ax_new = model.evaluate(x_new)
             tk = 1.0
         dx = x_new - x
@@ -210,3 +210,9 @@ def minimize_fista(model, project, x0, tol=1e-5, max_iter=2000):
             break
         x_norm = math.sqrt(float(x.dot(x)))
     return x, fx, iterations, converged
+
+
+def _step(x, step, g):
+    """x - step * g, in place on the gradient g, which is made anew per call."""
+    g *= step
+    return np.subtract(x, g, out=g)

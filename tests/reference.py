@@ -17,9 +17,13 @@ projecting onto the set's prepared {-1, +1} image replaced.
 ``minimize_fista_norms``, ``project_feasible_scatter``,
 ``newton_tau_compare`` and ``project_capped_rows_broadcast`` are the
 x-step loop and projection pieces as they were before their per-call
-overhead was cut, kept verbatim so the tests can ask for equal bytes.
+overhead was cut, kept verbatim so the tests can ask for equal bytes;
+``project_capped_rows`` and ``simplex_walk_rows`` are the block
+projection and its kernel as they were before the rows went
+column-major, kept for the same reason.
 ``objective_grad`` and ``quadratic_form`` are the gradient and the
-quadratic form the library no longer needs.
+quadratic form the library no longer needs, and ``identity`` builds the
+scaled identity matrix that only tests use.
 """
 
 import itertools
@@ -498,8 +502,6 @@ def newton_tau_compare(a, k, tau, steps=6):
 def project_capped_rows_broadcast(a, k):
     """``projections._project_capped_rows`` checking its targets through
     ``np.broadcast_to`` and three elementwise tests."""
-    from binmpec import kernels
-
     m, n = a.shape
     k = np.broadcast_to(np.asarray(k, dtype=np.float64), (m,))
     ok = (k >= -1e-9) & (k <= min(n, 1.0) + 1e-9)  # NaN fails both
@@ -510,8 +512,39 @@ def project_capped_rows_broadcast(a, k):
         raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]" % (bad, n))
     if n == 0:
         return a.copy()
-    tau = kernels.simplex_walk(np.sort(a, axis=1)[:, ::-1], None, n, k)
+    tau = simplex_walk_rows(np.sort(a, axis=1)[:, ::-1], n, k)
     return np.clip(a - tau[:, None], 0.0, 1.0)
+
+
+def project_capped_rows(a, k):
+    """``projections._project_capped_rows`` sorting and reducing row by row."""
+    m, n = a.shape
+    k = np.asarray(k, dtype=np.float64)
+    if k.shape != (m,):
+        k = np.broadcast_to(k, (m,))
+    cap = min(n, 1.0) + 1e-9
+    # a NaN target makes both reductions NaN, and NaN fails both tests
+    if not (k.min(initial=0.0) >= -1e-9 and k.max(initial=0.0) <= cap):
+        bad = k[~((k >= -1e-9) & (k <= cap))][0]
+        if -1e-9 <= bad <= n + 1e-9:
+            raise ValueError("row target %g above 1; 2-D calls take targets in [0, 1]" % bad)
+        raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]" % (bad, n))
+    if n == 0:
+        return a.copy()
+    rows = a.copy()
+    rows.sort(axis=1)
+    tau = simplex_walk_rows(rows[:, ::-1], n, k)
+    x = a - tau[:, None]
+    return x.clip(0.0, 1.0, out=x)
+
+
+def simplex_walk_rows(bvals, n, k):
+    """``kernels.simplex_walk``'s 2-D branch on rows: each row of ``bvals``
+    is one input row sorted descending, with its target k[i] in [0, 1]."""
+    csum = bvals.cumsum(axis=1)
+    csum -= k[:, None]
+    csum /= np.arange(1, n + 1)
+    return csum.max(axis=1)
 
 
 def objective_grad(objective, x):
@@ -519,6 +552,14 @@ def objective_grad(objective, x):
     from binmpec.linalg import matvec
 
     return matvec(objective.A, x) + objective.b
+
+
+def identity(n, scale=1.0):
+    """scale * I_n as a SparseMatrix, built from its diagonal triplets."""
+    from binmpec.linalg import SparseMatrix
+
+    idx = np.arange(n, dtype=np.int64)
+    return SparseMatrix.from_coo(n, idx, idx, np.full(n, float(scale)))
 
 
 def quadratic_form(M, x):

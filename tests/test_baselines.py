@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from binmpec import kernels, projections
 from binmpec.baselines import (BaselineConfig, BaselineMethod, _sphere_step,
                                solve_iht, solve_l2box_admm, solve_lp_round)
 from binmpec.linalg import SparseMatrix
@@ -12,12 +13,14 @@ from binmpec.problems import (Graph, ProblemInstance, build_bisection,
 from binmpec.projections import FeasibleSet
 from binmpec.subsolver import QuadraticObjective
 
+from reference import identity
+
 C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
 K3 = Graph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
 
 
 def identity_instance(n, b=None):
-    obj = QuadraticObjective(SparseMatrix.identity(n),
+    obj = QuadraticObjective(identity(n),
                              np.zeros(n) if b is None else np.asarray(b, float))
     fs = FeasibleSet(n, "pm1")
     return ProblemInstance(obj, fs)
@@ -219,6 +222,32 @@ class TestL2BoxAdmm:
         rep = solve_l2box_admm(identity_instance(3))
         assert rep.trace[-1][2] == pytest.approx(
             rep.complementarity_gap_final, abs=1e-15)
+
+    def test_sum_projections_start_warm(self, monkeypatch):
+        # each x-step projection starts Newton from the last threshold, so
+        # the sorted walk runs about once per solve, not once per
+        # projection that is not already feasible
+        side, n = 6, 36
+        edges = [(i, i + 1, 1.0) for i in range(n) if (i + 1) % side]
+        edges += [(i, i + side, 1.0) for i in range(n - side)]
+        prob = build_bisection(Graph(n, tuple(edges)))
+        calls = {"projections": 0, "walks": 0}
+        project, walk = projections.project_capped_simplex, kernels.simplex_walk
+
+        def counted_project(a, *args):
+            calls["projections"] += 1
+            return project(a, *args)
+
+        def counted_walk(bvals, *args):
+            calls["walks"] += 1
+            return walk(bvals, *args)
+
+        monkeypatch.setattr(projections, "project_capped_simplex", counted_project)
+        monkeypatch.setattr(kernels, "simplex_walk", counted_walk)
+        rep = solve_l2box_admm(prob)
+        assert rep.feasible
+        assert calls["projections"] >= 1000
+        assert calls["walks"] <= calls["projections"] // 100
 
     def test_mrf_zeroone_domain(self):
         g = Graph(2, ((0, 1, 1.0),))

@@ -5,20 +5,19 @@ import pytest
 
 from binmpec.adm import ALPHA_CAP, AdmConfig, solve_adm
 from binmpec.epm import EpmConfig, epm_v_update, solve_epm
-from binmpec.linalg import SparseMatrix
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, ProblemInstance, build_bisection,
                               build_modularity, build_mrf, generate)
 from binmpec.projections import FeasibleSet
 from binmpec.subsolver import QuadraticModel, QuadraticObjective
 
-from reference import ball_linear_max_oracle
+from reference import ball_linear_max_oracle, identity
 
 C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
 
 
 def identity_instance(n, b=None, scale=1.0):
-    obj = QuadraticObjective(SparseMatrix.identity(n, scale=scale),
+    obj = QuadraticObjective(identity(n, scale=scale),
                              np.zeros(n) if b is None else np.asarray(b, float))
     fs = FeasibleSet(n, "pm1")
     return ProblemInstance(obj, fs)
@@ -234,12 +233,12 @@ class TestInnerSolverSettings:
     @pytest.mark.parametrize("bad", [0.0, -4.0, float("nan"), float("inf")])
     def test_model_rejects_bad_lipschitz(self, bad):
         # 1/L is FISTA's step: 0 divides by zero, a negative L climbs
-        obj = SimpleNamespace(A=SparseMatrix.identity(2), b=np.zeros(2), c=0.0,
+        obj = SimpleNamespace(A=identity(2), b=np.zeros(2), c=0.0,
                               lipschitz=bad)
         with pytest.raises(ValueError, match="finite and positive"):
             QuadraticModel(obj)
 
     def test_model_rejects_overflowing_lipschitz(self):
-        obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
+        obj = QuadraticObjective(identity(2), np.zeros(2))
         with pytest.raises(ValueError, match="finite and positive"):
             QuadraticModel(obj, alpha=1e300, u=np.full(2, 1e10), t=2.0)

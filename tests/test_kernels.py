@@ -5,7 +5,7 @@ from binmpec import kernels
 from binmpec.kernels import binary_scan, simplex_walk
 from binmpec.linalg import SparseMatrix, matvec
 
-from reference import chunked_binary_scan, csr_matvec_loop, gray_scan_loop
+from reference import chunked_binary_scan, csr_matvec_loop, gray_scan_loop, simplex_walk_rows
 
 
 def random_csr(rng, n):
@@ -183,12 +183,14 @@ def sorted_break_points(a):
     return np.take_along_axis(bvals, order, axis=-1), deltas[order]
 
 
-def sorted_rows(a):
-    return np.sort(a, axis=1)[:, ::-1]
+def sorted_columns(a):
+    """The rows of a as the columns of an (n, m) array, sorted descending."""
+    return np.sort(a.T, axis=0)[::-1]
 
 
 class TestSimplexWalkRows:
-    # the 2-D branch takes rows sorted descending and targets in [0, 1]
+    # the 2-D branch takes each row as a column sorted descending, and
+    # targets in [0, 1]
     def test_rows_match_one_dimensional_walk(self):
         # the thresholds may differ where g is flat; the projected points
         # agree to rounding
@@ -200,8 +202,10 @@ class TestSimplexWalkRows:
             k = rng.uniform(0.0, 1.0, 30)
             k[1], k[2] = 0.0, 1.0
             bv, dl = sorted_break_points(a)
-            tau = simplex_walk(sorted_rows(a), None, n, k)
+            tau = simplex_walk(sorted_columns(a), None, n, k)
             assert tau.shape == (30,)
+            # the bits of the row-wise kernel
+            assert tau.tobytes() == simplex_walk_rows(sorted_columns(a).T, n, k).tobytes()
             for i in range(30):
                 want = np.clip(a[i] - simplex_walk(bv[i], dl[i], n, k[i]), 0.0, 1.0)
                 got = np.clip(a[i] - tau[i], 0.0, 1.0)
@@ -212,7 +216,7 @@ class TestSimplexWalkRows:
         rng = np.random.default_rng(68)
         a = rng.uniform(-2.0, 3.0, (50, 6))
         k = rng.uniform(0.0, 1.0, 50)
-        tau = simplex_walk(sorted_rows(a), None, 6, k)
+        tau = simplex_walk(sorted_columns(a), None, 6, k)
         sums = np.clip(a - tau[:, None], 0.0, 1.0).sum(axis=1)
         assert np.allclose(sums, k, rtol=0.0, atol=1e-12)
 

@@ -11,8 +11,8 @@ from binmpec.linalg import (DENSE_MAX, SparseMatrix, _transpose_csr,
 
 from binmpec.problems import build_modularity, generate
 
-from reference import (csr_matvec_loop, jacobi_eigenvalues, jacobi_spectral_norm,
-                       quadratic_form, transpose_csr_loop)
+from reference import (csr_matvec_loop, identity, jacobi_eigenvalues,
+                       jacobi_spectral_norm, quadratic_form, transpose_csr_loop)
 
 
 def dense_to_sparse(dense):
@@ -45,7 +45,7 @@ class TestSparseMatrix:
         assert m.to_dense().tolist() == [[0.0, 5.0], [5.0, 0.0]]
 
     def test_identity_and_scaled(self):
-        m = SparseMatrix.identity(3, scale=2.0)
+        m = identity(3, scale=2.0)
         assert np.array_equal(m.to_dense(), 2.0 * np.eye(3))
         assert np.array_equal(m.scaled(0.5).to_dense(), np.eye(3))
 
@@ -81,7 +81,7 @@ class TestSparseMatrix:
             SparseMatrix.from_coo(2, [0, 1], [1, 0], [1.0, 2.0])
 
     def test_immutable_after_construction(self):
-        m = SparseMatrix.identity(2)
+        m = identity(2)
         with pytest.raises(ValueError):
             m.values[0] = 7.0
 
@@ -145,7 +145,11 @@ class TestGershgorinLowerBound:
 
 class TestMatvec:
     def test_identity(self):
-        m = SparseMatrix.identity(3)
+        # from_coo stores the diagonal triplets as one entry per row
+        m = identity(3)
+        assert m.row_offsets.tolist() == [0, 1, 2, 3]
+        assert m.col_indices.tolist() == [0, 1, 2]
+        assert m.values.tolist() == [1.0, 1.0, 1.0]
         assert matvec(m, [1.0, 2.0, 3.0]).tolist() == [1.0, 2.0, 3.0]
 
     def test_zero_matrix(self):
@@ -158,7 +162,7 @@ class TestMatvec:
         assert np.allclose(matvec(m, np.ones(3)), 0.0, atol=1e-15)
 
     def test_dimension_mismatch(self):
-        m = SparseMatrix.identity(3)
+        m = identity(3)
         with pytest.raises(ValueError, match="dimension"):
             matvec(m, np.ones(4))
 
@@ -168,7 +172,7 @@ class TestMatvec:
         # a 0-d input once raised IndexError from the message itself; a
         # factor product must not reshape a 2-D input into an answer
         m = (SparseMatrix.kron_identity(np.array([[1.0, 2.0], [2.0, 0.0]]), 3) if kron
-             else SparseMatrix.identity(6))
+             else identity(6))
         with pytest.raises(ValueError, match=r"vector has shape %s" % re.escape(repr(shape))):
             matvec(m, np.ones(shape))
 
@@ -243,7 +247,7 @@ class TestKronIdentity:
         assert A.factor[0, 0] == 2.0
         with pytest.raises(ValueError):
             A.factor[0, 0] = 7.0
-        assert SparseMatrix.identity(2).factor is None
+        assert identity(2).factor is None
 
     @pytest.mark.parametrize("W,k", [(np.ones((2, 3)), 2), (np.ones(4), 2),
                                      (np.zeros((0, 0)), 2), (np.eye(2), 0)])
@@ -272,7 +276,7 @@ class TestQuadraticForm:
         assert quadratic_form(m, np.array([1.0, 1.0, -1.0, -1.0])) == pytest.approx(8.0)
 
     def test_zero_vector(self):
-        m = SparseMatrix.identity(4)
+        m = identity(4)
         assert quadratic_form(m, np.zeros(4)) == 0.0
 
     def test_agrees_with_matvec_inner_product(self):

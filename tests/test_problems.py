@@ -24,7 +24,8 @@ from binmpec.projections import FeasibleSet, WarmStart
 from binmpec.report import SolveReport
 from binmpec.subsolver import QuadraticObjective
 
-from reference import modularity_triplets_loop, project_conjugated, round_blocks_loop
+from reference import (identity, modularity_triplets_loop, project_conjugated,
+                       round_blocks_loop)
 
 P3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
 C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
@@ -523,7 +524,7 @@ class TestProblemInstanceValidation:
     def test_failed_rounding_reported_infeasible(self, solve):
         # three +-1 coordinates cannot sum to zero, so no rounding succeeds
         fs = FeasibleSet(3, "pm1", sum_constraint=0.0)
-        prob = ProblemInstance(QuadraticObjective(SparseMatrix.identity(3), np.zeros(3)), fs)
+        prob = ProblemInstance(QuadraticObjective(identity(3), np.zeros(3)), fs)
         rep = solve(prob)
         assert not rep.feasible
         assert not check_binary_feasible(np.array(rep.x_binary), fs)

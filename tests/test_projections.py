@@ -10,8 +10,9 @@ from binmpec import kernels, projections
 from binmpec.projections import (FeasibleSet, project_box, project_capped_simplex,
                                  project_feasible)
 
-from reference import (newton_tau_compare, project_blocks_loop, project_capped_rows_broadcast,
-                       project_feasible_scatter, simplex_projection_oracle)
+from reference import (newton_tau_compare, project_blocks_loop, project_capped_rows,
+                       project_capped_rows_broadcast, project_feasible_scatter,
+                       simplex_projection_oracle)
 
 
 def box_set(n, domain="pm1", **kw):
@@ -645,19 +646,35 @@ class TestSameBytes:
         else:
             assert got[0] == want[0] and same_bits(got[1], want[1])
 
+    def test_clip_ufunc(self):
+        # the clip ufunc bound at import gives ndarray.clip's bytes and keeps -0.0
+        a = np.array([-0.0, 0.0, -1.5, 0.25, 1.0, 2.0, np.nan, -np.inf, np.inf])
+        got = projections._clip(a, 0.0, 1.0)
+        assert same_bits(got, a.clip(0.0, 1.0))
+        assert math.copysign(1.0, got[0]) == -1.0
+
     @given(st.integers(0, 9), st.integers(0, 6), st.integers(0, 2 ** 32 - 1),
-           st.sampled_from(["rows", "scalar", "list", "nan", "high"]))
+           st.sampled_from(["rows", "scalar", "list", "nan", "high", "zeros"]))
     def test_capped_rows(self, m, n, seed, targets):
+        # the column-major path against the row-wise projection and kernel
         rng = np.random.default_rng(seed)
         a = np.round(rng.uniform(-2.0, 3.0, (m, n)), int(rng.integers(0, 3)))
+        # signed zeros, and whole rows of one value or of zeros only
+        a[rng.uniform(size=(m, n)) < 0.3] = 0.0
+        a[rng.uniform(size=(m, n)) < 0.3] = -0.0
+        tied = rng.uniform(size=m) < 0.2
+        a[tied] = a[tied, :1]
         k = {"rows": rng.uniform(0.0, 1.0, m), "scalar": 0.5,
              "list": [0.25] * m, "nan": np.full(m, np.nan),
-             "high": np.linspace(0.0, 2.0, m)}[targets]
+             "high": np.linspace(0.0, 2.0, m),
+             "zeros": rng.choice([0.0, -0.0, 1.0], m)}[targets]
         try:
-            want = project_capped_rows_broadcast(a, k)
+            want = project_capped_rows(a, k)
         except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                project_capped_simplex(a, k)
-            assert str(got.value) == str(exc)
+            for project in (project_capped_simplex, project_capped_rows_broadcast):
+                with pytest.raises(ValueError) as got:
+                    project(a, k)
+                assert str(got.value) == str(exc)
             return
         assert same_bits(project_capped_simplex(a, k), want)
+        assert same_bits(project_capped_rows_broadcast(a, k), want)

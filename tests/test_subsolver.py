@@ -6,8 +6,8 @@ from binmpec.linalg import SparseMatrix, matvec
 from binmpec.projections import FeasibleSet, WarmStart, project_feasible
 from binmpec.subsolver import QuadraticModel, QuadraticObjective, minimize_fista
 
-from reference import (minimize_fista_callbacks, minimize_fista_norms, objective_grad,
-                       qp_face_reference)
+from reference import (identity, minimize_fista_callbacks, minimize_fista_norms,
+                       objective_grad, qp_face_reference)
 
 
 def dense_to_sparse(dense):
@@ -22,7 +22,7 @@ def box_set(n, domain="pm1", **kw):
 
 class TestQuadraticObjective:
     def test_value_and_grad(self):
-        obj = QuadraticObjective(SparseMatrix.identity(2, scale=2.0),
+        obj = QuadraticObjective(identity(2, scale=2.0),
                                  np.array([1.0, -1.0]), c=3.0)
         x = np.array([2.0, 1.0])
         # 0.5 * 2 * (4 + 1) + (2 - 1) + 3
@@ -61,7 +61,7 @@ class TestQuadraticObjective:
 
     def test_b_length_checked(self):
         with pytest.raises(ValueError):
-            QuadraticObjective(SparseMatrix.identity(2), np.zeros(3))
+            QuadraticObjective(identity(2), np.zeros(3))
 
     def test_scaled_carries_bounds_without_estimating(self):
         src = QuadraticObjective(dense_to_sparse([[2.0, -1.0], [-1.0, 2.0]]),
@@ -77,7 +77,7 @@ class TestQuadraticObjective:
         assert obj.value(x) == pytest.approx(want, abs=1e-12)
 
     def test_scaled_validates(self):
-        src = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
+        src = QuadraticObjective(identity(2), np.zeros(2))
         with pytest.raises(ValueError, match="positive"):
             src.scaled(0.0, np.zeros(2))
         # with no stored entries nothing else stops an infinite L
@@ -102,7 +102,7 @@ class TestSolveQp:
     # minimize_fista on a QuadraticModel over a FeasibleSet's projection
     def test_unconstrained_minimum_inside_box(self):
         # 0.5 ||x||^2 over [-1, 1]^2 from a far corner
-        obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
+        obj = QuadraticObjective(identity(2), np.zeros(2))
         x, _, _, converged = solve_over(obj, box_set(2), np.array([1.0, -1.0]),
                                         tol=1e-10, max_iter=20000)
         assert np.allclose(x, 0.0, atol=1e-6)
@@ -116,7 +116,7 @@ class TestSolveQp:
 
     def test_sum_constrained_symmetric(self):
         # min x'x - 2 sum(x) over [0,1]^2 with sum = 1 lands at (0.5, 0.5)
-        obj = QuadraticObjective(SparseMatrix.identity(2, scale=2.0),
+        obj = QuadraticObjective(identity(2, scale=2.0),
                                  np.array([-2.0, -2.0]))
         fs = box_set(2, "zeroone", sum_constraint=1.0)
         x, _, _, _ = solve_over(obj, fs, np.array([1.0, 0.0]), tol=1e-10, max_iter=20000)
@@ -192,7 +192,7 @@ class TestSolveQp:
             assert fx <= obj.value(ref) + 1e-8
 
     def test_dimension_mismatches(self):
-        obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
+        obj = QuadraticObjective(identity(2), np.zeros(2))
         with pytest.raises(ValueError):
             solve_over(obj, box_set(3), np.zeros(3), tol=1e-5, max_iter=2000)
         with pytest.raises(ValueError, match="linear of shape"):
@@ -253,7 +253,7 @@ class TestQuadraticModel:
             assert model.lipschitz == lip
 
     def test_product_reuses_last_evaluation(self, monkeypatch):
-        obj = QuadraticObjective(SparseMatrix.identity(3, scale=2.0), np.zeros(3))
+        obj = QuadraticObjective(identity(3, scale=2.0), np.zeros(3))
         model = QuadraticModel(obj)
         x = np.array([1.0, 2.0, 3.0])
         _, Ax = model.evaluate(x)
@@ -273,7 +273,7 @@ class TestQuadraticModel:
         # the value here
         n = 900
         rng = np.random.default_rng(67)
-        obj = QuadraticObjective(SparseMatrix.identity(n, scale=2.0),
+        obj = QuadraticObjective(identity(n, scale=2.0),
                                  rng.standard_normal(n))
         s = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
         x = np.clip(s + 1e-4 * rng.standard_normal(n), -1.0, 1.0)
@@ -293,14 +293,14 @@ class TestQuadraticModel:
     @pytest.mark.parametrize("kw", [{"mu": -1.0, "w": np.zeros(2)},
                                     {"alpha": -1.0, "u": np.ones(2)}])
     def test_negative_weights_rejected(self, kw):
-        obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
+        obj = QuadraticObjective(identity(2), np.zeros(2))
         with pytest.raises(ValueError, match="nonnegative"):
             QuadraticModel(obj, **kw)
 
     @pytest.mark.parametrize("kw,name", [({"mu": 1.0}, "w"), ({"alpha": 1.0, "t": 2.0}, "u")])
     def test_weight_without_its_vector_rejected(self, kw, name):
         # unchecked, these build and fail at the first evaluate with a bare TypeError
-        obj = QuadraticObjective(SparseMatrix.identity(2), np.zeros(2))
+        obj = QuadraticObjective(identity(2), np.zeros(2))
         with pytest.raises(ValueError, match="needs %s" % name):
             QuadraticModel(obj, **kw)
 
@@ -338,7 +338,7 @@ class TestMinimizeFista:
 
     def test_reports_iterations_and_convergence(self):
         # f = z'z from a far point
-        obj = QuadraticObjective(SparseMatrix.identity(2, scale=2.0), np.zeros(2))
+        obj = QuadraticObjective(identity(2, scale=2.0), np.zeros(2))
         x, fx, iters, conv = minimize_fista(
             QuadraticModel(obj), lambda z: z, np.array([4.0, -4.0]),
             tol=1e-9, max_iter=1000)
