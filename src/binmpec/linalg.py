@@ -23,9 +23,17 @@ class SparseMatrix:
     construction and safe to share between solves.  ``factor`` is the
     dense W of a matrix built as W kron I_k (``kron_identity``), through
     which ``matvec`` takes its products, and None otherwise.
+
+    Every other product runs on the padded column-major layout that
+    ``padded()`` builds on first use (ELL, Bell & Garland 2009): a
+    read-only (w, n) ``intp`` column array C and a (w, n) value array V,
+    w the largest row degree.  Column i holds row i's stored entries in
+    storage order; padding slots hold column 0 and the value 0.0.  A
+    matrix whose padding would take more than 2 nnz + n slots, such as a
+    star graph's hub row, keeps the ``bincount`` product instead.
     """
 
-    __slots__ = ("n_rows", "row_offsets", "col_indices", "values", "_rows", "factor")
+    __slots__ = ("n_rows", "row_offsets", "col_indices", "values", "factor", "_padded")
 
     def __init__(self, n, row_offsets, col_indices, values):
         self.n_rows = int(n)
@@ -33,8 +41,9 @@ class SparseMatrix:
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self.factor = None
+        self._padded = None  # built by the first CSR product
         self._validate()
-        for arr in (self.row_offsets, self.col_indices, self.values, self._rows):
+        for arr in (self.row_offsets, self.col_indices, self.values):
             arr.flags.writeable = False
 
     def _validate(self):
@@ -52,8 +61,7 @@ class SparseMatrix:
         if nnz:
             if self.col_indices.min() < 0 or self.col_indices.max() >= n:
                 raise ValueError("column index out of range")
-        # kept for matvec, which would otherwise rebuild it on every product
-        self._rows = rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
+        rows = self.row_indices()
         # columns may fall only where a new row starts
         bad = (rows[1:] == rows[:-1]) & (np.diff(self.col_indices) <= 0)
         if np.any(bad):
@@ -129,8 +137,29 @@ class SparseMatrix:
         return int(self.row_offsets[-1])
 
     def row_indices(self):
-        """Row index of every stored entry, in storage order (read-only)."""
-        return self._rows
+        """Row index of every stored entry, in storage order, computed anew
+        on each call (set-up paths and the ``bincount`` product)."""
+        return np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))
+
+    def padded(self):
+        """The padded layout (C, V) of the CSR product, built on the first
+        call; None when it would take more than 2 nnz + n slots.  Two
+        threads racing here build equal arrays, so either may win."""
+        if self._padded is None:
+            n, off = self.n_rows, self.row_offsets
+            width = int(np.max(np.diff(off), initial=0))
+            if width * n > 2 * self.nnz + n:
+                self._padded = ()  # decided: the bincount product
+            else:
+                rows = self.row_indices()
+                slot = np.arange(self.nnz) - off[rows]
+                cols = np.zeros((width, n), dtype=np.intp)
+                vals = np.zeros((width, n))
+                cols[slot, rows] = self.col_indices
+                vals[slot, rows] = self.values
+                cols.flags.writeable = vals.flags.writeable = False
+                self._padded = (cols, vals)
+        return self._padded or None
 
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_rows))
@@ -167,16 +196,27 @@ def _transpose_csr(n, offsets, cols, vals):
 
 def matvec(M, x):
     """M x.  For M = W kron I_k it is vec(W X) with X = x as a (nodes, k)
-    matrix, one BLAS product (Van Loan 2000).  Otherwise ``np.bincount``
-    adds the stored products into their rows in storage order, so each
-    entry is the row's sum taken left to right, bit-identical to the
-    sequential row-by-row loop."""
+    matrix, one BLAS product (Van Loan 2000).  Otherwise it is
+    ``g = x[C]; g *= V`` on M's padded layout, reduced along axis 0 (numpy
+    sums a contiguous axis pairwise) from ``initial=0.0``: each entry is
+    +0.0 plus the row's products taken left to right, the padding adding
+    +-0.0, bit-identical to the sequential row-by-row loop for finite x.
+    The initial value pins that start: a reduction seeded with a row's
+    first product, as numpy may seed it, returns -0.0 for a row whose
+    products are all -0.0.  A matrix that keeps no padded layout (more
+    than 2 nnz + n slots) takes ``np.bincount``, which adds the products
+    into their rows in the same order."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.n_rows,):
         raise ValueError("dimension mismatch: matrix has order %d, vector has shape %r"
                          % (M.n_rows, x.shape))
     if M.factor is not None:
         return (M.factor @ x.reshape(M.factor.shape[0], -1)).reshape(-1)
+    layout = M.padded()
+    if layout is not None:
+        g = x[layout[0]]
+        g *= layout[1]
+        return np.add.reduce(g, axis=0, initial=0.0)
     weights = x[M.col_indices]
     weights *= M.values
     # with no stored entries bincount ignores the weights and returns ints

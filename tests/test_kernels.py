@@ -19,18 +19,65 @@ def random_csr(rng, n):
     return offsets, cols.astype(np.int64), dense[rows, cols], dense
 
 
+def unit_laplacian(n, edges):
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    degree = np.bincount(np.concatenate([u, v]), minlength=n)
+    return SparseMatrix.from_coo(n, np.concatenate([u, v, np.arange(n)]),
+                                 np.concatenate([v, u, np.arange(n)]),
+                                 np.concatenate([-np.ones(2 * u.size), degree]))
+
+
+def grid_laplacian(side):
+    edges = [(side * r + c, side * r + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(side * r + c, side * r + c + side) for r in range(side - 1) for c in range(side)]
+    return unit_laplacian(side * side, edges)
+
+
+def signless(M):
+    return SparseMatrix(M.n_rows, M.row_offsets, M.col_indices, np.abs(M.values))
+
+
+def matvec_cases(rng):
+    """(matrix, x, whether it takes the padded product) for the loop test."""
+    for _ in range(20):
+        n = int(rng.integers(1, 30))
+        offsets, cols, vals, _ = random_csr(rng, n)
+        M = SparseMatrix(n, offsets, cols, vals)
+        yield M, rng.standard_normal(n), np.diff(offsets).max() * n <= 2 * M.nnz + n
+    yield SparseMatrix(0, [0], [], []), np.zeros(0), True
+    yield SparseMatrix(1, [0, 1], [0], [2.5]), np.array([-3.0]), True
+    yield SparseMatrix(1, [0, 0], [], []), np.array([4.0]), True
+    # rows 1, 3 and 4 store nothing
+    empty_rows = SparseMatrix(5, [0, 2, 2, 4, 4, 4], [0, 2, 0, 2], [1.5, -2.0, -2.0, 0.5])
+    yield empty_rows, rng.standard_normal(5), True
+    # the hub's 300 entries would pad every row to 300 slots
+    star = unit_laplacian(300, [(0, j) for j in range(1, 300)])
+    grid = grid_laplacian(30)
+    for M, padded in ((star, False), (grid, True), (empty_rows, True)):
+        n = M.n_rows
+        yield M, rng.standard_normal(n), padded
+        # every product is -0.0
+        yield signless(M), np.full(n, -0.0), padded
+        # unit weights times ones cancel to exactly 0
+        yield M, np.ones(n), padded
+        x = rng.standard_normal(n)
+        x[::3] = -0.0
+        yield M, x, padded
+
+
 class TestAgainstReferenceLoops:
     def test_csr_matvec(self):
-        # bincount adds each row's products left to right, like the loop
-        rng = np.random.default_rng(61)
-        for _ in range(20):
-            n = int(rng.integers(1, 30))
-            offsets, cols, vals, dense = random_csr(rng, n)
-            x = rng.standard_normal(n)
-            got = matvec(SparseMatrix(n, offsets, cols, vals), x)
-            want = csr_matvec_loop(offsets, cols, vals, x)
-            assert np.array_equal(got, want)
-            assert np.allclose(got, dense @ x, rtol=1e-9, atol=1e-12)
+        # each row's products are added left to right from +0.0, like the loop
+        for M, x, padded in matvec_cases(np.random.default_rng(61)):
+            got = matvec(M, x)
+            want = csr_matvec_loop(M.row_offsets, M.col_indices, M.values, x)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            assert np.allclose(got, M.to_dense() @ x, rtol=1e-9, atol=1e-12)
+            assert (M.padded() is not None) == padded
+        zeros = matvec(signless(grid_laplacian(30)), np.full(900, -0.0))
+        assert not np.signbit(zeros).any()
+        assert not matvec(grid_laplacian(30), np.ones(900)).any()
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_binary_scan_identical(self, mode):

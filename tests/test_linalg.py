@@ -84,6 +84,11 @@ class TestSparseMatrix:
         m = identity(2)
         with pytest.raises(ValueError):
             m.values[0] = 7.0
+        cols, vals = m.padded()
+        with pytest.raises(ValueError):
+            cols[0, 0] = 1
+        with pytest.raises(ValueError):
+            vals[0, 0] = 7.0
 
     def test_unsorted_column_error_names_row(self):
         with pytest.raises(ValueError, match="within row 1"):
@@ -239,6 +244,8 @@ class TestKronIdentity:
 
         monkeypatch.setattr(np, "bincount", no_bincount)
         assert np.allclose(matvec(A, x), want, rtol=1e-13, atol=1e-15)
+        # nor did it build the padded layout of the other CSR product
+        assert A._padded is None
 
     def test_factor_is_a_read_only_copy(self):
         W = np.array([[2.0, -1.0], [-1.0, 2.0]])
