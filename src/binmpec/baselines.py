@@ -38,7 +38,13 @@ class BaselineConfig:
 
 
 def solve_lp_round(problem):
-    """Solve the box relaxation to high accuracy, then round feasibly."""
+    """Solve the box relaxation to high accuracy, then round feasibly.
+
+    On bisection the relaxation's minimizer is x = 0: f = x'Lx >= 0 = f(0)
+    and 0 meets sum(x) = 0.  FISTA then stops at its start, and rounding's
+    lowest-index tie rule puts the first n/2 nodes at +1 and the rest at
+    -1, so the answer follows the node numbering.
+    """
     start = time.perf_counter()
     fs = problem.feasible_set
     x0 = project_feasible(np.full(fs.n, 0.5 * (fs.lo + fs.hi)), fs)

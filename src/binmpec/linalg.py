@@ -1,5 +1,7 @@
 """Sparse symmetric matrices, matrix-vector products, and certified norm bounds."""
 
+import math
+
 import numpy as np
 
 DENSE_MAX = 256   # up to this order the norm bound comes from the dense spectrum
@@ -31,9 +33,13 @@ class SparseMatrix:
     storage order; padding slots hold column 0 and the value 0.0.  A
     matrix whose padding would take more than 2 nnz + n slots, such as a
     star graph's hub row, keeps the ``bincount`` product instead.
+
+    ``certificate()`` takes the matrix's certificate once and keeps it,
+    as ``padded()`` keeps the layout.
     """
 
-    __slots__ = ("n_rows", "row_offsets", "col_indices", "values", "factor", "_padded")
+    __slots__ = ("n_rows", "row_offsets", "col_indices", "values", "factor", "_padded",
+                 "_certificate")
 
     def __init__(self, n, row_offsets, col_indices, values):
         self.n_rows = int(n)
@@ -42,6 +48,7 @@ class SparseMatrix:
         self.values = np.asarray(values, dtype=np.float64)
         self.factor = None
         self._padded = None  # built by the first CSR product
+        self._certificate = None  # taken by the first certificate() call
         self._validate()
         for arr in (self.row_offsets, self.col_indices, self.values):
             arr.flags.writeable = False
@@ -161,18 +168,30 @@ class SparseMatrix:
                 self._padded = (cols, vals)
         return self._padded or None
 
+    def certificate(self):
+        """The certificate of M (``spectral_norm_estimate``), taken on the
+        first call and kept; a matrix made by ``scaled`` may start with it.
+        Two threads racing here take equal certificates."""
+        if self._certificate is None:
+            self._certificate = spectral_norm_estimate(self)
+        return self._certificate
+
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_rows))
         out[self.row_indices(), self.col_indices] = self.values
         return out
 
     def scaled(self, alpha):
-        """New matrix alpha * M (same pattern, and alpha W as its factor)."""
+        """New matrix alpha * M (same pattern, and alpha W as its factor).
+        It starts with M's kept certificate scaled by alpha when that has
+        the bits a fresh estimate of alpha M would (``_scaled_certificate``)."""
         alpha = float(alpha)
         out = SparseMatrix(self.n_rows, self.row_offsets, self.col_indices,
                            self.values * alpha)
         if self.factor is not None:
             out._set_factor(self.factor * alpha)
+        if self._certificate is not None:
+            out._certificate = _scaled_certificate(self._certificate, alpha, self.n_rows)
         return out
 
     def diagonal(self):
@@ -212,13 +231,19 @@ def matvec(M, x):
                          % (M.n_rows, x.shape))
     if M.factor is not None:
         return (M.factor @ x.reshape(M.factor.shape[0], -1)).reshape(-1)
-    layout = M.padded()
+    return _csr_product(M, M.padded(), M.values, x)
+
+
+def _csr_product(M, layout, values, x):
+    """The product with x of the matrix of M's pattern holding ``values``:
+    on ``layout``, M's padded columns with that matrix's padded values,
+    or by ``bincount`` when it is None, as ``matvec`` describes."""
     if layout is not None:
         g = x[layout[0]]
         g *= layout[1]
         return np.add.reduce(g, axis=0, initial=0.0)
     weights = x[M.col_indices]
-    weights *= M.values
+    weights *= values
     # with no stored entries bincount ignores the weights and returns ints
     return np.bincount(M.row_indices(), weights=weights,
                        minlength=M.n_rows).astype(np.float64, copy=False)
@@ -250,30 +275,45 @@ class NormBound(float):
 def spectral_norm_estimate(M):
     """The certificate of a symmetric M, as a NormBound.
 
+    Each matrix takes it once, through ``SparseMatrix.certificate``; a
+    graph's Laplacian builders share one (see ``problems.Graph``).
     Gershgorin's lower bound on the spectrum is taken first.  Above
     ``DENSE_MAX``, when it shows M >= 0, the norm bound is the
     Collatz-Wielandt bound ||M|| <= rho(|M|) <= max_i (|M|x)_i / x_i for
     any x > 0 (Horn & Johnson, Matrix Analysis, 8.1), least over
-    ``CW_STEPS`` power steps on |M| from x = 1.  A row whose product is 0
-    keeps its entry, so x stays positive; a row of k products rounds by
-    less than (k + 3) eps, which the final factor covers.  Otherwise it is
-    the largest |eigenvalue| of the dense copy plus the backward-error
-    margin n eps ||M||_F, and M >= 0 is shown by Gershgorin or else by
-    the least eigenvalue of that spectrum.  Either shows it when it is at
-    least -PSD_RTOL max(1, bound).
+    ``CW_STEPS`` power steps on |M| from x = 1.  The steps run on
+    |M| / 2^e, 2^e the power of two just above M's largest |entry|, and
+    the bound is scaled back by 2^e; a power-of-two multiple of M thus
+    takes the same steps (``_scaled_certificate``), and where no step
+    leaves the normal range the bits are those of steps on |M|.  The
+    products take M's padded layout with |V| / 2^e in place of V, or
+    ``bincount`` where ``matvec`` would, so each row adds its products
+    left to right from +0.0.  A row whose product is 0 keeps its entry,
+    so x stays positive; a row of k products rounds by less than
+    (k + 3) eps, which the final factor covers.  Otherwise it is the
+    largest |eigenvalue| of the dense copy plus the backward-error margin
+    n eps ||M||_F, and M >= 0 is shown by Gershgorin or else by the least
+    eigenvalue of that spectrum.  Either shows it when it is at least
+    -PSD_RTOL max(1, bound).
     """
     eps = np.finfo(np.float64).eps
     lower = gershgorin_lower_bound(M)
     if M.n_rows > DENSE_MAX:
-        rows, cols, weights = M.row_indices(), M.col_indices, np.abs(M.values)
+        e = math.frexp(float(np.max(np.abs(M.values), initial=0.0)))[1]
+        layout, values = M.padded(), None
+        if layout is None:
+            values = np.ldexp(np.abs(M.values), -e)
+        else:
+            layout = (layout[0], np.ldexp(np.abs(layout[1]), -e))
         x, bound = np.ones(M.n_rows), np.inf
         for _ in range(CW_STEPS):
-            y = np.bincount(rows, weights=weights * x[cols], minlength=M.n_rows)
-            bound = min(bound, float(np.max(y / x)))
+            y = _csr_product(M, layout, values, x)
+            bound = min(bound, float(np.maximum.reduce(y / x)))
             if bound == 0.0:
                 break  # |M| x = 0 with x > 0, so M = 0
-            x = np.where(y > 0.0, y / np.max(y), x)
+            x = np.where(y > 0.0, y / np.maximum.reduce(y), x)
         bound *= 1.0 + 2.0 * (int(np.max(np.diff(M.row_offsets))) + 3) * eps
+        bound = math.ldexp(bound, e)
         if lower >= -PSD_RTOL * max(1.0, bound):
             return NormBound(bound, "collatz_wielandt", lower, "gershgorin")
     lam = np.linalg.eigvalsh(M.to_dense())
@@ -283,3 +323,25 @@ def spectral_norm_estimate(M):
     tol = PSD_RTOL * max(1.0, bound)
     psd = "gershgorin" if lower >= -tol else "eigvalsh" if lam_min >= -tol else None
     return NormBound(bound, "eigvalsh", lam_min, psd)
+
+
+def _scaled_certificate(bound, alpha, n):
+    """The certificate of alpha M made from ``bound``, M's, when it has the
+    bits a fresh estimate of alpha M would; else None.
+
+    That holds for a Collatz-Wielandt bound and a power of two alpha >= 1:
+    alpha M takes the same steps on the same |M| / 2^e, the final scaling
+    is exact while the bound is normal, and Gershgorin's sums and
+    differences scale exactly while no row sum of |alpha M| (at most
+    sqrt(n) alpha ||M||) overflows.  The verdict is taken again, since
+    PSD_RTOL max(1, bound) does not scale with M; where it fails, a fresh
+    estimate takes the dense spectrum.
+    """
+    if bound.method != "collatz_wielandt" or alpha < 1.0 or math.frexp(alpha)[0] != 0.5:
+        return None
+    value, lower = alpha * bound, alpha * bound.lam_min
+    if 0.0 < bound < np.finfo(np.float64).tiny or not math.isfinite(n * value):
+        return None
+    if lower < -PSD_RTOL * max(1.0, value):
+        return None
+    return NormBound(value, "collatz_wielandt", lower, "gershgorin")

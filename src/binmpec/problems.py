@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SparseMatrix, matvec
+from .linalg import DENSE_MAX, SparseMatrix, matvec
 from .projections import BINARY_TOL, FeasibleSet, WarmStart, project_feasible
 from .reformulations import round_sign
 from .report import SolveReport
@@ -16,7 +16,15 @@ from .subsolver import QuadraticObjective
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph; edges are (u, v, w) with u < v, w >= 0."""
+    """Undirected weighted graph; edges are (u, v, w) with u < v, w >= 0.
+
+    A graph builds its Laplacian L (``laplacian``) and 2L on first use
+    and keeps them, so the bisection, segmentation and MRF builders of
+    one graph share one L, one 2L and their certificates: above
+    ``DENSE_MAX`` L's certificate is taken before 2L is made, and 2L
+    takes it by doubling (``SparseMatrix.scaled``), one estimate for the
+    three; below it L and 2L each take a dense spectrum.
+    """
 
     n: int
     edges: tuple
@@ -59,6 +67,24 @@ class Graph:
     def total_weight(self):
         return float(sum(w for _, _, w in self.edges))
 
+    @functools.cached_property
+    def _laplacian(self):
+        edges = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
+        u, v, w = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64), edges[:, 2]
+        # per edge rows u, v, u, v, columns v, u, u, v and values -w, -w,
+        # w, w, so from_coo adds each diagonal in edge order
+        rows = np.array((u, v, u, v)).T.reshape(-1)
+        cols = np.array((v, u, u, v)).T.reshape(-1)
+        vals = np.array((-w, -w, w, w)).T.reshape(-1)
+        return SparseMatrix.from_coo(self.n, rows, cols, vals)
+
+    @functools.cached_property
+    def _doubled_laplacian(self):
+        L = self._laplacian
+        if self.n > DENSE_MAX:
+            L.certificate()  # a Collatz-Wielandt bound, which 2L takes
+        return L.scaled(2.0)
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -95,20 +121,19 @@ class ProblemInstance:
 
 
 def laplacian(g: Graph) -> SparseMatrix:
-    """Graph Laplacian D - W (symmetric PSD, zero row sums)."""
-    rows, cols, vals = [], [], []
-    for u, v, w in g.edges:
-        rows += [u, v, u, v]
-        cols += [v, u, u, v]
-        vals += [-w, -w, w, w]
-    return SparseMatrix.from_coo(g.n, rows, cols, vals)
+    """Graph Laplacian D - W (symmetric PSD, zero row sums).
+
+    One per graph: built from the edge arrays on the first call and kept
+    on ``g``, so every caller shares the matrix, its padded layout and
+    its certificate (see ``Graph``)."""
+    return g._laplacian
 
 
 def build_bisection(g: Graph) -> ProblemInstance:
     """Minimum balanced cut: f(x) = x'Lx over x in {-1,+1}^n, sum(x) = 0."""
     if g.n % 2 != 0:
         raise ValueError("balanced bisection needs an even node count, got %d" % g.n)
-    A = laplacian(g).scaled(2.0)  # f = 0.5 x'(2L)x = x'Lx, the cut weight times 4
+    A = g._doubled_laplacian  # f = 0.5 x'(2L)x = x'Lx, the cut weight times 4
     obj = QuadraticObjective(A, np.zeros(g.n))
     fset = FeasibleSet(g.n, "pm1", sum_constraint=0.0)
     return ProblemInstance(obj, fset, {"name": "bisection", "n": g.n, "provenance": "graph"})
@@ -120,7 +145,7 @@ def build_constrained_segmentation(g: Graph, fg, bg) -> ProblemInstance:
     bg = [int(i) for i in bg]
     if set(fg) & set(bg):
         raise ValueError("foreground and background seeds overlap")
-    A = laplacian(g).scaled(2.0)
+    A = g._doubled_laplacian
     obj = QuadraticObjective(A, np.zeros(g.n))
     pins = tuple((i, 1.0) for i in fg) + tuple((i, -1.0) for i in bg)
     fset = FeasibleSet(g.n, "pm1", pinned=pins)

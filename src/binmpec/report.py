@@ -1,7 +1,7 @@
 """Solve reports: a JSON-serializable record of one solver run."""
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -43,7 +43,10 @@ class SolveReport:
         self.outer_iterations = int(self.outer_iterations)
 
     def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        # the fields as they are: json renders tuples as lists, so this
+        # writes what dataclasses.asdict's deep copy would
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                          indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):

@@ -5,14 +5,14 @@ import numbers
 
 import numpy as np
 
-from .linalg import NormBound, SparseMatrix, matvec, spectral_norm_estimate
+from .linalg import NormBound, SparseMatrix, matvec
 
 
 class QuadraticObjective:
     """f(x) = 0.5 x'Ax + b'x + c with a certified gradient Lipschitz bound.
 
-    ``norm_bound`` is the certificate of A that ``spectral_norm_estimate``
-    returns (an upper bound on ||A|| and how A >= 0 was shown), and
+    ``norm_bound`` is A's certificate (``SparseMatrix.certificate``: an
+    upper bound on ||A|| and how A >= 0 was shown), and
     ``lipschitz`` is 1.01 times the bound, at least 1e-9.
     """
 
@@ -21,7 +21,7 @@ class QuadraticObjective:
     def __init__(self, A, b, c=0.0):
         if not isinstance(A, SparseMatrix):
             raise TypeError("A must be a SparseMatrix")
-        self.norm_bound = spectral_norm_estimate(A)
+        self.norm_bound = A.certificate()
         self._set_terms(A, b, c)
         self.lipschitz = max(1.01 * self.norm_bound, 1e-9)
         if not np.isfinite(self.lipschitz):

@@ -21,13 +21,21 @@ overhead was cut, kept verbatim so the tests can ask for equal bytes;
 ``project_capped_rows`` and ``simplex_walk_rows`` are the block
 projection and its kernel as they were before the rows went
 column-major, kept for the same reason.
+``laplacian_loop`` builds the Laplacian's triplets one edge at a time, as
+``problems.laplacian`` did before it took edge arrays;
+``collatz_wielandt_loop`` is ``spectral_norm_estimate`` as it was before
+its power steps took the padded layout, with ``bincount`` products on
+|M| itself; ``report_to_json_asdict`` is ``SolveReport.to_json`` through
+``dataclasses.asdict``.  All three are kept verbatim for equal bytes.
 ``objective_grad`` and ``quadratic_form`` are the gradient and the
 quadratic form the library no longer needs, and ``identity`` builds the
 scaled identity matrix that only tests use.
 """
 
 import itertools
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -568,3 +576,48 @@ def quadratic_form(M, x):
 
     x = np.asarray(x, dtype=np.float64)
     return float(np.dot(x, matvec(M, x)))
+
+
+def laplacian_loop(g):
+    """Graph Laplacian D - W from per-edge triplet lists."""
+    from binmpec.linalg import SparseMatrix
+
+    rows, cols, vals = [], [], []
+    for u, v, w in g.edges:
+        rows += [u, v, u, v]
+        cols += [v, u, u, v]
+        vals += [-w, -w, w, w]
+    return SparseMatrix.from_coo(g.n, rows, cols, vals)
+
+
+def collatz_wielandt_loop(M):
+    """The certificate of a symmetric M, its power steps on |M| by bincount."""
+    from binmpec.linalg import (CW_STEPS, DENSE_MAX, PSD_RTOL, NormBound,
+                                gershgorin_lower_bound)
+
+    eps = np.finfo(np.float64).eps
+    lower = gershgorin_lower_bound(M)
+    if M.n_rows > DENSE_MAX:
+        rows, cols, weights = M.row_indices(), M.col_indices, np.abs(M.values)
+        x, bound = np.ones(M.n_rows), np.inf
+        for _ in range(CW_STEPS):
+            y = np.bincount(rows, weights=weights * x[cols], minlength=M.n_rows)
+            bound = min(bound, float(np.max(y / x)))
+            if bound == 0.0:
+                break  # |M| x = 0 with x > 0, so M = 0
+            x = np.where(y > 0.0, y / np.max(y), x)
+        bound *= 1.0 + 2.0 * (int(np.max(np.diff(M.row_offsets))) + 3) * eps
+        if lower >= -PSD_RTOL * max(1.0, bound):
+            return NormBound(bound, "collatz_wielandt", lower, "gershgorin")
+    lam = np.linalg.eigvalsh(M.to_dense())
+    margin = M.n_rows * eps * float(np.linalg.norm(M.values))
+    bound = float(np.max(np.abs(lam), initial=0.0)) + margin
+    lam_min = float(np.min(lam, initial=np.inf))
+    tol = PSD_RTOL * max(1.0, bound)
+    psd = "gershgorin" if lower >= -tol else "eigvalsh" if lam_min >= -tol else None
+    return NormBound(bound, "eigvalsh", lam_min, psd)
+
+
+def report_to_json_asdict(report):
+    """A SolveReport's JSON text through ``dataclasses.asdict``."""
+    return json.dumps(asdict(report), indent=2, sort_keys=True)

@@ -87,6 +87,14 @@ class TestLpRound:
             assert rep.objective_relaxed <= f_star + 1e-6
             assert rep.objective_binary >= f_star - 1e-9
 
+    def test_bisection_relaxation_is_the_origin(self):
+        # f = x'Lx >= 0 = f(0) and 0 meets sum(x) = 0, so FISTA stops at its
+        # start and the lowest-index tie rule puts the first n/2 nodes at +1
+        g = generate("erdos_renyi", {"n": 10, "p": 0.4}, seed=3)
+        rep = solve_lp_round(build_bisection(g))
+        assert rep.x_relaxed == (0.0,) * 10
+        assert rep.x_binary == (1.0,) * 5 + (-1.0,) * 5
+
     def test_tolerance_is_not_a_keyword(self):
         # the relaxation runs at the fixed baselines.LP_TOL
         with pytest.raises(TypeError):

@@ -9,10 +9,11 @@ from binmpec.linalg import (DENSE_MAX, SparseMatrix, _transpose_csr,
                             gershgorin_lower_bound, matvec, spectral_norm_estimate,
                             vector)
 
-from binmpec.problems import build_modularity, generate
+from binmpec.problems import Graph, build_modularity, generate, laplacian
 
-from reference import (csr_matvec_loop, identity, jacobi_eigenvalues,
-                       jacobi_spectral_norm, quadratic_form, transpose_csr_loop)
+from reference import (collatz_wielandt_loop, csr_matvec_loop, identity,
+                       jacobi_eigenvalues, jacobi_spectral_norm, quadratic_form,
+                       transpose_csr_loop)
 
 
 def dense_to_sparse(dense):
@@ -384,6 +385,111 @@ class TestSpectralNormEstimate:
         assert bound == pytest.approx(-lam[0], rel=1e-12)
         assert bound.lam_min == lam[0]
         assert bound.psd is None
+
+
+def fields(bound):
+    """Every field of a NormBound, floats as their bytes."""
+    return (np.float64(bound).tobytes(), bound.method,
+            np.float64(bound.lam_min).tobytes(), bound.psd)
+
+
+def copy_of(M):
+    """An unshared copy of M, keeping no layout or certificate."""
+    return SparseMatrix(M.n_rows, M.row_offsets, M.col_indices, M.values)
+
+
+def weighted_grid(side, rng, scale=1.0):
+    """A side x side 4-neighbour grid with weights scale * U(0.05, 1.05)."""
+    idx = np.arange(side * side).reshape(side, side)
+    u = np.concatenate((idx[:, :-1].ravel(), idx[:-1, :].ravel()))
+    v = np.concatenate((idx[:, 1:].ravel(), idx[1:, :].ravel()))
+    w = scale * rng.uniform(0.05, 1.05, u.size)
+    return Graph(side * side, tuple(zip(u.tolist(), v.tolist(), w.tolist())))
+
+
+def psd_sparse(n, rng):
+    """A weighted sparse diagonally dominant matrix of order n, signs mixed."""
+    dense = np.zeros((n, n))
+    for _ in range(3 * n):
+        i, j = rng.integers(0, n, 2)
+        if i != j:
+            dense[i, j] = dense[j, i] = rng.uniform(-2.0, 2.0)
+    np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.uniform(0.0, 1.0, n))
+    return dense_to_sparse(dense)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("side", [18, 22, 26, 30])
+    def test_grid_laplacians_match_bincount_loop(self, side):
+        L = laplacian(weighted_grid(side, np.random.default_rng(side)))
+        assert L.padded() is not None
+        for M in (L, L.scaled(2.0)):
+            assert fields(spectral_norm_estimate(copy_of(M))) == fields(collatz_wielandt_loop(M))
+
+    def test_star_matches_bincount_loop(self):
+        star = laplacian(Graph(300, tuple((0, j, 1.0 + 0.01 * j) for j in range(1, 300))))
+        assert star.padded() is None
+        bound = spectral_norm_estimate(star)
+        assert bound.method == "collatz_wielandt"
+        assert fields(bound) == fields(collatz_wielandt_loop(star))
+
+    @pytest.mark.parametrize("n", [DENSE_MAX + 1, 400])
+    def test_weighted_psd_matches_bincount_loop(self, n):
+        M = psd_sparse(n, np.random.default_rng(n))
+        bound = spectral_norm_estimate(M)
+        assert bound.method == "collatz_wielandt"
+        assert fields(bound) == fields(collatz_wielandt_loop(M))
+
+    def test_taken_once_and_kept(self, monkeypatch):
+        calls = []
+        real = spectral_norm_estimate
+        monkeypatch.setattr("binmpec.linalg.spectral_norm_estimate",
+                            lambda M: calls.append(M) or real(M))
+        M = psd_sparse(300, np.random.default_rng(1))
+        assert M.certificate() is M.certificate()
+        assert calls == [M]
+
+    # at weights near 1e-307 some products |M| x are subnormal, and steps
+    # on |M| itself give 2M a bound other than twice M's (the 30 x 30
+    # grid); the steps on |M| / 2^e are the same for M and 2M
+    @pytest.mark.parametrize("side,scale", [(12, 1.0), (20, 1.0), (30, 1e-307),
+                                            (20, 1e300)])
+    def test_doubling_carries_a_fresh_estimate(self, side, scale, monkeypatch):
+        L = laplacian(weighted_grid(side, np.random.default_rng(side), scale))
+        L.certificate()
+        calls = []
+        monkeypatch.setattr("binmpec.linalg.spectral_norm_estimate",
+                            lambda M: calls.append(M) or spectral_norm_estimate(M))
+        doubled = L.scaled(2.0)
+        assert fields(doubled.certificate()) == fields(spectral_norm_estimate(copy_of(doubled)))
+        # only Collatz-Wielandt bounds are carried
+        assert len(calls) == (1 if side * side <= DENSE_MAX else 0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 3.0])
+    def test_other_scales_take_a_fresh_estimate(self, alpha):
+        M = psd_sparse(300, np.random.default_rng(2))
+        M.certificate()
+        assert M.scaled(alpha)._certificate is None
+
+    def test_subnormal_bound_not_carried(self):
+        L = laplacian(weighted_grid(18, np.random.default_rng(3), 1e-310))
+        assert 0.0 < L.certificate() < np.finfo(np.float64).tiny
+        assert L.scaled(2.0)._certificate is None
+
+    def test_verdict_taken_again_for_the_multiple(self):
+        # Gershgorin bound -0.7e-7 with ||M|| < 0.5: inside -PSD_RTOL for M,
+        # but 2M's -1.4e-7 lies outside -PSD_RTOL max(1, 2 ||M||), so a
+        # fresh estimate of 2M takes the dense spectrum
+        n = 300
+        dense = np.diag(np.full(n, 0.1))
+        dense[0, 1] = dense[1, 0] = 0.1 + 0.7e-7
+        M = dense_to_sparse(dense)
+        assert M.certificate().method == "collatz_wielandt"
+        doubled = M.scaled(2.0)
+        assert doubled._certificate is None
+        bound = doubled.certificate()
+        assert bound.method == "eigvalsh" and bound.psd is None
+        assert fields(bound) == fields(spectral_norm_estimate(copy_of(doubled)))
 
 
 def grid_laplacian(side, rng):

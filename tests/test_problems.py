@@ -12,7 +12,7 @@ import binmpec.subsolver
 from binmpec.adm import solve_adm
 from binmpec.baselines import solve_iht, solve_l2box_admm, solve_lp_round
 from binmpec.epm import solve_epm
-from binmpec.linalg import SparseMatrix, gershgorin_lower_bound
+from binmpec.linalg import SparseMatrix, gershgorin_lower_bound, spectral_norm_estimate
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, ProblemInstance, SolverView,
                               build_bisection, build_constrained_segmentation,
@@ -24,8 +24,8 @@ from binmpec.projections import FeasibleSet, WarmStart
 from binmpec.report import SolveReport
 from binmpec.subsolver import QuadraticObjective
 
-from reference import (identity, modularity_triplets_loop, project_conjugated,
-                       round_blocks_loop)
+from reference import (identity, laplacian_loop, modularity_triplets_loop,
+                       project_conjugated, round_blocks_loop)
 
 P3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
 C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
@@ -79,6 +79,7 @@ GRID34 = grid_graph(3, 4)
 # Laplacians take the Collatz-Wielandt bound
 GRID_BUILDS = dict(grid_builds(GRID34), **{
     kind + "-n288": build for kind, build in grid_builds(grid_graph(16, 18)).items()})
+LAPLACIAN_BUILDS = ("bisection", "segmentation", "mrf")
 # Laplacians are diagonally dominant; the shifted matrices are not
 GRID_CERTIFICATES = {"bisection": "gershgorin", "segmentation": "gershgorin",
                      "mrf": "gershgorin", "densesub": "eigvalsh",
@@ -174,6 +175,50 @@ class TestLaplacian:
             for _ in range(5):
                 x = rng.standard_normal(n)
                 assert float(x @ L @ x) >= -1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_edge_arrays_match_edge_loop(self, data, n):
+        # random weighted graphs in random edge order and orientation, with
+        # zero, subnormal and huge weights; isolated nodes and no edges too
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs
+                           else st.just([]))
+        weights = st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
+        edges = tuple((v, u, data.draw(weights)) if data.draw(st.booleans())
+                      else (u, v, data.draw(weights)) for u, v in chosen)
+        assert_same_csr(laplacian(Graph(n, edges)), laplacian_loop(Graph(n, edges)))
+
+    @pytest.mark.parametrize("g", [Graph(1, ()), Graph(5, ()),
+                                   Graph(6, ((3, 4, 0.0), (0, 1, 2.5), (1, 3, 1.0)))],
+                             ids=["n1", "no-edges", "isolated-nodes"])
+    def test_edge_arrays_match_edge_loop_cases(self, g):
+        assert_same_csr(laplacian(g), laplacian_loop(g))
+
+    def test_one_per_graph(self):
+        g = grid_graph(3, 3)
+        assert laplacian(g) is laplacian(g)
+        assert laplacian(g) is not laplacian(grid_graph(3, 3))
+
+
+def assert_same_csr(M, want):
+    """M's CSR arrays equal want's bit for bit (so -0.0 differs from +0.0)."""
+    assert M.n_rows == want.n_rows
+    for got, ref in ((M.row_offsets, want.row_offsets), (M.col_indices, want.col_indices),
+                     (M.values, want.values)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def certificate_fields(bound):
+    """Every field of a NormBound, floats as their bytes."""
+    return (np.float64(bound).tobytes(), bound.method,
+            np.float64(bound.lam_min).tobytes(), bound.psd)
+
+
+def fresh_estimate(A):
+    """spectral_norm_estimate of an unshared copy of A, which keeps nothing."""
+    return spectral_norm_estimate(SparseMatrix(A.n_rows, A.row_offsets, A.col_indices,
+                                               A.values))
 
 
 class TestBisection:
@@ -468,12 +513,36 @@ class TestProblemInstanceValidation:
     @pytest.mark.parametrize("kind", sorted(GRID_BUILDS))
     def test_grid_builds_certified_with_one_estimate(self, kind, spectral_calls,
                                                      gershgorin_calls):
-        prob = GRID_BUILDS[kind]()
-        assert prob.meta["psd_check"] == GRID_CERTIFICATES[kind.split("-")[0]]
-        # the Lipschitz estimate of the builder's objective, nothing else;
-        # it decides A >= 0 with its one Gershgorin bound
-        assert spectral_calls == [prob.objective.A]
-        assert gershgorin_calls == [prob.objective.A]
+        # a fresh graph, since a graph keeps its Laplacians and their
+        # certificates; this kind's build first, then the graph's other
+        # Laplacian builds
+        name, _, big = kind.partition("-")
+        builds = grid_builds(grid_graph(16, 18) if big else grid_graph(3, 4))
+        names = [name] + ([k for k in LAPLACIAN_BUILDS if k != name]
+                          if name in LAPLACIAN_BUILDS else [])
+        probs = [builds[k]() for k in names]
+        assert probs[0].meta["psd_check"] == GRID_CERTIFICATES[name]
+        # above DENSE_MAX the three Laplacian builders run one estimate, as
+        # 2L takes L's certificate by doubling; below it L and 2L each take
+        # a dense spectrum, and bisection and segmentation share 2L
+        assert len(spectral_calls) == (1 if big or len(names) == 1 else 2)
+        # each estimate decides A >= 0 with its one Gershgorin bound
+        assert gershgorin_calls == spectral_calls
+        for prob in probs:
+            assert (certificate_fields(prob.objective.norm_bound)
+                    == certificate_fields(fresh_estimate(prob.objective.A)))
+
+    @pytest.mark.parametrize("n", [12, 300])
+    def test_no_edges_keep_the_lipschitz_floor(self, n):
+        # 2L = 0 takes L's zero bound by doubling above DENSE_MAX, and its
+        # floor is its own, not a doubled 1e-9
+        g = Graph(n, ())
+        for prob in (build_mrf(g, np.zeros(n)), build_bisection(g),
+                     build_constrained_segmentation(g, [0], [1])):
+            assert prob.objective.norm_bound == 0.0
+            assert prob.objective.lipschitz == 1e-9
+            assert (certificate_fields(prob.objective.norm_bound)
+                    == certificate_fields(fresh_estimate(prob.objective.A)))
 
     def test_non_dominant_psd_modularity_accepted(self):
         g = generate("four_gauss_knn", {"n": 8, "knn": 3}, seed=2)

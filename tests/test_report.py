@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from binmpec.adm import solve_adm
+from binmpec.baselines import solve_iht, solve_l2box_admm, solve_lp_round
 from binmpec.epm import solve_epm
-from binmpec.problems import Graph, build_bisection
+from binmpec.problems import Graph, build_bisection, build_constrained_segmentation
 from binmpec.report import TRACE_HEADER, SolveReport, trace_to_csv
+
+from reference import report_to_json_asdict
 
 
 def sample_report():
@@ -37,6 +41,19 @@ class TestJsonRoundTrip:
         back = SolveReport.from_json(rep.to_json())
         assert back == rep
         assert back.x_relaxed is None
+
+    # lp sets objective_relaxed, iht leaves x_relaxed None; the problem
+    # dict holds the lists of pinned nodes
+    @pytest.mark.parametrize("solve", [solve_epm, solve_adm, solve_lp_round, solve_iht,
+                                       solve_l2box_admm],
+                             ids=["epm", "adm", "lp", "iht", "l2box"])
+    def test_same_bytes_as_asdict(self, solve):
+        g = Graph(6, ((0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0), (4, 5, 0.25),
+                      (5, 0, 1.5)))
+        rep = solve(build_constrained_segmentation(g, fg=[0], bg=[3]))
+        assert (rep.objective_relaxed is not None) == (rep.method == "lp")
+        assert (rep.x_relaxed is None) == (rep.method == "iht")
+        assert rep.to_json() == report_to_json_asdict(rep)
 
     def test_floats_bit_exact(self):
         # repr-level float fidelity through JSON
