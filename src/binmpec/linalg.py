@@ -121,17 +121,19 @@ class SparseMatrix:
     def kron_identity(cls, W, k):
         """W kron I_k for a dense symmetric W, keeping a read-only copy of W
         as ``factor``.  Node pair (i, j) with W_ij != 0 couples coordinates
-        i*k + c and j*k + c for every c; the triplets come in row-major
-        pair order."""
+        i*k + c and j*k + c for every c, so row i*k + c holds the columns
+        j*k + c of W's row i in W's row order: the CSR arrays are written
+        in that order, with no sort, and validated as any other."""
         W = np.array(W, dtype=np.float64)
         k = int(k)
         if W.ndim != 2 or W.shape[0] != W.shape[1] or not W.size or k < 1:
             raise ValueError("kron_identity needs a nonempty square W and k >= 1")
-        ii, jj = np.nonzero(W)
-        cl = np.arange(k)
-        rows = (ii[:, None] * k + cl).reshape(-1)
-        cols = (jj[:, None] * k + cl).reshape(-1)
-        out = cls.from_coo(W.shape[0] * k, rows, cols, np.repeat(W[ii, jj], k))
+        nodes = W.shape[0]
+        # [i, c, j] is W_ij != 0, so nonzero() walks row i*k + c in column order
+        i, c, j = np.nonzero(np.broadcast_to((W != 0.0)[:, None, :], (nodes, k, nodes)))
+        offsets = np.zeros(nodes * k + 1, dtype=np.int64)
+        np.cumsum(np.repeat(np.count_nonzero(W, axis=1), k), out=offsets[1:])
+        out = cls(nodes * k, offsets, j * k + c, W[i, j])
         out._set_factor(W)
         return out
 
@@ -291,10 +293,13 @@ def spectral_norm_estimate(M):
     left to right from +0.0.  A row whose product is 0 keeps its entry,
     so x stays positive; a row of k products rounds by less than
     (k + 3) eps, which the final factor covers.  Otherwise it is the
-    largest |eigenvalue| of the dense copy plus the backward-error margin
-    n eps ||M||_F, and M >= 0 is shown by Gershgorin or else by the least
-    eigenvalue of that spectrum.  Either shows it when it is at least
-    -PSD_RTOL max(1, bound).
+    largest |eigenvalue| of a dense spectrum plus the backward-error margin
+    n eps ||D||_F of the order-n matrix D decomposed, and M >= 0 is shown
+    by Gershgorin or else by the least eigenvalue of that spectrum.  D is
+    M's dense copy, or, for M = W kron I_k, its ``factor`` W: M's spectrum
+    is W's with each eigenvalue repeated k times (Van Loan 2000), so the
+    nodes-by-nodes W is decomposed in place of the copy.  Either check
+    shows M >= 0 when its value is at least -PSD_RTOL max(1, bound).
     """
     eps = np.finfo(np.float64).eps
     lower = gershgorin_lower_bound(M)
@@ -316,8 +321,12 @@ def spectral_norm_estimate(M):
         bound = math.ldexp(bound, e)
         if lower >= -PSD_RTOL * max(1.0, bound):
             return NormBound(bound, "collatz_wielandt", lower, "gershgorin")
-    lam = np.linalg.eigvalsh(M.to_dense())
-    margin = M.n_rows * eps * float(np.linalg.norm(M.values))
+    if M.factor is None:
+        dense, stored = M.to_dense(), M.values
+    else:
+        dense = stored = M.factor  # W kron I_k has W's spectrum, each eigenvalue k times
+    lam = np.linalg.eigvalsh(dense)
+    margin = dense.shape[0] * eps * float(np.linalg.norm(stored))
     bound = float(np.max(np.abs(lam), initial=0.0)) + margin
     lam_min = float(np.min(lam, initial=np.inf))
     tol = PSD_RTOL * max(1.0, bound)

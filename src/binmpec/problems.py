@@ -18,7 +18,10 @@ from .subsolver import QuadraticObjective
 class Graph:
     """Undirected weighted graph; edges are (u, v, w) with u < v, w >= 0.
 
-    A graph builds its Laplacian L (``laplacian``) and 2L on first use
+    The edges are converted once, on first use, to the arrays u, v and w
+    (``_edge_arrays``) that the Laplacian, ``adjacency``, ``degrees`` and
+    the densest-k and modularity builders read.  A graph builds its
+    Laplacian L (``laplacian``) and 2L on first use
     and keeps them, so the bisection, segmentation and MRF builders of
     one graph share one L, one 2L and their certificates: above
     ``DENSE_MAX`` L's certificate is taken before 2L is made, and 2L
@@ -49,34 +52,39 @@ class Graph:
             norm_edges.append((u, v, w))
         object.__setattr__(self, "edges", tuple(norm_edges))
 
+    @functools.cached_property
+    def _edge_arrays(self):
+        """Read-only int64 u and v and float64 w, in edge order; a weight
+        of -0.0 reads +0.0, as every matrix built from it stores it."""
+        edges = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
+        u, v = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+        w = edges[:, 2] + 0.0
+        for arr in (u, v, w):
+            arr.flags.writeable = False
+        return u, v, w
+
     def adjacency(self):
-        rows, cols, vals = [], [], []
-        for u, v, w in self.edges:
-            rows += [u, v]
-            cols += [v, u]
-            vals += [w, w]
-        return SparseMatrix.from_coo(self.n, rows, cols, vals)
+        u, v, w = self._edge_arrays
+        return SparseMatrix.from_coo(self.n, _interleave(u, v), _interleave(v, u),
+                                     _interleave(w, w))
 
     def degrees(self):
-        d = np.zeros(self.n)
-        for u, v, w in self.edges:
-            d[u] += w
-            d[v] += w
-        return d
+        """Weighted degrees; each node's sum adds its edges in edge order."""
+        u, v, w = self._edge_arrays
+        # with no edges bincount ignores the weights and returns ints
+        return np.bincount(_interleave(u, v), weights=_interleave(w, w),
+                           minlength=self.n).astype(np.float64, copy=False)
 
     def total_weight(self):
         return float(sum(w for _, _, w in self.edges))
 
     @functools.cached_property
     def _laplacian(self):
-        edges = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
-        u, v, w = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64), edges[:, 2]
+        u, v, w = self._edge_arrays
         # per edge rows u, v, u, v, columns v, u, u, v and values -w, -w,
         # w, w, so from_coo adds each diagonal in edge order
-        rows = np.array((u, v, u, v)).T.reshape(-1)
-        cols = np.array((v, u, u, v)).T.reshape(-1)
-        vals = np.array((-w, -w, w, w)).T.reshape(-1)
-        return SparseMatrix.from_coo(self.n, rows, cols, vals)
+        return SparseMatrix.from_coo(self.n, _interleave(u, v, u, v),
+                                     _interleave(v, u, u, v), _interleave(-w, -w, w, w))
 
     @functools.cached_property
     def _doubled_laplacian(self):
@@ -84,6 +92,11 @@ class Graph:
         if self.n > DENSE_MAX:
             L.certificate()  # a Collatz-Wielandt bound, which 2L takes
         return L.scaled(2.0)
+
+
+def _interleave(*arrays):
+    """a0, b0, ..., a1, b1, ...: one entry of each array per edge, in edge order."""
+    return np.stack(arrays, axis=1).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -168,14 +181,10 @@ def build_dense_subgraph(g: Graph, k) -> ProblemInstance:
         raise ValueError("subset size must be nonnegative")
     W = g.adjacency()
     lhat = 1.01 * float(np.linalg.eigvalsh(W.to_dense())[-1]) if W.nnz else 0.0
-    rows = list(range(g.n))
-    cols = list(range(g.n))
-    vals = [2.0 * lhat] * g.n
-    for u, v, w in g.edges:
-        rows += [u, v]
-        cols += [v, u]
-        vals += [-2.0 * w, -2.0 * w]
-    A = SparseMatrix.from_coo(g.n, rows, cols, vals)
+    diag = np.arange(g.n)
+    A = SparseMatrix.from_coo(g.n, np.concatenate((diag, W.row_indices())),
+                              np.concatenate((diag, W.col_indices)),
+                              np.concatenate((np.full(g.n, 2.0 * lhat), -2.0 * W.values)))
     obj = QuadraticObjective(A, np.zeros(g.n))
     fset = FeasibleSet(g.n, "zeroone", sum_constraint=float(k))
     return ProblemInstance(obj, fset, {"name": "densesub", "n": g.n,
@@ -197,7 +206,8 @@ def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
     matrix and lhat = 1.01 ||Q|| from the spectrum ``eigvalsh`` gives of
     the dense Q; on feasible binary points f = (lhat n - tr(Y'QY)) / (8m),
     i.e., a constant minus half the modularity.  The CSR keeps the node
-    matrix as its ``factor``, and products with A go through it.
+    matrix as its ``factor``; products with A and A's certificate go
+    through it.
     """
     k = int(k_clusters)
     if k < 2:
@@ -205,7 +215,10 @@ def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
     m = g.total_weight()
     if m <= 0.0:
         raise ValueError("modularity undefined for an empty graph")
-    W = g.adjacency().to_dense()
+    u, v, w = g._edge_arrays
+    W = np.zeros((g.n, g.n))
+    W[u, v] = w
+    W[v, u] = w
     d = g.degrees()
     Q = W - np.outer(d, d) / (2.0 * m)
     lam = np.linalg.eigvalsh(Q)
@@ -252,6 +265,8 @@ def generate(kind, params=None, seed=0) -> Graph:
     rng = np.random.default_rng(seed)
     if kind == "cycle":
         n = int(params["n"])
+        if n < 3:
+            raise ValueError("cycle needs n >= 3, got %d" % n)
         edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
         return Graph(n, tuple(edges))
     if kind == "path":
@@ -263,12 +278,10 @@ def generate(kind, params=None, seed=0) -> Graph:
     if kind == "erdos_renyi":
         n = int(params["n"])
         p = float(params.get("p", 0.3))
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.append((i, j, 1.0))
-        return Graph(n, tuple(edges))
+        # one draw per pair (i, j), i < j, in row-major order
+        u, v = np.triu_indices(n, 1)
+        keep = rng.random(u.shape[0]) < p
+        return Graph(n, tuple((i, j, 1.0) for i, j in zip(u[keep].tolist(), v[keep].tolist())))
     if kind == "planted_clique":
         n = int(params["n"])
         q = int(params["q"])
@@ -287,19 +300,22 @@ def generate(kind, params=None, seed=0) -> Graph:
         n = int(params["n"])
         knn = int(params.get("knn", 8))
         std = float(params.get("std", 0.6))
+        if not 1 <= knn < n:
+            raise ValueError("four_gauss_knn needs 1 <= knn < n, got knn=%d, n=%d" % (knn, n))
         centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
-        pts = np.empty((n, 2))
-        for i in range(n):
-            pts[i] = centers[i % 4] + std * rng.standard_normal(2)
+        # point i is centre i % 4 plus the i-th pair of normal draws
+        pts = centers[np.arange(n) % 4] + std * rng.standard_normal((n, 2))
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
         bandwidth = float(np.median(np.sqrt(np.partition(d2, knn, axis=1)[:, :knn])))
-        edges = {}
-        for i in range(n):
-            for j in np.argsort(d2[i], kind="stable")[:knn]:
-                a, b = (i, int(j)) if i < j else (int(j), i)
-                edges[(a, b)] = float(np.exp(-d2[a, b] / (2.0 * bandwidth ** 2)))
-        return Graph(n, tuple((u, v, w) for (u, v), w in sorted(edges.items())))
+        # each node's knn nearest, ties to the lower index; the pairs
+        # (a, b), a < b, are deduplicated and sorted as keys a*n + b
+        i = np.repeat(np.arange(n), knn)
+        j = np.argsort(d2, axis=1, kind="stable")[:, :knn].ravel()
+        key = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+        a, b = key // n, key % n
+        w = np.exp(-d2[a, b] / (2.0 * bandwidth ** 2))
+        return Graph(n, tuple(zip(a.tolist(), b.tolist(), w.tolist())))
     raise ValueError("unknown generator kind: %r" % kind)
 
 

@@ -22,11 +22,17 @@ overhead was cut, kept verbatim so the tests can ask for equal bytes;
 projection and its kernel as they were before the rows went
 column-major, kept for the same reason.
 ``laplacian_loop`` builds the Laplacian's triplets one edge at a time, as
-``problems.laplacian`` did before it took edge arrays;
+``problems.laplacian`` did before it took edge arrays, and
+``adjacency_loop`` and ``degrees_loop`` do the same for ``Graph.adjacency``
+and ``Graph.degrees``; ``kron_identity_coo`` is
+``SparseMatrix.kron_identity`` as it was before it wrote the CSR arrays in
+place, and ``erdos_renyi_loop`` and ``four_gauss_knn_loop`` are the two
+generators as they were before they drew and sorted whole arrays;
 ``collatz_wielandt_loop`` is ``spectral_norm_estimate`` as it was before
 its power steps took the padded layout, with ``bincount`` products on
 |M| itself; ``report_to_json_asdict`` is ``SolveReport.to_json`` through
-``dataclasses.asdict``.  All three are kept verbatim for equal bytes.
+``dataclasses.asdict``.  All of these keep the old arithmetic, for equal
+bytes.
 ``objective_grad`` and ``quadratic_form`` are the gradient and the
 quadratic form the library no longer needs, and ``identity`` builds the
 scaled identity matrix that only tests use.
@@ -588,6 +594,74 @@ def laplacian_loop(g):
         cols += [v, u, u, v]
         vals += [-w, -w, w, w]
     return SparseMatrix.from_coo(g.n, rows, cols, vals)
+
+
+def adjacency_loop(g):
+    """Adjacency matrix W from per-edge triplet lists."""
+    from binmpec.linalg import SparseMatrix
+
+    rows, cols, vals = [], [], []
+    for u, v, w in g.edges:
+        rows += [u, v]
+        cols += [v, u]
+        vals += [w, w]
+    return SparseMatrix.from_coo(g.n, rows, cols, vals)
+
+
+def degrees_loop(g):
+    """Weighted degrees, added one edge at a time."""
+    d = np.zeros(g.n)
+    for u, v, w in g.edges:
+        d[u] += w
+        d[v] += w
+    return d
+
+
+def kron_identity_coo(W, k):
+    """W kron I_k through ``from_coo``: every (i, j) with W_ij != 0 as k
+    triplets (i*k + c, j*k + c, W_ij), in row-major pair order."""
+    from binmpec.linalg import SparseMatrix
+
+    W = np.array(W, dtype=np.float64)
+    ii, jj = np.nonzero(W)
+    cl = np.arange(k)
+    rows = (ii[:, None] * k + cl).reshape(-1)
+    cols = (jj[:, None] * k + cl).reshape(-1)
+    return SparseMatrix.from_coo(W.shape[0] * k, rows, cols, np.repeat(W[ii, jj], k))
+
+
+def erdos_renyi_loop(n, p, seed):
+    """``generate("erdos_renyi")``: one ``rng.random()`` per pair i < j."""
+    from binmpec.problems import Graph
+
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges.append((i, j, 1.0))
+    return Graph(n, tuple(edges))
+
+
+def four_gauss_knn_loop(n, knn, std, seed):
+    """``generate("four_gauss_knn")``: points drawn one at a time, each
+    node's neighbours sorted on their own, edges gathered in a dict."""
+    from binmpec.problems import Graph
+
+    rng = np.random.default_rng(seed)
+    centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
+    pts = np.empty((n, 2))
+    for i in range(n):
+        pts[i] = centers[i % 4] + std * rng.standard_normal(2)
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    bandwidth = float(np.median(np.sqrt(np.partition(d2, knn, axis=1)[:, :knn])))
+    edges = {}
+    for i in range(n):
+        for j in np.argsort(d2[i], kind="stable")[:knn]:
+            a, b = (i, int(j)) if i < j else (int(j), i)
+            edges[(a, b)] = float(np.exp(-d2[a, b] / (2.0 * bandwidth ** 2)))
+    return Graph(n, tuple((u, v, w) for (u, v), w in sorted(edges.items())))
 
 
 def collatz_wielandt_loop(M):

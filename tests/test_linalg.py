@@ -12,8 +12,8 @@ from binmpec.linalg import (DENSE_MAX, SparseMatrix, _transpose_csr,
 from binmpec.problems import Graph, build_modularity, generate, laplacian
 
 from reference import (collatz_wielandt_loop, csr_matvec_loop, identity,
-                       jacobi_eigenvalues, jacobi_spectral_norm, quadratic_form,
-                       transpose_csr_loop)
+                       jacobi_eigenvalues, jacobi_spectral_norm, kron_identity_coo,
+                       quadratic_form, transpose_csr_loop)
 
 
 def dense_to_sparse(dense):
@@ -266,6 +266,78 @@ class TestKronIdentity:
     def test_rejects_asymmetric_W(self):
         with pytest.raises(ValueError, match="symmetr"):
             SparseMatrix.kron_identity(np.array([[1.0, 2.0], [0.0, 1.0]]), 2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_csr_matches_coo_form(self, k):
+        for seed in range(8):
+            # a symmetric W with zero entries, a zero row and a -0.0 pair
+            rng = np.random.default_rng(seed)
+            W = rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.5)
+            W = W + W.T
+            W[2, :] = W[:, 2] = 0.0
+            W[0, 5] = W[5, 0] = -0.0
+            assert_same_csr(SparseMatrix.kron_identity(W, k), kron_identity_coo(W, k))
+
+    @pytest.mark.parametrize("nodes,k,seed", KRON_CASES)
+    def test_modularity_csr_matches_coo_form(self, nodes, k, seed):
+        A = modularity_problem(nodes, k, seed).objective.A
+        assert_same_csr(A, kron_identity_coo(A.factor, k))
+        assert_same_csr(SparseMatrix.kron_identity(np.zeros((3, 3)), k),
+                        kron_identity_coo(np.zeros((3, 3)), k))
+
+
+def assert_same_csr(M, want):
+    """M's CSR arrays equal want's bit for bit."""
+    assert M.n_rows == want.n_rows
+    for got, ref in ((M.row_offsets, want.row_offsets), (M.col_indices, want.col_indices),
+                     (M.values, want.values)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+# a modularity matrix above DENSE_MAX (72 nodes, k = 4, n = 288) that
+# Gershgorin cannot show PSD, so it too takes a dense spectrum
+BIG_KRON = (72, 4, 7)
+
+
+def no_dense(self):
+    raise AssertionError("the dense copy of a factored matrix was made")
+
+
+class TestFactoredCertificate:
+    @pytest.mark.parametrize("nodes,k,seed", KRON_CASES + [BIG_KRON])
+    def test_bound_from_the_factor(self, nodes, k, seed, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(SparseMatrix, "to_dense", no_dense)
+            A = modularity_problem(nodes, k, seed).objective.A
+        assert gershgorin_lower_bound(A) < 0.0
+        for M in (A, A.scaled(0.25)):
+            lam = np.linalg.eigvalsh(M.to_dense())
+            plain = spectral_norm_estimate(copy_of(M))  # the dense copy's spectrum
+            with monkeypatch.context() as patch:
+                patch.setattr(SparseMatrix, "to_dense", no_dense)
+                bound = spectral_norm_estimate(M)
+            assert bound >= np.max(np.abs(lam))
+            assert (bound.method, bound.psd) == (plain.method, plain.psd)
+            assert bound.psd == "eigvalsh"
+            assert bound.lam_min == pytest.approx(lam[0], rel=0.0, abs=1e-12 * bound)
+            # each bound exceeds the spectrum by less than its own margin
+            assert abs(bound - plain) <= M.n_rows * np.finfo(float).eps * np.linalg.norm(
+                M.values)
+
+    @pytest.mark.parametrize("nodes,k,seed", [KRON_CASES[-1], BIG_KRON])
+    def test_same_bits_every_build(self, nodes, k, seed):
+        # eigvalsh is LAPACK: the bits must not depend on how many BLAS
+        # threads run it
+        probs = [modularity_problem(nodes, k, seed) for _ in range(3)]
+        W = probs[0].objective.A.factor
+        lam = np.linalg.eigvalsh(W)
+        want = (float(np.max(np.abs(lam))) + nodes * np.finfo(float).eps
+                * float(np.linalg.norm(W)))
+        for prob in probs:
+            bound = prob.objective.norm_bound
+            assert fields(bound) == fields(probs[0].objective.norm_bound)
+            assert np.float64(bound).tobytes() == np.float64(want).tobytes()
+            assert bound.lam_min == lam[0]
 
 
 class TestQuadraticForm:

@@ -24,8 +24,9 @@ from binmpec.projections import FeasibleSet, WarmStart
 from binmpec.report import SolveReport
 from binmpec.subsolver import QuadraticObjective
 
-from reference import (identity, laplacian_loop, modularity_triplets_loop,
-                       project_conjugated, round_blocks_loop)
+from reference import (adjacency_loop, degrees_loop, erdos_renyi_loop,
+                       four_gauss_knn_loop, identity, laplacian_loop,
+                       modularity_triplets_loop, project_conjugated, round_blocks_loop)
 
 P3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
 C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
@@ -187,13 +188,19 @@ class TestLaplacian:
         weights = st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
         edges = tuple((v, u, data.draw(weights)) if data.draw(st.booleans())
                       else (u, v, data.draw(weights)) for u, v in chosen)
-        assert_same_csr(laplacian(Graph(n, edges)), laplacian_loop(Graph(n, edges)))
+        assert_same_edge_builds(Graph(n, edges))
 
-    @pytest.mark.parametrize("g", [Graph(1, ()), Graph(5, ()),
-                                   Graph(6, ((3, 4, 0.0), (0, 1, 2.5), (1, 3, 1.0)))],
-                             ids=["n1", "no-edges", "isolated-nodes"])
+    @pytest.mark.parametrize("g", [
+        Graph(1, ()), Graph(5, ()), Graph(6, ((3, 4, 0.0), (0, 1, 2.5), (1, 3, 1.0))),
+        Graph(7, ((3, 4, 0.0), (5, 0, 2.5), (1, 3, 1.0), (4, 1, -0.0), (0, 1, 1e-310))),
+        generate("erdos_renyi", {"n": 30, "p": 0.3}, seed=4),
+        generate("four_gauss_knn", {"n": 40, "knn": 5}, seed=9)],
+        ids=["n1", "no-edges", "isolated-nodes", "signed-zero", "erdos-renyi", "four-gauss"])
     def test_edge_arrays_match_edge_loop_cases(self, g):
-        assert_same_csr(laplacian(g), laplacian_loop(g))
+        assert_same_edge_builds(g)
+        # one conversion, shared and read-only
+        assert g._edge_arrays is g._edge_arrays
+        assert not any(arr.flags.writeable for arr in g._edge_arrays)
 
     def test_one_per_graph(self):
         g = grid_graph(3, 3)
@@ -209,6 +216,14 @@ def assert_same_csr(M, want):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
+def assert_same_edge_builds(g):
+    """g's Laplacian, adjacency and degrees equal the per-edge loops' bit for bit."""
+    assert_same_csr(laplacian(g), laplacian_loop(g))
+    assert_same_csr(g.adjacency(), adjacency_loop(g))
+    got, want = g.degrees(), degrees_loop(g)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 def certificate_fields(bound):
     """Every field of a NormBound, floats as their bytes."""
     return (np.float64(bound).tobytes(), bound.method,
@@ -216,9 +231,12 @@ def certificate_fields(bound):
 
 
 def fresh_estimate(A):
-    """spectral_norm_estimate of an unshared copy of A, which keeps nothing."""
-    return spectral_norm_estimate(SparseMatrix(A.n_rows, A.row_offsets, A.col_indices,
-                                               A.values))
+    """spectral_norm_estimate of an unshared copy of A, which keeps no
+    certificate or layout, only A's factor, which the estimate reads."""
+    copy = SparseMatrix(A.n_rows, A.row_offsets, A.col_indices, A.values)
+    if A.factor is not None:
+        copy._set_factor(A.factor)
+    return spectral_norm_estimate(copy)
 
 
 class TestBisection:
@@ -470,6 +488,55 @@ class TestGenerate:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate("hypercube", {"n": 4})
+
+    @pytest.mark.parametrize("kind,params,match", [
+        ("cycle", {"n": 0}, "n >= 3"), ("cycle", {"n": 1}, "n >= 3"),
+        ("cycle", {"n": 2}, "n >= 3"),
+        ("four_gauss_knn", {"n": 5}, "1 <= knn < n"),  # knn = 8 by default
+        ("four_gauss_knn", {"n": 5, "knn": 0}, "1 <= knn < n"),
+        ("four_gauss_knn", {"n": 5, "knn": -1}, "1 <= knn < n"),
+        ("four_gauss_knn", {"n": 5, "knn": 5}, "1 <= knn < n"),
+        ("four_gauss_knn", {"n": 1, "knn": 1}, "1 <= knn < n")])
+    def test_parameters_checked(self, kind, params, match):
+        with pytest.raises(ValueError, match=match):
+            generate(kind, params)
+
+    def test_smallest_valid_parameters(self):
+        assert generate("cycle", {"n": 3}).edges == ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
+        g = generate("four_gauss_knn", {"n": 2, "knn": 1}, seed=3)
+        assert [(u, v) for u, v, _ in g.edges] == [(0, 1)]
+
+
+def assert_same_graph(g, want):
+    """Equal node counts and edges, weights compared bit for bit."""
+    assert g.n == want.n
+    assert [(u, v) for u, v, _ in g.edges] == [(u, v) for u, v, _ in want.edges]
+    assert (np.array([w for _, _, w in g.edges]).tobytes()
+            == np.array([w for _, _, w in want.edges]).tobytes())
+
+
+class TestGeneratorsMatchLoops:
+    @pytest.mark.parametrize("n,p", [(0, 0.3), (1, 0.3), (2, 0.5), (7, 0.0), (7, 1.0),
+                                     (20, 0.4), (37, 0.3)])
+    def test_erdos_renyi(self, n, p):
+        for seed in [*range(12), [1001, 3, 0, 0]]:
+            assert_same_graph(generate("erdos_renyi", {"n": n, "p": p}, seed=seed),
+                              erdos_renyi_loop(n, p, seed))
+
+    @pytest.mark.parametrize("n,knn", [(2, 1), (5, 2), (5, 4), (20, 4), (40, 8),
+                                       (48, 8), (48, 1), (33, 32)])
+    def test_four_gauss_knn(self, n, knn):
+        for seed in [*range(6), [1001, 2, 3], [1, 3, 4, 4]]:
+            assert_same_graph(generate("four_gauss_knn", {"n": n, "knn": knn}, seed=seed),
+                              four_gauss_knn_loop(n, knn, 0.6, seed))
+
+    @pytest.mark.parametrize("n,knn", [(8, 3), (8, 7), (12, 5), (12, 11), (16, 7), (40, 19),
+                                       (48, 23)])
+    def test_four_gauss_knn_ties(self, n, knn):
+        # std = 0 puts every point on its centre: equal distances, which
+        # the stable sort breaks towards the lower index
+        g = generate("four_gauss_knn", {"n": n, "knn": knn, "std": 0.0}, seed=2)
+        assert_same_graph(g, four_gauss_knn_loop(n, knn, 0.0, 2))
 
 
 class TestProblemInstanceValidation:
