@@ -9,7 +9,7 @@ import numpy as np
 
 from .linalg import matvec
 from .problems import finish_solve, round_feasible
-from .projections import project_feasible
+from .projections import project_feasible, projector
 from .subsolver import QuadraticModel, check_counts, check_positive, minimize_fista
 
 MU_CAP = 1e10
@@ -49,7 +49,7 @@ def solve_lp_round(problem):
     fs = problem.feasible_set
     x0 = project_feasible(np.full(fs.n, 0.5 * (fs.lo + fs.hi)), fs)
     x, fx, _, converged = minimize_fista(
-        QuadraticModel(problem.objective), lambda z: project_feasible(z, fs), x0,
+        QuadraticModel(problem.objective), projector(fs), x0,
         tol=LP_TOL, max_iter=20000)
     rep = finish_solve(problem, "lp", x, start, 0.0, 1, [(1, fx, 0.0, 0.0)], converged,
                        x_relaxed=x, objective_relaxed=fx)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DENSE_MAX, SparseMatrix, matvec
-from .projections import BINARY_TOL, FeasibleSet, WarmStart, project_feasible
+from .projections import BINARY_TOL, FeasibleSet, WarmStart, project_feasible, projector
 from .reformulations import round_sign
 from .report import SolveReport
 from .subsolver import QuadraticObjective
@@ -34,6 +34,8 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
+        if self.n < 0:
+            raise ValueError("node count must be nonnegative, got %d" % self.n)
         norm_edges = []
         seen = set()
         for u, v, w in self.edges:
@@ -308,13 +310,18 @@ def generate(kind, params=None, seed=0) -> Graph:
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         np.fill_diagonal(d2, np.inf)
         bandwidth = float(np.median(np.sqrt(np.partition(d2, knn, axis=1)[:, :knn])))
+        scale = 2.0 * bandwidth ** 2
+        if not scale > 0.0:
+            raise ValueError("four_gauss_knn needs a positive kNN bandwidth, got %g: at least "
+                             "half of the kNN distances are 0, as with coincident points"
+                             % bandwidth)
         # each node's knn nearest, ties to the lower index; the pairs
         # (a, b), a < b, are deduplicated and sorted as keys a*n + b
         i = np.repeat(np.arange(n), knn)
         j = np.argsort(d2, axis=1, kind="stable")[:, :knn].ravel()
         key = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
         a, b = key // n, key % n
-        w = np.exp(-d2[a, b] / (2.0 * bandwidth ** 2))
+        w = np.exp(-d2[a, b] / scale)
         return Graph(n, tuple(zip(a.tolist(), b.tolist(), w.tolist())))
     raise ValueError("unknown generator kind: %r" % kind)
 
@@ -350,16 +357,17 @@ class SolverView:
                 None if fs.sum_constraint is None else 2.0 * fs.sum_constraint - self.n,
                 tuple((i, 2.0 * v - 1.0) for i, v in fs.pinned), fs.simplex_blocks)
 
-    def project(self, z, warm=None):
-        return project_feasible(z, self.feasible_set, warm)
+    def project(self, z):
+        return project_feasible(z, self.feasible_set)
 
     def warm_projector(self):
-        """``project`` for the x-steps of one solve.
+        """``project`` for the x-steps of one solve, built once
+        (``projections.projector``).
 
         Each sum projection starts from the threshold of the one before
         (see ``projections.WarmStart``); call once per solve.
         """
-        return functools.partial(self.project, warm=WarmStart())
+        return projector(self.feasible_set, WarmStart())
 
     def initial_point(self, seed):
         """Tiny seeded noise, projected.

@@ -156,19 +156,30 @@ def project_box(a, fset):
     """Clamp to the box, then overwrite pinned coordinates."""
     a = np.asarray(a, dtype=np.float64)
     _check_shape(a, fset)
-    x = _clip(a, fset.lo, fset.hi)
-    if fset.pinned:
-        x[fset.pin_index] = fset.pin_value
-    return x
+    return _box_projector(fset)(a)
+
+
+def _box_projector(fset):
+    lo, hi = fset.lo, fset.hi
+    if not fset.pinned:
+        return lambda a: _clip(a, lo, hi)
+    pin_index, pin_value = fset.pin_index, fset.pin_value
+
+    def project(a):
+        x = _clip(a, lo, hi)
+        x[pin_index] = pin_value
+        return x
+    return project
 
 
 class WarmStart:
     """The threshold of the last capped-simplex projection of one solve.
 
-    Passed to ``project_capped_simplex`` (through ``project_feasible``),
-    it lets the next 1-D call start Newton from that threshold instead of
-    sorting.  A fresh instance holds no threshold, so its first call
-    sorts.  One instance belongs to one solve; nothing else shares it.
+    Passed to ``project_capped_simplex`` (through ``project_feasible``)
+    or to ``projector``, it lets the next 1-D call start Newton from that
+    threshold instead of sorting.  A fresh instance holds no threshold,
+    so its first call sorts.  One instance belongs to one solve; nothing
+    else shares it.
     """
 
     __slots__ = ("tau",)
@@ -205,16 +216,36 @@ def project_capped_simplex(a, k, warm=None):
     if a.ndim == 2:
         return _project_capped_rows(a, k)
     n = a.shape[0]
+    k, tol = _checked_target(k, n)
+    fixed = _fixed_point(n, k)
+    if fixed is not None:
+        return fixed
+    return _capped_vector(a, n, k, tol, warm)
+
+
+def _checked_target(k, n):
+    """k as a float, and the tolerance to which a sum meets it.
+
+    Raises unless k lies in [0, n] to 1e-9 (NaN and inf fail too).
+    """
     k = float(k)
-    if not -1e-9 <= k <= n + 1e-9:  # NaN and inf fail too
+    if not -1e-9 <= k <= n + 1e-9:
         raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]" % (k, n))
-    if n == 0:
-        return a.copy()
+    return k, max(1e-13, 4.0 * math.ulp(k))
+
+
+def _fixed_point(n, k):
+    """The projection when every point has the same one (n = 0 included), else None."""
     if k <= 1e-13:
         return np.zeros(n)
     if k >= n - 1e-13:
         return np.ones(n)
-    if (abs(np.add.reduce(a) - k) <= max(1e-13, 4.0 * math.ulp(k))
+    return None
+
+
+def _capped_vector(a, n, k, tol, warm):
+    """The 1-D projection of ``a`` once its target k is checked and not fixed."""
+    if (abs(np.add.reduce(a) - k) <= tol
             and np.minimum.reduce(a) >= 0.0 and np.maximum.reduce(a) <= 1.0):
         return a.copy()
     found = None
@@ -281,6 +312,15 @@ def _newton_tau(a, k, tau):
 
 def _project_capped_rows(a, k):
     m, n = a.shape
+    k = _checked_row_targets(k, m, n)
+    if n == 0:
+        return a.copy()
+    return _capped_rows(a, n, k)
+
+
+def _checked_row_targets(k, m, n):
+    """m row targets for rows of n coordinates, as floats; raises unless
+    each lies in [0, min(n, 1)] to 1e-9."""
     k = np.asarray(k, dtype=np.float64)
     if k.shape != (m,):
         k = np.broadcast_to(k, (m,))
@@ -291,8 +331,11 @@ def _project_capped_rows(a, k):
         if -1e-9 <= bad <= n + 1e-9:
             raise ValueError("row target %g above 1; 2-D calls take targets in [0, 1]" % bad)
         raise ValueError("target sum %g infeasible for %d coordinates in [0, 1]" % (bad, n))
-    if n == 0:
-        return a.copy()
+    return k
+
+
+def _capped_rows(a, n, k):
+    """The row-wise projection of an (m, n) ``a``, n > 0, onto checked targets k."""
     # one column per row: the kernel reduces along axis 0 of a contiguous
     # (n, m) array, with no per-row loop
     cols = a.T.copy()
@@ -306,44 +349,119 @@ def project_feasible(a, fset, warm=None):
     """Exact projection dispatcher for a full FeasibleSet; ``a`` must have
     shape (n,).
 
-    With nothing pinned, ``a``'s image in [0, 1] is projected whole, the
-    blocks as its rows, with no gather or scatter.  ``warm``, a
-    ``WarmStart``, is handed to the capped-simplex projection of a sum
-    constraint; box and block sets ignore it.
+    The checked entry for one-shot calls; a solve's x-steps project
+    through one ``projector`` instead.  With nothing pinned, ``a``'s image
+    in [0, 1] is projected whole, the blocks as its rows, with no gather
+    or scatter.  ``warm``, a ``WarmStart``, is handed to the
+    capped-simplex projection of a sum constraint; box and block sets
+    ignore it.
     """
     a = np.asarray(a, dtype=np.float64)
     _check_shape(a, fset)
     if fset.sum_constraint is None and fset.simplex_blocks is None:
         return project_box(a, fset)
+    lo, span = fset.lo, fset.span
     if not fset.pinned:
-        y = _to_unit(a, fset)
+        y = _to_unit(a, lo, span)
         if fset.sum_constraint is not None:
-            return _from_unit(project_capped_simplex(y, fset.sum_target, warm), fset)
+            return _from_unit(project_capped_simplex(y, fset.sum_target, warm), lo, span)
         for _, free_idx, target in fset.block_groups:  # one group; none when n = 0
             y = project_capped_simplex(y.reshape(free_idx.shape), target)
-        return _from_unit(y, fset).reshape(-1)
+        return _from_unit(y, lo, span).reshape(-1)
     x = np.empty_like(a)
     x[fset.pin_index] = fset.pin_value
     if fset.sum_constraint is not None:
-        y = _to_unit(a[fset.free], fset)
-        x[fset.free] = _from_unit(project_capped_simplex(y, fset.sum_target, warm), fset)
+        y = _to_unit(a[fset.free], lo, span)
+        x[fset.free] = _from_unit(project_capped_simplex(y, fset.sum_target, warm), lo, span)
         return x
     # simplex blocks: one row-wise projection per count of free coordinates
     for _, free_idx, target in fset.block_groups:
-        y = project_capped_simplex(_to_unit(a[free_idx], fset), target)
-        x[free_idx] = _from_unit(y, fset)
+        y = project_capped_simplex(_to_unit(a[free_idx], lo, span), target)
+        x[free_idx] = _from_unit(y, lo, span)
     return x
 
 
-def _to_unit(a, fset):
+def projector(fset, warm=None):
+    """The projection onto ``fset`` as one callable, built once per solve.
+
+    ``projector(fset, warm)(a)`` gives the bytes of
+    ``project_feasible(a, fset, warm)`` for a float64 ``a`` of shape (n,),
+    which it does not check.  What depends only on the set is settled
+    here: its kind and pins, the unit map's lo and span, a sum target's
+    fixed points and tolerance, and the block groups with their targets.
+    A call runs only the floating-point work, through the same helpers
+    as ``project_capped_simplex``.  A set that ``project_feasible``
+    rejects on every call (a fully pinned block off its target) is
+    rejected here, with the same error.
+    """
+    if fset.sum_constraint is not None:
+        return _sum_projector(fset, warm)
+    if fset.simplex_blocks is not None:
+        return _block_projector(fset)
+    return _box_projector(fset)
+
+
+def _sum_projector(fset, warm):
+    lo, span, free = fset.lo, fset.span, fset.free
+    pin_index, pin_value = fset.pin_index, fset.pin_value
+    m = free.shape[0]
+    k, tol = _checked_target(fset.sum_target, m)
+    fixed = _fixed_point(m, k)
+    if fixed is not None:  # one point for every input
+        x = y = _from_unit(fixed, lo, span)
+        if fset.pinned:
+            x = np.empty(fset.n)
+            x[pin_index] = pin_value
+            x[free] = y
+        return lambda a: x.copy()
+    if not fset.pinned:
+        return lambda a: _from_unit(_capped_vector(_to_unit(a, lo, span), m, k, tol, warm),
+                                    lo, span)
+
+    def project(a):
+        x = np.empty_like(a)
+        x[pin_index] = pin_value
+        y = _capped_vector(_to_unit(a[free], lo, span), m, k, tol, warm)
+        x[free] = _from_unit(y, lo, span)
+        return x
+    return project
+
+
+def _block_projector(fset):
+    lo, span = fset.lo, fset.span
+    pin_index, pin_value = fset.pin_index, fset.pin_value
+    # (coordinates, free count, targets) per group; a group with no free
+    # coordinate holds pins only
+    groups = []
+    for _, free_idx, target in fset.block_groups:
+        nb, f = free_idx.shape
+        target = _checked_row_targets(target, nb, f)
+        if f:
+            groups.append((free_idx, f, target))
+    if fset.pinned or not groups:  # n = 0 has no group
+        def project(a):
+            x = np.empty_like(a)
+            x[pin_index] = pin_value
+            for free_idx, f, target in groups:
+                y = _capped_rows(_to_unit(a[free_idx], lo, span), f, target)
+                x[free_idx] = _from_unit(y, lo, span)
+            return x
+        return project
+    [(free_idx, f, target)] = groups
+    shape = free_idx.shape
+    return lambda a: _from_unit(_capped_rows(_to_unit(a, lo, span).reshape(shape), f, target),
+                                lo, span).reshape(-1)
+
+
+def _to_unit(a, lo, span):
     """(a - lo) / span, as a new array."""
-    y = a - fset.lo
-    y /= fset.span
+    y = a - lo
+    y /= span
     return y
 
 
-def _from_unit(y, fset):
+def _from_unit(y, lo, span):
     """lo + span * y, in place on y, a projection's own output."""
-    y *= fset.span
-    y += fset.lo
+    y *= span
+    y += lo
     return y

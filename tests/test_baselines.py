@@ -240,7 +240,8 @@ class TestL2BoxAdmm:
         edges += [(i, i + side, 1.0) for i in range(n - side)]
         prob = build_bisection(Graph(n, tuple(edges)))
         calls = {"projections": 0, "walks": 0}
-        project, walk = projections.project_capped_simplex, kernels.simplex_walk
+        # the x-steps' projector and the one-shot entries share the 1-D body
+        project, walk = projections._capped_vector, kernels.simplex_walk
 
         def counted_project(a, *args):
             calls["projections"] += 1
@@ -250,7 +251,7 @@ class TestL2BoxAdmm:
             calls["walks"] += 1
             return walk(bvals, *args)
 
-        monkeypatch.setattr(projections, "project_capped_simplex", counted_project)
+        monkeypatch.setattr(projections, "_capped_vector", counted_project)
         monkeypatch.setattr(kernels, "simplex_walk", counted_walk)
         rep = solve_l2box_admm(prob)
         assert rep.feasible

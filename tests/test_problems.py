@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,13 @@ class TestGraph:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, ((0, 1, 1.0), (1, 0, 2.0),))
+
+    @pytest.mark.parametrize("make", [lambda: Graph(-2, ()),
+                                      lambda: generate("erdos_renyi", {"n": -2}),
+                                      lambda: generate("path", {"n": -3})])
+    def test_rejects_negative_node_count(self, make):
+        with pytest.raises(ValueError, match="node count must be nonnegative, got -[23]"):
+            make()
 
     def test_degrees_and_total(self):
         assert P3.degrees().tolist() == [1.0, 2.0, 1.0]
@@ -501,6 +509,15 @@ class TestGenerate:
         with pytest.raises(ValueError, match=match):
             generate(kind, params)
 
+    @pytest.mark.parametrize("params", [{"n": 12, "knn": 3, "std": 0.0},
+                                        {"n": 8, "knn": 1, "std": 0.0}])
+    def test_zero_bandwidth_raises_before_dividing(self, params):
+        # coincident points make at least half of the kNN distances 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="positive kNN bandwidth, got 0"):
+                generate("four_gauss_knn", params)
+
     def test_smallest_valid_parameters(self):
         assert generate("cycle", {"n": 3}).edges == ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
         g = generate("four_gauss_knn", {"n": 2, "knn": 1}, seed=3)
@@ -778,12 +795,12 @@ class TestSolverView:
 
     @pytest.mark.parametrize("build", sorted(VIEW_SETS))
     def test_projection_matches_conjugated_reference(self, build):
-        # warm sequences, as in one solve's x-steps: the same bytes
+        # one solve's x-steps, warm: the same bytes
         prob = VIEW_SETS[build]()
-        view = SolverView(prob)
-        warm, warm_ref = WarmStart(), WarmStart()
+        project = SolverView(prob).warm_projector()
+        warm_ref = WarmStart()
         for z in fista_like(np.random.default_rng(5), prob.n, 40):
-            got = view.project(z, warm)
+            got = project(z)
             want = project_conjugated(z, prob.feasible_set, warm_ref)
             assert got.tobytes() == want.tobytes()
 

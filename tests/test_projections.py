@@ -678,3 +678,79 @@ class TestSameBytes:
             return
         assert same_bits(project_capped_simplex(a, k), want)
         assert same_bits(project_capped_rows_broadcast(a, k), want)
+
+
+@st.composite
+def pm1_images(draw, zeroone_sets):
+    """The {-1, +1} image of a zero-one set, as SolverView makes it."""
+    fs, a = draw(zeroone_sets.filter(lambda case: case[0].domain == "zeroone"))
+    k = None if fs.sum_constraint is None else 2.0 * fs.sum_constraint - fs.n
+    image = FeasibleSet(fs.n, "pm1", k, tuple((i, 2.0 * v - 1.0) for i, v in fs.pinned),
+                        fs.simplex_blocks)
+    return image, 2.0 * a - 1.0
+
+
+@st.composite
+def fixed_sets(draw):
+    """Sets whose projection is one point: n = 0, and sum targets within
+    1e-13 of either end of the free coordinates' range."""
+    domain, lo = draw(st.sampled_from([("pm1", -1.0), ("zeroone", 0.0)]))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["box", "sum", "blocks"]))
+        blocks = draw(st.integers(1, 4)) if kind == "blocks" else None
+        fs = FeasibleSet(0, domain, 0.0 if kind == "sum" else None, simplex_blocks=blocks)
+        return fs, np.zeros(0)
+    n = draw(st.integers(1, 30))
+    pinned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    pins = tuple((i, draw(st.sampled_from([lo, 1.0]))) for i in pinned)
+    nf = n - len(pins)
+    nudge = draw(st.sampled_from([0.0, 5e-14, -5e-14])) * (1.0 - lo)
+    k = sum(v for _, v in pins) + nf * draw(st.sampled_from([lo, 1.0])) + nudge
+    fs = box_set(n, domain, pinned=pins, sum_constraint=k)  # within the 1e-9 slack
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return fs, np.random.default_rng(seed).uniform(lo - 2.0, 3.0, n)
+
+
+# one test per family, so each gets its own examples
+PROJECTOR_CASES = {"box": box_sets(), "sum": sum_sets(), "sum-image": pm1_images(sum_sets()),
+                   "blocks": block_sets(), "blocks-image": pm1_images(block_sets()),
+                   "fixed": fixed_sets()}
+
+
+class TestProjector:
+    """A solve's prepared projector gives project_feasible's bytes, warm
+    and cold, and raises its error for a set it always rejects."""
+
+    @pytest.mark.parametrize("family", sorted(PROJECTOR_CASES))
+    @given(data=st.data())
+    def test_same_bytes_as_project_feasible(self, family, data):
+        fs, a = data.draw(PROJECTOR_CASES[family])
+        try:
+            project_feasible(a, fs)
+        except ValueError as exc:
+            for warm in (None, projections.WarmStart()):
+                with pytest.raises(ValueError) as got:
+                    projections.projector(fs, warm)
+                assert str(got.value) == str(exc)
+            return
+        warm, warm_ref = projections.WarmStart(), projections.WarmStart()
+        project, cold = projections.projector(fs, warm), projections.projector(fs)
+        seen = set()
+        for z in fista_like(np.random.default_rng(fs.n), fs.n, 6, fs.lo - 0.5, fs.hi + 0.5):
+            z = z + a
+            before = z.copy()
+            got = project(z)
+            assert same_bits(got, project_feasible(z, fs, warm_ref))
+            assert warm.tau == warm_ref.tau
+            assert same_bits(z, before)  # the input is not written
+            assert same_bits(cold(z), project_feasible(z, fs))
+            # its own output, which a 1-D sum projection returns as is
+            again = project(got.copy())
+            assert same_bits(again, project_feasible(got, fs, warm_ref))
+            assert warm.tau == warm_ref.tau
+            seen.add(got.tobytes())
+            # an output is the caller's: writing it changes no later call
+            got.fill(np.nan)
+            again.fill(np.nan)
+        if family == "fixed":
+            assert len(seen) == 1
