@@ -42,6 +42,11 @@ def _simplex_walk_vec(bvals, deltas, n, k):
     return bvals[t]
 
 
+# block size n -> the read-only (n, 1) column 1, 2, ..., n, built once
+# per size; racing threads build equal columns
+_DIVISORS = {}
+
+
 def simplex_walk(bvals, deltas, n, k):
     """Crossing tau of g(tau) = k.
 
@@ -61,7 +66,12 @@ def simplex_walk(bvals, deltas, n, k):
     # (Held, Wolfe & Crowder 1974; Duchi et al. 2008; Condat 2016)
     csum = bvals.cumsum(axis=0)
     csum -= k
-    csum /= np.arange(1, n + 1)[:, None]
+    divisors = _DIVISORS.get(n)
+    if divisors is None:
+        divisors = np.arange(1.0, n + 1.0)[:, None]
+        divisors.flags.writeable = False
+        _DIVISORS[n] = divisors
+    csum /= divisors
     return np.maximum.reduce(csum, axis=0)
 
 

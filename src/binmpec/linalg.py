@@ -24,7 +24,7 @@ class SparseMatrix:
     matching (j, i, w) is stored.  Instances are immutable after
     construction and safe to share between solves.  ``factor`` is the
     dense W of a matrix built as W kron I_k (``kron_identity``), through
-    which ``matvec`` takes its products, and None otherwise.
+    which its products are taken, and None otherwise.
 
     Every other product runs on the padded column-major layout that
     ``padded()`` builds on first use (ELL, Bell & Garland 2009): a
@@ -34,12 +34,12 @@ class SparseMatrix:
     matrix whose padding would take more than 2 nnz + n slots, such as a
     star graph's hub row, keeps the ``bincount`` product instead.
 
-    ``certificate()`` takes the matrix's certificate once and keeps it,
-    as ``padded()`` keeps the layout.
+    ``product()`` prepares the matrix's product once and keeps it, as
+    ``padded()`` keeps the layout and ``certificate()`` the certificate.
     """
 
     __slots__ = ("n_rows", "row_offsets", "col_indices", "values", "factor", "_padded",
-                 "_certificate")
+                 "_product", "_certificate")
 
     def __init__(self, n, row_offsets, col_indices, values):
         self.n_rows = int(n)
@@ -48,6 +48,7 @@ class SparseMatrix:
         self.values = np.asarray(values, dtype=np.float64)
         self.factor = None
         self._padded = None  # built by the first CSR product
+        self._product = None  # prepared by the first product() call
         self._certificate = None  # taken by the first certificate() call
         self._validate()
         for arr in (self.row_offsets, self.col_indices, self.values):
@@ -170,6 +171,27 @@ class SparseMatrix:
                 self._padded = (cols, vals)
         return self._padded or None
 
+    def product(self):
+        """The product x -> M x, prepared on the first call and kept: a
+        callable that takes a float64 x of shape (n,) and checks nothing
+        (``matvec`` is the checked entry).  For M = W kron I_k it is
+        vec(W X) with X = x as a (nodes, k) matrix, one BLAS product (Van
+        Loan 2000); otherwise the CSR product ``_csr_product`` prepares on
+        M's padded layout, or by ``bincount`` when M keeps none.  Two
+        threads racing here prepare equal products."""
+        if self._product is None:
+            if self.factor is None:
+                self._product = _csr_product(self, self.padded(), self.values)
+            else:
+                W = self.factor
+                shape = (W.shape[0], -1)
+
+                def factored(x):
+                    return (W @ x.reshape(shape)).reshape(-1)
+
+                self._product = factored
+        return self._product
+
     def certificate(self):
         """The certificate of M (``spectral_norm_estimate``), taken on the
         first call and kept; a matrix made by ``scaled`` may start with it.
@@ -216,39 +238,49 @@ def _transpose_csr(n, offsets, cols, vals):
 
 
 def matvec(M, x):
-    """M x.  For M = W kron I_k it is vec(W X) with X = x as a (nodes, k)
-    matrix, one BLAS product (Van Loan 2000).  Otherwise it is
-    ``g = x[C]; g *= V`` on M's padded layout, reduced along axis 0 (numpy
-    sums a contiguous axis pairwise) from ``initial=0.0``: each entry is
-    +0.0 plus the row's products taken left to right, the padding adding
-    +-0.0, bit-identical to the sequential row-by-row loop for finite x.
-    The initial value pins that start: a reduction seeded with a row's
-    first product, as numpy may seed it, returns -0.0 for a row whose
-    products are all -0.0.  A matrix that keeps no padded layout (more
-    than 2 nnz + n slots) takes ``np.bincount``, which adds the products
-    into their rows in the same order."""
+    """M x, checked: x must convert to a float64 vector of shape (n,).
+    The product is M's prepared one (``SparseMatrix.product``)."""
     x = np.asarray(x, dtype=np.float64)
+    check_dimension(M, x)
+    return M.product()(x)
+
+
+def check_dimension(M, x):
+    """Raise ValueError unless the array x has shape (n,) for M of order n."""
     if x.shape != (M.n_rows,):
         raise ValueError("dimension mismatch: matrix has order %d, vector has shape %r"
                          % (M.n_rows, x.shape))
-    if M.factor is not None:
-        return (M.factor @ x.reshape(M.factor.shape[0], -1)).reshape(-1)
-    return _csr_product(M, M.padded(), M.values, x)
 
 
-def _csr_product(M, layout, values, x):
-    """The product with x of the matrix of M's pattern holding ``values``:
-    on ``layout``, M's padded columns with that matrix's padded values,
-    or by ``bincount`` when it is None, as ``matvec`` describes."""
+def _csr_product(M, layout, values):
+    """The product x -> N x of the matrix N of M's pattern holding
+    ``values``, on ``layout``: M's padded columns with N's padded values.
+    It is ``g = x[C]; g *= V`` reduced along axis 0 (numpy sums a
+    contiguous axis pairwise) from ``initial=0.0``: each entry is +0.0
+    plus the row's products taken left to right, the padding adding
+    +-0.0, bit-identical to the sequential row-by-row loop for finite x.
+    The initial value pins that start: a reduction seeded with a row's
+    first product, as numpy may seed it, returns -0.0 for a row whose
+    products are all -0.0.  With no layout (None), ``np.bincount`` adds
+    the products into their rows in the same order; M then stores at
+    least one entry, so bincount returns floats."""
     if layout is not None:
-        g = x[layout[0]]
-        g *= layout[1]
-        return np.add.reduce(g, axis=0, initial=0.0)
-    weights = x[M.col_indices]
-    weights *= values
-    # with no stored entries bincount ignores the weights and returns ints
-    return np.bincount(M.row_indices(), weights=weights,
-                       minlength=M.n_rows).astype(np.float64, copy=False)
+        cols, vals = layout
+
+        def padded(x):
+            g = x[cols]
+            g *= vals
+            return np.add.reduce(g, axis=0, initial=0.0)
+
+        return padded
+    rows, cols, n = M.row_indices(), M.col_indices, M.n_rows
+
+    def scattered(x):
+        weights = x[cols]
+        weights *= values
+        return np.bincount(rows, weights=weights, minlength=n)
+
+    return scattered
 
 
 def gershgorin_lower_bound(M):
@@ -310,9 +342,9 @@ def spectral_norm_estimate(M):
             values = np.ldexp(np.abs(M.values), -e)
         else:
             layout = (layout[0], np.ldexp(np.abs(layout[1]), -e))
-        x, bound = np.ones(M.n_rows), np.inf
+        product, x, bound = _csr_product(M, layout, values), np.ones(M.n_rows), np.inf
         for _ in range(CW_STEPS):
-            y = _csr_product(M, layout, values, x)
+            y = product(x)
             bound = min(bound, float(np.maximum.reduce(y / x)))
             if bound == 0.0:
                 break  # |M| x = 0 with x > 0, so M = 0

@@ -5,7 +5,7 @@ import numbers
 
 import numpy as np
 
-from .linalg import NormBound, SparseMatrix, matvec
+from .linalg import NormBound, SparseMatrix, check_dimension, matvec
 
 
 class QuadraticObjective:
@@ -112,11 +112,13 @@ class QuadraticModel:
 
     ``evaluate`` takes one product with A and ``grad`` reuses it; the
     product at the last evaluated point stays available through
-    ``product``.
+    ``product``.  Both take A's prepared product (``SparseMatrix.product``),
+    bound here, which checks nothing: a point must be a float64 vector of
+    shape (n,), as ``minimize_fista`` checks its start once.
     """
 
     __slots__ = ("A", "linear", "c", "mu", "w", "alpha", "u", "t", "lipschitz",
-                 "_x", "_Ax")
+                 "_product", "_x", "_Ax")
 
     def __init__(self, objective, linear=None, mu=0.0, w=None, alpha=0.0, u=None, t=0.0):
         self.A = objective.A
@@ -140,11 +142,12 @@ class QuadraticModel:
             raise ValueError("Lipschitz constant %r must be finite and positive"
                              % lipschitz)
         self.lipschitz = lipschitz
+        self._product = self.A.product()
         self._x = self._Ax = None
 
     def evaluate(self, x):
         """(f(x), A x) with one product."""
-        Ax = matvec(self.A, x)
+        Ax = self._product(x)
         self._x, self._Ax = x, Ax
         f = 0.5 * float(x.dot(Ax)) + float(self.linear.dot(x)) + self.c
         if self.mu:
@@ -166,7 +169,7 @@ class QuadraticModel:
 
     def product(self, x):
         """A x, reused when x is the point evaluated last."""
-        return self._Ax if x is self._x else matvec(self.A, x)
+        return self._Ax if x is self._x else self._product(x)
 
 
 def minimize_fista(model, project, x0, tol=1e-5, max_iter=2000):
@@ -180,10 +183,14 @@ def minimize_fista(model, project, x0, tol=1e-5, max_iter=2000):
     Each iteration takes one product with A (two on a restart): the
     product at an iterate serves its value and its next gradient, and the
     extrapolated point's follows by linearity, A y = A x_new + beta
-    (A x_new - A x).  The returned x is the model's last evaluated point.
+    (A x_new - A x).  Both extrapolations are formed in place on fresh
+    differences.  The projected start's shape is checked once, as
+    ``matvec`` checks it; the model's products check nothing.  The
+    returned x is the model's last evaluated point.
     """
     step = 1.0 / model.lipschitz
     x = project(np.asarray(x0, dtype=np.float64))
+    check_dimension(model.A, x)
     fx, Ax = model.evaluate(x)
     x_norm = math.sqrt(float(x.dot(x)))
     y, Ay = x, Ax
@@ -201,8 +208,14 @@ def minimize_fista(model, project, x0, tol=1e-5, max_iter=2000):
         rel = math.sqrt(float(dx.dot(dx))) / max(x_norm, 1.0)
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
         beta = (tk - 1.0) / t_next
-        y = x_new + beta * dx
-        Ay = Ax_new + beta * (Ax_new - Ax)
+        # y = x_new + beta dx and A y = A x_new + beta (A x_new - A x),
+        # the same products and sums with no temporaries
+        y = dx
+        y *= beta
+        y += x_new
+        Ay = Ax_new - Ax
+        Ay *= beta
+        Ay += Ax_new
         x, Ax, fx, tk = x_new, Ax_new, f_new, t_next
         iterations = it + 1
         if rel <= tol:

@@ -67,7 +67,8 @@ def matvec_cases(rng):
 
 class TestAgainstReferenceLoops:
     def test_csr_matvec(self):
-        # each row's products are added left to right from +0.0, like the loop
+        # each row's products are added left to right from +0.0, like the
+        # loop, by matvec and by the prepared product it calls
         for M, x, padded in matvec_cases(np.random.default_rng(61)):
             got = matvec(M, x)
             want = csr_matvec_loop(M.row_offsets, M.col_indices, M.values, x)
@@ -75,9 +76,18 @@ class TestAgainstReferenceLoops:
             assert got.tobytes() == want.tobytes()
             assert np.allclose(got, M.to_dense() @ x, rtol=1e-9, atol=1e-12)
             assert (M.padded() is not None) == padded
-        zeros = matvec(signless(grid_laplacian(30)), np.full(900, -0.0))
-        assert not np.signbit(zeros).any()
-        assert not matvec(grid_laplacian(30), np.ones(900)).any()
+            product = M.product()
+            assert product(x).tobytes() == got.tobytes()
+            assert M.product() is product
+            # a scaled matrix prepares its own product, on its own values
+            S = M.scaled(0.75)
+            assert S.product() is not product
+            assert S.product()(x).tobytes() == csr_matvec_loop(
+                S.row_offsets, S.col_indices, S.values, x).tobytes()
+        for product in (matvec, lambda M, x: M.product()(x)):
+            zeros = product(signless(grid_laplacian(30)), np.full(900, -0.0))
+            assert not np.signbit(zeros).any()
+            assert not product(grid_laplacian(30), np.ones(900)).any()
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_binary_scan_identical(self, mode):

@@ -230,7 +230,14 @@ class TestKronIdentity:
             # relative to |M| |x|, the scale of each entry's rounding
             size = csr_matvec_loop(M.row_offsets, M.col_indices, np.abs(M.values),
                                    np.abs(x))
-            assert np.all(np.abs(matvec(M, x) - want) <= 1e-13 * size)
+            got = matvec(M, x)
+            assert np.all(np.abs(got - want) <= 1e-13 * size)
+            # matvec calls the prepared product, which is kept
+            product = M.product()
+            assert product(x).tobytes() == got.tobytes()
+            assert M.product() is product
+        # the scaled matrix prepared its own, on its own factor
+        assert M.product() is not A.product()
 
     def test_solver_view_keeps_the_factor(self, monkeypatch):
         prob = modularity_problem(24, 3, 5)

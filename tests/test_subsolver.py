@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from binmpec import subsolver
 from binmpec.linalg import SparseMatrix, matvec
 from binmpec.projections import FeasibleSet, WarmStart, project_feasible
 from binmpec.subsolver import QuadraticModel, QuadraticObjective, minimize_fista
@@ -195,6 +194,14 @@ class TestSolveQp:
         obj = QuadraticObjective(identity(2), np.zeros(2))
         with pytest.raises(ValueError):
             solve_over(obj, box_set(3), np.zeros(3), tol=1e-5, max_iter=2000)
+        # the model's products check nothing, so minimize_fista checks its
+        # projected start; a clip keeps a short start's length, and past
+        # the check the padded product would raise IndexError on it
+        obj3 = QuadraticObjective(identity(3, scale=2.0), np.ones(3))
+        for start in (np.zeros(2), np.zeros(1)):
+            with pytest.raises(ValueError, match="dimension mismatch: matrix has order 3"):
+                minimize_fista(QuadraticModel(obj3), lambda z: np.clip(z, -1.0, 1.0),
+                               start, tol=1e-5, max_iter=2000)
         with pytest.raises(ValueError, match="linear of shape"):
             solve_over(obj, box_set(2), np.zeros(2), tol=1e-5, max_iter=2000,
                        linear=np.zeros(3))
@@ -241,6 +248,22 @@ def random_objective(rng, n):
     return QuadraticObjective(dense_to_sparse(dense @ dense.T), rng.standard_normal(n))
 
 
+def counting_products(monkeypatch):
+    """Count matrix products: returns (calls, prepared), two lists that
+    get a 1 on each call of a prepared product and on each request for
+    one (``SparseMatrix.product``), which a model makes when it is built."""
+    calls, prepared = [], []
+    prepare = SparseMatrix.product
+
+    def counting(M):
+        prepared.append(1)
+        product = prepare(M)
+        return lambda x: calls.append(1) or product(x)
+
+    monkeypatch.setattr(SparseMatrix, "product", counting)
+    return calls, prepared
+
+
 class TestQuadraticModel:
     def test_value_and_grad_match_callbacks(self):
         rng = np.random.default_rng(59)
@@ -254,16 +277,18 @@ class TestQuadraticModel:
 
     def test_product_reuses_last_evaluation(self, monkeypatch):
         obj = QuadraticObjective(identity(3, scale=2.0), np.zeros(3))
+        calls, prepared = counting_products(monkeypatch)
         model = QuadraticModel(obj)
         x = np.array([1.0, 2.0, 3.0])
         _, Ax = model.evaluate(x)
-        calls = []
-        monkeypatch.setattr(subsolver, "matvec",
-                            lambda M, z: calls.append(1) or matvec(M, z))
+        assert calls == [1]
+        calls.clear()
         assert model.product(x) is Ax
         assert calls == []
         assert np.array_equal(model.product(x.copy()), Ax)
         assert calls == [1]
+        # the model took its product once, when built
+        assert prepared == [1]
 
     @pytest.mark.parametrize("shape", ["adm", "l2box"])
     def test_penalty_terms_stay_centred(self, shape):
@@ -415,11 +440,7 @@ class TestMinimizeFista:
             assert model.evaluate(x)[0] == want, name
 
     def test_one_product_per_value_evaluation(self, monkeypatch):
-        counts = {"products": 0, "values": 0, "grads": 0}
-
-        def counting_matvec(M, x):
-            counts["products"] += 1
-            return matvec(M, x)
+        counts = {"values": 0, "grads": 0}
 
         def counted(key, method):
             def call(self, *args):
@@ -427,7 +448,7 @@ class TestMinimizeFista:
                 return method(self, *args)
             return call
 
-        monkeypatch.setattr(subsolver, "matvec", counting_matvec)
+        products, prepared = counting_products(monkeypatch)
         monkeypatch.setattr(QuadraticModel, "evaluate",
                             counted("values", QuadraticModel.evaluate))
         monkeypatch.setattr(QuadraticModel, "grad", counted("grads", QuadraticModel.grad))
@@ -439,4 +460,6 @@ class TestMinimizeFista:
                                          rng.uniform(-1, 1, 8), tol=1e-10,
                                          max_iter=5000)[2]
         assert counts["grads"] >= iterations > 0
-        assert counts["products"] == counts["values"]
+        assert len(products) == counts["values"]
+        # one prepared product per model, bound when it was built
+        assert len(prepared) == 4
