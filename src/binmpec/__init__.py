@@ -2,10 +2,10 @@
 and assignment blocks, built around an equilibrium-constraint
 reformulation of the binary set."""
 
-from .adm import AdmConfig, solve_adm
+from .adm import solve_adm
 from .baselines import (BaselineConfig, BaselineMethod, solve_iht,
                         solve_l2box_admm, solve_lp_round)
-from .epm import EpmConfig, epm_v_update, solve_epm
+from .epm import PenaltyConfig, epm_v_update, solve_epm
 from .kernels import active_backend
 from .linalg import SparseMatrix, matvec, spectral_norm_estimate, vector
 from .oracle import SizeLimitError, brute_force, feasible_count_binomial
@@ -23,8 +23,8 @@ from .subsolver import QuadraticObjective
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmConfig", "BaselineConfig", "BaselineMethod", "EpmConfig",
-    "FeasibleSet", "Graph", "MpecVariant", "ProblemInstance",
+    "BaselineConfig", "BaselineMethod", "FeasibleSet", "Graph",
+    "MpecVariant", "PenaltyConfig", "ProblemInstance",
     "QuadraticObjective", "SizeLimitError", "SolveReport", "SolverView",
     "SparseMatrix", "active_backend", "brute_force",
     "build_bisection", "build_constrained_segmentation",

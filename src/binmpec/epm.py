@@ -9,6 +9,8 @@ the box: past that threshold the penalty is exact and minimizers are
 binary.  The exact penalty method is the case alpha = 0, where the
 multiplier step is idle and rho itself escalates on a fixed schedule up
 to the cap; ``adm`` starts at rho = 0 and escalates alpha instead.
+One ``PenaltyConfig`` holds both schedules: ``solve_epm`` reads rho0,
+``solve_adm`` alpha0.
 """
 
 import time
@@ -17,14 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import finish_solve
-from .subsolver import QuadraticModel, check_schedule, minimize_fista
+from .subsolver import QuadraticModel, check_counts, check_positive, minimize_fista
 
 ALPHA_CAP = 1e6
 
 
 @dataclass
-class EpmConfig:
+class PenaltyConfig:
     rho0: float = 0.01
+    alpha0: float = 0.001
     sigma: float = float(np.sqrt(10.0))
     inner_T: int = 10
     feas_tol: float = 1e-8
@@ -33,7 +36,12 @@ class EpmConfig:
     inner_max_iter: int = 2000
 
     def __post_init__(self):
-        check_schedule(self, "rho0")
+        check_positive(self, "rho0", "alpha0", "sigma", "feas_tol", "inner_tol")
+        if self.sigma <= 1:
+            raise ValueError("sigma must exceed 1")
+        if self.alpha0 > ALPHA_CAP:
+            raise ValueError("alpha0 must not exceed ALPHA_CAP = %g" % ALPHA_CAP)
+        check_counts(self, "inner_T", "max_outer", "inner_max_iter")
 
 
 def epm_v_update(x):
@@ -108,5 +116,5 @@ def alternate(problem, method, config, seed, rho0, alpha0):
 
 def solve_epm(problem, config=None, seed=0):
     """Run the penalty iteration; returns a SolveReport."""
-    config = config or EpmConfig()
+    config = config or PenaltyConfig()
     return alternate(problem, "epm", config, seed, config.rho0, 0.0)

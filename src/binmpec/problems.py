@@ -280,6 +280,8 @@ def generate(kind, params=None, seed=0) -> Graph:
     if kind == "erdos_renyi":
         n = int(params["n"])
         p = float(params.get("p", 0.3))
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("erdos_renyi needs 0 <= p <= 1, got p=%r" % p)
         # one draw per pair (i, j), i < j, in row-major order
         u, v = np.triu_indices(n, 1)
         keep = rng.random(u.shape[0]) < p
@@ -288,8 +290,10 @@ def generate(kind, params=None, seed=0) -> Graph:
         n = int(params["n"])
         q = int(params["q"])
         p = float(params.get("p", 0.2))
-        if q > n:
-            raise ValueError("clique size exceeds node count")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("planted_clique needs 0 <= p <= 1, got p=%r" % p)
+        if not 0 <= q <= n:
+            raise ValueError("planted_clique needs 0 <= q <= n, got q=%d, n=%d" % (q, n))
         members = rng.choice(n, size=q, replace=False)
         clique = {(min(a, b), max(a, b)) for a in members for b in members if a != b}
         edges = dict.fromkeys(clique, 1.0)
@@ -478,7 +482,7 @@ def finish_solve(problem, method, y, start, gap, outer, trace, converged,
     return SolveReport(
         method=method,
         problem=dict(problem.meta, domain=problem.domain, **meta),
-        x_binary=tuple(x_binary),
+        x_binary=x_binary,
         objective_binary=problem.objective.value(x_binary),
         complementarity_gap_final=gap,
         outer_iterations=outer,
@@ -487,5 +491,5 @@ def finish_solve(problem, method, y, start, gap, outer, trace, converged,
         feasible=feasible,
         converged=converged,
         objective_relaxed=objective_relaxed,
-        x_relaxed=None if x_relaxed is None else tuple(x_relaxed),
+        x_relaxed=x_relaxed,
     )

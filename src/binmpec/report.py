@@ -3,6 +3,8 @@
 import json
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 
 @dataclass
 class SolveReport:
@@ -29,12 +31,12 @@ class SolveReport:
     x_relaxed: tuple | None = None
 
     def __post_init__(self):
-        self.x_binary = tuple(float(v) for v in self.x_binary)
+        self.x_binary = tuple(np.asarray(self.x_binary, dtype=np.float64).tolist())
         self.trace = tuple(
             (int(it), float(f), float(g), float(p)) for it, f, g, p in self.trace
         )
         if self.x_relaxed is not None:
-            self.x_relaxed = tuple(float(v) for v in self.x_relaxed)
+            self.x_relaxed = tuple(np.asarray(self.x_relaxed, dtype=np.float64).tolist())
         if self.objective_relaxed is not None:
             self.objective_relaxed = float(self.objective_relaxed)
         self.objective_binary = float(self.objective_binary)

@@ -85,19 +85,6 @@ def check_counts(config, *names):
             raise ValueError("%s must be an integer of at least 1" % name)
 
 
-def check_schedule(config, first):
-    """The settings check EpmConfig and AdmConfig share.
-
-    ``first`` names the schedule's starting weight (rho0 or alpha0).  The
-    weights and tolerances must be finite and positive, the growth factor
-    sigma must exceed 1 and every count must be an integer of at least 1.
-    """
-    check_positive(config, first, "sigma", "feas_tol", "inner_tol")
-    if config.sigma <= 1:
-        raise ValueError("sigma must exceed 1")
-    check_counts(config, "inner_T", "max_outer", "inner_max_iter")
-
-
 class QuadraticModel:
     """The x-subproblem of every solver, on a QuadraticObjective's A:
 

@@ -23,7 +23,7 @@ from reference import simplex_projection_oracle
 
 from binmpec.adm import solve_adm
 from binmpec.baselines import solve_lp_round
-from binmpec.epm import EpmConfig, epm_v_update, solve_epm
+from binmpec.epm import PenaltyConfig, epm_v_update, solve_epm
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, build_bisection, build_dense_subgraph,
                               build_mrf, generate)
@@ -131,7 +131,7 @@ def test_criterion_03_penalty_never_exceeds_cap(tiny_pool, er_pool):
 def test_criterion_04_penalty_increase_budget(tiny_pool, er_pool):
     """Penalty increases per run stay within the logarithmic budget
     ceil((ln(L_hat * sqrt(2n)) - ln(eps * rho0)) / ln(sigma))."""
-    cfg = EpmConfig()
+    cfg = PenaltyConfig()
     worst_ratio = 0.0
     for name, rep in _pool_reports(tiny_pool, er_pool, "epm"):
         l_hat = rep.problem["l_hat"]
@@ -178,7 +178,7 @@ def test_criterion_07_terminating_runs_are_binary(tiny_pool, er_pool):
     must finish within one more epoch of alternations; the alternating
     method's multiplier may sit at its cap while the quadratic term is
     still being escalated, so no window is claimed there."""
-    inner_t = EpmConfig().inner_T
+    inner_t = PenaltyConfig().inner_T
     worst = 0.0
     for method in ("epm", "adm"):
         for name, rep in _pool_reports(tiny_pool, er_pool, method):

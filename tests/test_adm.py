@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from binmpec.adm import ALPHA_CAP, AdmConfig, solve_adm
-from binmpec.epm import epm_v_update
+from binmpec.adm import solve_adm
+from binmpec.epm import ALPHA_CAP, PenaltyConfig, epm_v_update
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, build_bisection, build_dense_subgraph,
                               build_mrf, generate)
@@ -11,6 +11,7 @@ C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
 
 
 class TestConfig:
+    # the settings solve_adm reads; tests/test_epm.py checks solve_epm's
     @pytest.mark.parametrize("kw", [
         {"alpha0": 0.0}, {"alpha0": -0.5}, {"sigma": 1.0}, {"inner_T": 0},
         {"max_outer": 0}, {"feas_tol": 0.0},
@@ -23,10 +24,10 @@ class TestConfig:
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
-            AdmConfig(**kw)
+            PenaltyConfig(**kw)
 
     def test_numpy_counts_and_cap_accepted(self):
-        cfg = AdmConfig(alpha0=ALPHA_CAP, inner_T=np.int64(3), max_outer=np.int32(2))
+        cfg = PenaltyConfig(alpha0=ALPHA_CAP, inner_T=np.int64(3), max_outer=np.int32(2))
         rep = solve_adm(build_bisection(C4), cfg)
         assert rep.outer_iterations <= 2
 

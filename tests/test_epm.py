@@ -1,10 +1,12 @@
+import dataclasses
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from binmpec.adm import ALPHA_CAP, AdmConfig, solve_adm
-from binmpec.epm import EpmConfig, epm_v_update, solve_epm
+from binmpec.adm import solve_adm
+from binmpec.epm import ALPHA_CAP, PenaltyConfig, epm_v_update, solve_epm
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, ProblemInstance, build_bisection,
                               build_modularity, build_mrf, generate)
@@ -24,12 +26,22 @@ def identity_instance(n, b=None, scale=1.0):
 
 
 class TestConfig:
+    """One PenaltyConfig for both solvers: solve_epm reads rho0,
+    solve_adm alpha0."""
+
     def test_defaults(self):
-        cfg = EpmConfig()
+        cfg = PenaltyConfig()
         assert cfg.rho0 == pytest.approx(0.01)
+        assert cfg.alpha0 == pytest.approx(0.001)
         assert cfg.sigma == pytest.approx(np.sqrt(10.0))
         assert cfg.inner_T == 10
 
+    def test_eight_fields(self):
+        assert [f.name for f in dataclasses.fields(PenaltyConfig)] == [
+            "rho0", "alpha0", "sigma", "inner_T", "feas_tol", "max_outer",
+            "inner_tol", "inner_max_iter"]
+
+    # the settings solve_epm reads; tests/test_adm.py checks solve_adm's
     @pytest.mark.parametrize("kw", [
         {"rho0": 0.0}, {"rho0": -1.0}, {"sigma": 1.0}, {"inner_T": 0},
         {"feas_tol": 0.0}, {"max_outer": 0},
@@ -41,7 +53,18 @@ class TestConfig:
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
-            EpmConfig(**kw)
+            PenaltyConfig(**kw)
+
+    @pytest.mark.parametrize("name", ["bisection", "modularity", "mrf"])
+    @pytest.mark.parametrize("solve,other", [
+        (solve_epm, {"alpha0": 0.5}), (solve_adm, {"rho0": 7.0}),
+    ])
+    def test_other_schedule_start_is_not_read(self, schedule_instances, name, solve, other):
+        prob = schedule_instances[name]
+        a = json.loads(solve(prob, PenaltyConfig(), seed=2).to_json())
+        b = json.loads(solve(prob, PenaltyConfig(**other), seed=2).to_json())
+        del a["wall_time_ms"], b["wall_time_ms"]
+        assert json.dumps(a) == json.dumps(b)
 
 
 class TestVUpdate:
@@ -173,9 +196,9 @@ class TestSchedule:
 
     @pytest.mark.parametrize("name", ["bisection", "modularity", "mrf"])
     @pytest.mark.parametrize("solve,config", [
-        (solve_epm, EpmConfig(inner_T=3)), (solve_epm, EpmConfig(inner_T=1)),
-        (solve_adm, AdmConfig(inner_T=3)),
-        (solve_adm, AdmConfig(alpha0=ALPHA_CAP / 2, inner_T=1)),
+        (solve_epm, PenaltyConfig(inner_T=3)), (solve_epm, PenaltyConfig(inner_T=1)),
+        (solve_adm, PenaltyConfig(inner_T=3)),
+        (solve_adm, PenaltyConfig(alpha0=ALPHA_CAP / 2, inner_T=1)),
     ])
     def test_penalty_column(self, schedule_instances, name, solve, config):
         rep = solve(schedule_instances[name], config)
@@ -220,15 +243,17 @@ class TestDeterminism:
 
 class TestInnerSolverSettings:
     # FISTA would run silently to its cap (tol <= 0 or nan), stop at
-    # once (tol = inf) or not run at all (max_iter < 1)
-    @pytest.mark.parametrize("config", [EpmConfig, AdmConfig])
+    # once (tol = inf) or not run at all (max_iter < 1), with either
+    # schedule start set: "EpmConfig" sets rho0, "AdmConfig" alpha0 at its cap
+    @pytest.mark.parametrize("start", [{"rho0": 0.5}, {"alpha0": ALPHA_CAP}],
+                             ids=["EpmConfig", "AdmConfig"])
     @pytest.mark.parametrize("kw", [
         {"inner_tol": 0.0}, {"inner_tol": -1e-5}, {"inner_tol": float("nan")},
         {"inner_tol": float("inf")}, {"inner_max_iter": 0}, {"inner_max_iter": -3},
     ])
-    def test_rejected(self, config, kw):
+    def test_rejected(self, start, kw):
         with pytest.raises(ValueError, match="inner_"):
-            config(**kw)
+            PenaltyConfig(**start, **kw)
 
     @pytest.mark.parametrize("bad", [0.0, -4.0, float("nan"), float("inf")])
     def test_model_rejects_bad_lipschitz(self, bad):

@@ -9,11 +9,11 @@ def test_all_names_resolve():
 
 
 def test_adm_exports_only_its_solver():
-    # adm's v-step is epm_v_update, so adm defines and exports its config
-    # and solver alone
+    # adm's v-step is epm_v_update and its config is epm's PenaltyConfig,
+    # so adm defines and exports its solver alone
     defined = {name for name, obj in vars(binmpec.adm).items()
                if getattr(obj, "__module__", None) == "binmpec.adm"}
-    assert defined == {"AdmConfig", "solve_adm"}
+    assert defined == {"solve_adm"}
     exported = {name for name in binmpec.__all__
                 if getattr(getattr(binmpec, name), "__module__", None) == "binmpec.adm"}
     assert exported == defined
@@ -23,3 +23,12 @@ def test_test_helpers_are_not_library_code():
     # no src caller needed them; tests/reference.py keeps both as references
     assert not hasattr(binmpec.linalg, "quadratic_form")
     assert not hasattr(binmpec.QuadraticObjective, "grad")
+
+
+def test_one_penalty_config():
+    # epm and adm share PenaltyConfig; the two configs it replaced and
+    # their shared check have no alias left
+    for module in (binmpec, binmpec.epm, binmpec.adm):
+        assert not hasattr(module, "EpmConfig") and not hasattr(module, "AdmConfig")
+    assert not hasattr(binmpec.subsolver, "check_schedule")
+    assert binmpec.PenaltyConfig is binmpec.epm.PenaltyConfig

@@ -504,7 +504,15 @@ class TestGenerate:
         ("four_gauss_knn", {"n": 5, "knn": 0}, "1 <= knn < n"),
         ("four_gauss_knn", {"n": 5, "knn": -1}, "1 <= knn < n"),
         ("four_gauss_knn", {"n": 5, "knn": 5}, "1 <= knn < n"),
-        ("four_gauss_knn", {"n": 1, "knn": 1}, "1 <= knn < n")])
+        ("four_gauss_knn", {"n": 1, "knn": 1}, "1 <= knn < n"),
+        # unchecked, p outside [0, 1] would build an empty or a complete
+        # graph, and a negative q fail inside numpy
+        ("erdos_renyi", {"n": 5, "p": -0.5}, "0 <= p <= 1, got p=-0.5"),
+        ("erdos_renyi", {"n": 5, "p": float("nan")}, "0 <= p <= 1, got p=nan"),
+        ("erdos_renyi", {"n": 5, "p": 2.0}, "0 <= p <= 1, got p=2.0"),
+        ("planted_clique", {"n": 5, "q": 2, "p": 1.5}, "0 <= p <= 1"),
+        ("planted_clique", {"n": 5, "q": -2}, "0 <= q <= n, got q=-2"),
+        ("planted_clique", {"n": 5, "q": 6}, "0 <= q <= n, got q=6")])
     def test_parameters_checked(self, kind, params, match):
         with pytest.raises(ValueError, match=match):
             generate(kind, params)
@@ -522,6 +530,10 @@ class TestGenerate:
         assert generate("cycle", {"n": 3}).edges == ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
         g = generate("four_gauss_knn", {"n": 2, "knn": 1}, seed=3)
         assert [(u, v) for u, v, _ in g.edges] == [(0, 1)]
+        assert generate("erdos_renyi", {"n": 3, "p": 0.0}).edges == ()
+        assert len(generate("erdos_renyi", {"n": 3, "p": 1.0}).edges) == 3
+        assert generate("planted_clique", {"n": 3, "q": 0, "p": 0.0}).edges == ()
+        assert len(generate("planted_clique", {"n": 3, "q": 3, "p": 0.0}).edges) == 3
 
 
 def assert_same_graph(g, want):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -90,6 +91,26 @@ class TestJsonRoundTrip:
         assert isinstance(rep.x_binary[0], float)
         assert isinstance(rep.outer_iterations, int)
         assert isinstance(rep.trace[0][1], float)
+
+    @pytest.mark.parametrize("source", ["array", "np.float64", "json"])
+    def test_vectors_hold_plain_floats(self, source):
+        values = [1.0, -0.0, 0.1 + 0.2, -1.0, 5e-324]
+        if source == "json":
+            payload = dict(json.loads(sample_report().to_json()),
+                           x_binary=values, x_relaxed=values)
+            rep = SolveReport.from_json(json.dumps(payload))
+        else:
+            vec = (np.array(values) if source == "array"
+                   else tuple(np.float64(v) for v in values))
+            rep = dataclasses.replace(sample_report(), x_binary=vec, x_relaxed=vec)
+        for got in (rep.x_binary, rep.x_relaxed):
+            assert type(got) is tuple
+            assert all(type(v) is float for v in got)
+            # -0.0 and the subnormal kept bit for bit
+            assert np.array(got).tobytes() == np.array(values).tobytes()
+        back = SolveReport.from_json(rep.to_json())
+        assert back.to_json() == rep.to_json()
+        assert np.array(back.x_binary).tobytes() == np.array(values).tobytes()
 
     def test_solver_report_survives(self, tmp_path):
         g = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
