@@ -3,11 +3,10 @@ and assignment blocks, built around an equilibrium-constraint
 reformulation of the binary set."""
 
 from .adm import solve_adm
-from .baselines import (BaselineConfig, BaselineMethod, solve_iht,
-                        solve_l2box_admm, solve_lp_round)
+from .baselines import BaselineConfig, solve_iht, solve_l2box_admm, solve_lp_round
 from .epm import PenaltyConfig, epm_v_update, solve_epm
 from .kernels import active_backend
-from .linalg import SparseMatrix, matvec, spectral_norm_estimate, vector
+from .linalg import SparseMatrix, matvec, spectral_norm_estimate
 from .oracle import SizeLimitError, brute_force, feasible_count_binomial
 from .problems import (Graph, ProblemInstance, SolverView, build_bisection,
                        build_constrained_segmentation, build_dense_subgraph,
@@ -23,7 +22,7 @@ from .subsolver import QuadraticObjective
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineConfig", "BaselineMethod", "FeasibleSet", "Graph",
+    "BaselineConfig", "FeasibleSet", "Graph",
     "MpecVariant", "PenaltyConfig", "ProblemInstance",
     "QuadraticObjective", "SizeLimitError", "SolveReport", "SolverView",
     "SparseMatrix", "active_backend", "brute_force",
@@ -35,5 +34,5 @@ __all__ = [
     "project_capped_simplex", "project_feasible",
     "round_feasible", "round_sign", "solve_adm", "solve_epm", "solve_iht",
     "solve_l2box_admm", "solve_lp_round",
-    "spectral_norm_estimate", "subgraph_weight", "trace_to_csv", "vector",
+    "spectral_norm_estimate", "subgraph_weight", "trace_to_csv",
 ]

@@ -1,7 +1,6 @@
 """Reference methods: relax-and-round, iterative hard thresholding, and
 an ADMM splitting over the l2 box-sphere intersection."""
 
-import enum
 import time
 from dataclasses import dataclass
 
@@ -14,12 +13,6 @@ from .subsolver import QuadraticModel, check_counts, check_positive, minimize_fi
 
 MU_CAP = 1e10
 LP_TOL = 1e-7  # FISTA tolerance of the lp relaxation
-
-
-class BaselineMethod(enum.Enum):
-    LP_ROUND = "lp"
-    IHT = "iht"
-    L2BOX_ADMM = "l2box"
 
 
 @dataclass

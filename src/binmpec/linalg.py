@@ -9,20 +9,14 @@ CW_STEPS = 50     # Collatz-Wielandt steps above it
 PSD_RTOL = 1e-7   # lambda_min >= -PSD_RTOL max(1, norm bound) shows M >= 0
 
 
-def vector(values):
-    """Validating vector constructor: float64 copy, finite entries only."""
-    x = np.array(values, dtype=np.float64, copy=True).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector entries must be finite")
-    return x
-
-
 class SparseMatrix:
     """Symmetric CSR matrix of order n, storing both triangles.
 
-    Construction validates (to 1e-12) that for every stored (i, j, w) a
-    matching (j, i, w) is stored.  Instances are immutable after
-    construction and safe to share between solves.  ``factor`` is the
+    Construction validates that for every stored (i, j, w) a matching
+    (j, i, w') is stored with |w - w'| at most 1e-12 of the largest
+    |value|, so a power-of-two multiple of M is valid just when M is.
+    Instances are immutable after construction and safe to share between
+    solves.  ``factor`` is the
     dense W of a matrix built as W kron I_k (``kron_identity``), through
     which its products are taken, and None otherwise.
 
@@ -81,9 +75,10 @@ class SparseMatrix:
         if not np.array_equal(t_off, off) or not np.array_equal(t_col, self.col_indices):
             raise ValueError("matrix is not symmetric: its sparsity pattern differs "
                              "from the transpose's")
-        if np.any(np.abs(t_val - self.values) > 1e-12):
+        if np.any(np.abs(t_val - self.values)
+                  > 1e-12 * np.max(np.abs(self.values), initial=0.0)):
             raise ValueError("matrix is not symmetric: values differ from the "
-                             "transpose's beyond 1e-12")
+                             "transpose's beyond 1e-12 of the largest |value|")
 
     @classmethod
     def from_coo(cls, n, rows, cols, vals):
@@ -207,8 +202,9 @@ class SparseMatrix:
 
     def scaled(self, alpha):
         """New matrix alpha * M (same pattern, and alpha W as its factor).
-        It starts with M's kept certificate scaled by alpha when that has
-        the bits a fresh estimate of alpha M would (``_scaled_certificate``)."""
+        For a power of two alpha it starts with M's kept certificate scaled
+        by alpha (``_scaled_certificate``), the one place a certificate is
+        carried rather than taken."""
         alpha = float(alpha)
         out = SparseMatrix(self.n_rows, self.row_offsets, self.col_indices,
                            self.values * alpha)
@@ -367,22 +363,25 @@ def spectral_norm_estimate(M):
 
 
 def _scaled_certificate(bound, alpha, n):
-    """The certificate of alpha M made from ``bound``, M's, when it has the
-    bits a fresh estimate of alpha M would; else None.
+    """The certificate of alpha M made from ``bound``, M's, for a power of
+    two alpha (either direction, either method); else None.
 
-    That holds for a Collatz-Wielandt bound and a power of two alpha >= 1:
-    alpha M takes the same steps on the same |M| / 2^e, the final scaling
-    is exact while the bound is normal, and Gershgorin's sums and
-    differences scale exactly while no row sum of |alpha M| (at most
-    sqrt(n) alpha ||M||) overflows.  The verdict is taken again, since
-    PSD_RTOL max(1, bound) does not scale with M; where it fails, a fresh
-    estimate takes the dense spectrum.
+    A power-of-two factor commutes with every rounding in the normal range,
+    so alpha M takes alpha times the bound and ``lam_min``: the
+    Collatz-Wielandt steps run on the same |M| / 2^e and scale back by
+    alpha 2^e, Gershgorin's sums and differences scale exactly, and so
+    do the margin and, where LAPACK takes no scaling step of its own, the
+    dense spectrum of M's copy or of W; either way alpha times a bound on
+    ||M|| bounds ||alpha M||.  The carried certificate is not taken where
+    the bound or alpha times it is subnormal, or a row sum of |M| or
+    |alpha M| (at most sqrt(n) times its norm) overflows; a fresh
+    estimate is taken there.  alpha M >= 0 just when M >= 0, so the
+    verdict is kept as it is.
     """
-    if bound.method != "collatz_wielandt" or alpha < 1.0 or math.frexp(alpha)[0] != 0.5:
+    if math.frexp(alpha)[0] != 0.5:
         return None
-    value, lower = alpha * bound, alpha * bound.lam_min
-    if 0.0 < bound < np.finfo(np.float64).tiny or not math.isfinite(n * value):
+    value = alpha * bound
+    small, large = sorted((float(bound), value))
+    if 0.0 < small < np.finfo(np.float64).tiny or not math.isfinite(n * large):
         return None
-    if lower < -PSD_RTOL * max(1.0, value):
-        return None
-    return NormBound(value, "collatz_wielandt", lower, "gershgorin")
+    return NormBound(value, bound.method, alpha * bound.lam_min, bound.psd)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DENSE_MAX, SparseMatrix, matvec
+from .linalg import SparseMatrix, matvec
 from .projections import BINARY_TOL, FeasibleSet, WarmStart, project_feasible, projector
 from .reformulations import round_sign
 from .report import SolveReport
@@ -23,10 +23,9 @@ class Graph:
     the densest-k and modularity builders read.  A graph builds its
     Laplacian L (``laplacian``) and 2L on first use
     and keeps them, so the bisection, segmentation and MRF builders of
-    one graph share one L, one 2L and their certificates: above
-    ``DENSE_MAX`` L's certificate is taken before 2L is made, and 2L
-    takes it by doubling (``SparseMatrix.scaled``), one estimate for the
-    three; below it L and 2L each take a dense spectrum.
+    one graph share one L, one 2L and their certificates: L's
+    certificate is taken before 2L is made, and 2L takes it by doubling
+    (``SparseMatrix.scaled``), one estimate for the three.
     """
 
     n: int
@@ -91,8 +90,7 @@ class Graph:
     @functools.cached_property
     def _doubled_laplacian(self):
         L = self._laplacian
-        if self.n > DENSE_MAX:
-            L.certificate()  # a Collatz-Wielandt bound, which 2L takes
+        L.certificate()  # 2L takes it by doubling
         return L.scaled(2.0)
 
 
@@ -266,19 +264,19 @@ def generate(kind, params=None, seed=0) -> Graph:
     params = dict(params or {})
     rng = np.random.default_rng(seed)
     if kind == "cycle":
-        n = int(params["n"])
+        n = _integer(params, "n")
         if n < 3:
             raise ValueError("cycle needs n >= 3, got %d" % n)
         edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
         return Graph(n, tuple(edges))
     if kind == "path":
-        n = int(params["n"])
+        n = _integer(params, "n")
         return Graph(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
     if kind == "complete":
-        n = int(params["n"])
+        n = _integer(params, "n")
         return Graph(n, tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n)))
     if kind == "erdos_renyi":
-        n = int(params["n"])
+        n = _integer(params, "n")
         p = float(params.get("p", 0.3))
         if not 0.0 <= p <= 1.0:
             raise ValueError("erdos_renyi needs 0 <= p <= 1, got p=%r" % p)
@@ -287,8 +285,8 @@ def generate(kind, params=None, seed=0) -> Graph:
         keep = rng.random(u.shape[0]) < p
         return Graph(n, tuple((i, j, 1.0) for i, j in zip(u[keep].tolist(), v[keep].tolist())))
     if kind == "planted_clique":
-        n = int(params["n"])
-        q = int(params["q"])
+        n = _integer(params, "n")
+        q = _integer(params, "q")
         p = float(params.get("p", 0.2))
         if not 0.0 <= p <= 1.0:
             raise ValueError("planted_clique needs 0 <= p <= 1, got p=%r" % p)
@@ -303,8 +301,8 @@ def generate(kind, params=None, seed=0) -> Graph:
                     edges[(i, j)] = 1.0
         return Graph(n, tuple((u, v, w) for (u, v), w in sorted(edges.items())))
     if kind == "four_gauss_knn":
-        n = int(params["n"])
-        knn = int(params.get("knn", 8))
+        n = _integer(params, "n")
+        knn = _integer(params, "knn", 8)
         std = float(params.get("std", 0.6))
         if not 1 <= knn < n:
             raise ValueError("four_gauss_knn needs 1 <= knn < n, got knn=%d, n=%d" % (knn, n))
@@ -328,6 +326,20 @@ def generate(kind, params=None, seed=0) -> Graph:
         w = np.exp(-d2[a, b] / scale)
         return Graph(n, tuple(zip(a.tolist(), b.tolist(), w.tolist())))
     raise ValueError("unknown generator kind: %r" % kind)
+
+
+def _integer(params, name, default=None):
+    """``params[name]`` (``default`` when absent and given) as an int; a
+    ValueError naming the parameter unless it is an integer value, as 6,
+    numpy's 6 or 6.0 are and 6.7, "6" and nan are not."""
+    value = params[name] if default is None else params.get(name, default)
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +367,7 @@ class SolverView:
             A1 = matvec(src.A, ones)
             b = 0.25 * A1 + 0.5 * src.b
             c = src.c + 0.125 * float(np.dot(ones, A1)) + 0.5 * float(src.b.sum())
-            self.objective = src.scaled(0.25, b, c)
+            self.objective = QuadraticObjective(src.A.scaled(0.25), b, c)
             self.feasible_set = FeasibleSet(
                 self.n, "pm1",
                 None if fs.sum_constraint is None else 2.0 * fs.sum_constraint - self.n,

@@ -5,7 +5,7 @@ import numbers
 
 import numpy as np
 
-from .linalg import NormBound, SparseMatrix, check_dimension, matvec
+from .linalg import SparseMatrix, check_dimension, matvec
 
 
 class QuadraticObjective:
@@ -21,13 +21,6 @@ class QuadraticObjective:
     def __init__(self, A, b, c=0.0):
         if not isinstance(A, SparseMatrix):
             raise TypeError("A must be a SparseMatrix")
-        self.norm_bound = A.certificate()
-        self._set_terms(A, b, c)
-        self.lipschitz = max(1.01 * self.norm_bound, 1e-9)
-        if not np.isfinite(self.lipschitz):
-            raise ValueError("the norm bound of A overflows")
-
-    def _set_terms(self, A, b, c):
         self.A = A
         self.b = np.array(b, dtype=np.float64).reshape(-1)
         if self.b.shape[0] != A.n_rows:
@@ -35,25 +28,10 @@ class QuadraticObjective:
         if not np.all(np.isfinite(self.b)):
             raise ValueError("b must be finite")
         self.c = float(c)
-
-    def scaled(self, alpha, b, c=0.0):
-        """0.5 x'(alpha A)x + b'x + c for a finite alpha > 0.
-
-        ||alpha A|| = alpha ||A||, so the norm bound and the Lipschitz
-        bound are carried over by the same factor instead of being bounded
-        again; for a power-of-two alpha both are exact.  alpha A >= 0 just
-        when A >= 0, so the verdict is carried over as it is.
-        """
-        alpha = float(alpha)
-        if not 0.0 < alpha < np.inf:
-            raise ValueError("scale must be finite and positive")
-        out = QuadraticObjective.__new__(QuadraticObjective)
-        out._set_terms(self.A.scaled(alpha), b, c)
-        bound = self.norm_bound
-        out.norm_bound = NormBound(alpha * bound, bound.method, alpha * bound.lam_min,
-                                   bound.psd)
-        out.lipschitz = alpha * self.lipschitz
-        return out
+        self.norm_bound = A.certificate()
+        self.lipschitz = max(1.01 * self.norm_bound, 1e-9)
+        if not np.isfinite(self.lipschitz):
+            raise ValueError("the norm bound of A overflows")
 
     @property
     def n(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from binmpec import kernels, projections
-from binmpec.baselines import (BaselineConfig, BaselineMethod, _sphere_step,
+from binmpec.baselines import (BaselineConfig, _sphere_step,
                                solve_iht, solve_l2box_admm, solve_lp_round)
 from binmpec.linalg import SparseMatrix
 from binmpec.oracle import brute_force
@@ -27,11 +27,6 @@ def identity_instance(n, b=None):
 
 
 class TestConfig:
-    def test_enum_values(self):
-        assert BaselineMethod.LP_ROUND.value == "lp"
-        assert BaselineMethod.IHT.value == "iht"
-        assert BaselineMethod.L2BOX_ADMM.value == "l2box"
-
     @pytest.mark.parametrize("kw", [
         {"tol": 0.0}, {"max_iter": 0}, {"penalty0": 0.0}, {"sigma": 1.0},
         {"inner_T": 0},

@@ -32,3 +32,19 @@ def test_one_penalty_config():
         assert not hasattr(module, "EpmConfig") and not hasattr(module, "AdmConfig")
     assert not hasattr(binmpec.subsolver, "check_schedule")
     assert binmpec.PenaltyConfig is binmpec.epm.PenaltyConfig
+
+
+def test_unused_names_removed():
+    # no caller in the library, its command line or the benchmark used them
+    for module, name in ((binmpec, "vector"), (binmpec.linalg, "vector"),
+                         (binmpec, "BaselineMethod"), (binmpec.baselines, "BaselineMethod")):
+        assert name not in binmpec.__all__ and not hasattr(module, name)
+
+
+def test_one_scaling_rule_for_certificates():
+    # SparseMatrix.scaled carries a certificate; the objective has no
+    # scaling of its own, and the builders do not read DENSE_MAX
+    assert not hasattr(binmpec.QuadraticObjective, "scaled")
+    assert not hasattr(binmpec.QuadraticObjective, "_set_terms")
+    assert not hasattr(binmpec.subsolver, "NormBound")
+    assert not hasattr(binmpec.problems, "DENSE_MAX")

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binmpec.linalg import (DENSE_MAX, SparseMatrix, _transpose_csr,
-                            gershgorin_lower_bound, matvec, spectral_norm_estimate,
-                            vector)
+from binmpec.linalg import (DENSE_MAX, NormBound, SparseMatrix, _transpose_csr,
+                            gershgorin_lower_bound, matvec, spectral_norm_estimate)
 
 from binmpec.problems import Graph, build_modularity, generate, laplacian
 
@@ -23,20 +22,6 @@ def dense_to_sparse(dense):
 
 
 P3_LAPLACIAN = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-
-
-class TestVector:
-    def test_copies_and_casts(self):
-        src = [1, 2, 3]
-        out = vector(src)
-        assert out.dtype == np.float64
-        assert out.tolist() == [1.0, 2.0, 3.0]
-
-    def test_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError):
-            vector([1.0, float("nan")])
-        with pytest.raises(ValueError):
-            vector([float("inf")])
 
 
 class TestSparseMatrix:
@@ -80,6 +65,16 @@ class TestSparseMatrix:
             SparseMatrix(2, [0, 1, 1], [1], [1.0])
         with pytest.raises(ValueError, match="values"):
             SparseMatrix.from_coo(2, [0, 1], [1, 0], [1.0, 2.0])
+
+    def test_symmetry_tolerance_scales_with_the_values(self):
+        # an asymmetry of 0.8e-12 against a largest |value| of 2 passes, and
+        # still passes once doubled; 3e-12 against 2 does not
+        m = SparseMatrix.from_coo(2, [0, 1, 0, 1], [1, 0, 0, 1],
+                                  [1 + 0.8e-12, 1.0, 2.0, 2.0])
+        for alpha in (2.0, 2.0**-20, 2.0**20):
+            assert np.array_equal(m.scaled(alpha).to_dense(), alpha * m.to_dense())
+        with pytest.raises(ValueError, match="values differ"):
+            SparseMatrix.from_coo(2, [0, 1, 0, 1], [1, 0, 0, 1], [1 + 3e-12, 1.0, 2.0, 2.0])
 
     def test_immutable_after_construction(self):
         m = identity(2)
@@ -477,6 +472,14 @@ def copy_of(M):
     return SparseMatrix(M.n_rows, M.row_offsets, M.col_indices, M.values)
 
 
+def unshared(M):
+    """``copy_of`` M that keeps a copy of M's factor."""
+    out = copy_of(M)
+    if M.factor is not None:
+        out._set_factor(M.factor.copy())
+    return out
+
+
 def weighted_grid(side, rng, scale=1.0):
     """A side x side 4-neighbour grid with weights scale * U(0.05, 1.05)."""
     idx = np.arange(side * side).reshape(side, side)
@@ -495,6 +498,14 @@ def psd_sparse(n, rng):
             dense[i, j] = dense[j, i] = rng.uniform(-2.0, 2.0)
     np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.uniform(0.0, 1.0, n))
     return dense_to_sparse(dense)
+
+
+# one matrix per certificate path, named by its method
+CARRY_PATHS = {
+    "eigvalsh": lambda: laplacian(weighted_grid(12, np.random.default_rng(12))),
+    "eigvalsh-factored": lambda: modularity_problem(*KRON_CASES[-1]).objective.A,
+    "collatz_wielandt": lambda: laplacian(weighted_grid(20, np.random.default_rng(20))),
+}
 
 
 class TestCertificate:
@@ -541,10 +552,27 @@ class TestCertificate:
                             lambda M: calls.append(M) or spectral_norm_estimate(M))
         doubled = L.scaled(2.0)
         assert fields(doubled.certificate()) == fields(spectral_norm_estimate(copy_of(doubled)))
-        # only Collatz-Wielandt bounds are carried
-        assert len(calls) == (1 if side * side <= DENSE_MAX else 0)
+        # carried on both sides of DENSE_MAX
+        assert calls == []
 
-    @pytest.mark.parametrize("alpha", [0.5, 3.0])
+    # a dense spectrum, the factored spectrum of W kron I_k, and a
+    # Collatz-Wielandt bound; each carried certificate has the bits of a
+    # fresh estimate, which for the first two is a property of LAPACK
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("path", sorted(CARRY_PATHS))
+    def test_carried_equals_a_fresh_estimate(self, path, alpha, monkeypatch):
+        M = CARRY_PATHS[path]()
+        assert M.certificate().method == path.partition("-")[0]
+        calls = []
+        monkeypatch.setattr("binmpec.linalg.spectral_norm_estimate",
+                            lambda A: calls.append(A) or spectral_norm_estimate(A))
+        multiple = M.scaled(alpha)
+        carried = multiple.certificate()
+        assert calls == []
+        assert carried == alpha * M.certificate() and carried.psd == M.certificate().psd
+        assert fields(carried) == fields(spectral_norm_estimate(unshared(multiple)))
+
+    @pytest.mark.parametrize("alpha", [0.75, 3.0, -1.0])
     def test_other_scales_take_a_fresh_estimate(self, alpha):
         M = psd_sparse(300, np.random.default_rng(2))
         M.certificate()
@@ -555,20 +583,27 @@ class TestCertificate:
         assert 0.0 < L.certificate() < np.finfo(np.float64).tiny
         assert L.scaled(2.0)._certificate is None
 
-    def test_verdict_taken_again_for_the_multiple(self):
-        # Gershgorin bound -0.7e-7 with ||M|| < 0.5: inside -PSD_RTOL for M,
-        # but 2M's -1.4e-7 lies outside -PSD_RTOL max(1, 2 ||M||), so a
-        # fresh estimate of 2M takes the dense spectrum
+    def test_subnormal_multiple_not_carried(self):
+        L = laplacian(weighted_grid(18, np.random.default_rng(3), 1e-300))
+        assert 0.0 < L.certificate() * 2.0**-30 < np.finfo(np.float64).tiny
+        assert L.scaled(2.0**-8)._certificate is not None
+        assert L.scaled(2.0**-30)._certificate is None
+
+    def test_verdict_kept_for_the_multiple(self):
+        # Gershgorin bound -0.7e-7 with ||M|| < 0.5: inside -PSD_RTOL for M.
+        # 2M's -1.4e-7 lies outside -PSD_RTOL max(1, 2 ||M||), where a fresh
+        # estimate of 2M would take the dense spectrum; but 2M >= 0 just
+        # when M >= 0, whatever the scale, so 2M keeps M's verdict
         n = 300
         dense = np.diag(np.full(n, 0.1))
         dense[0, 1] = dense[1, 0] = 0.1 + 0.7e-7
         M = dense_to_sparse(dense)
-        assert M.certificate().method == "collatz_wielandt"
-        doubled = M.scaled(2.0)
-        assert doubled._certificate is None
-        bound = doubled.certificate()
-        assert bound.method == "eigvalsh" and bound.psd is None
-        assert fields(bound) == fields(spectral_norm_estimate(copy_of(doubled)))
+        bound = M.certificate()
+        assert (bound.method, bound.psd) == ("collatz_wielandt", "gershgorin")
+        doubled = M.scaled(2.0).certificate()
+        assert fields(doubled) == fields(NormBound(2.0 * bound, "collatz_wielandt",
+                                                   2.0 * bound.lam_min, "gershgorin"))
+        assert spectral_norm_estimate(copy_of(M.scaled(2.0))).method == "eigvalsh"
 
 
 def grid_laplacian(side, rng):
@@ -601,8 +636,3 @@ def test_bound_dominates_spectrum_property(n, density, dominant, seed):
     np.fill_diagonal(dense, diag)
     m = dense_to_sparse(dense)
     assert spectral_norm_estimate(m) >= exact_norm(m)
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
-def test_vector_roundtrip_property(values):
-    assert vector(values).tolist() == [float(v) for v in values]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import sys
 import warnings
 
@@ -13,7 +14,8 @@ import binmpec.subsolver
 from binmpec.adm import solve_adm
 from binmpec.baselines import solve_iht, solve_l2box_admm, solve_lp_round
 from binmpec.epm import solve_epm
-from binmpec.linalg import SparseMatrix, gershgorin_lower_bound, spectral_norm_estimate
+from binmpec.linalg import (NormBound, SparseMatrix, gershgorin_lower_bound,
+                            spectral_norm_estimate)
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, ProblemInstance, SolverView,
                               build_bisection, build_constrained_segmentation,
@@ -517,6 +519,31 @@ class TestGenerate:
         with pytest.raises(ValueError, match=match):
             generate(kind, params)
 
+    @pytest.mark.parametrize("kind,params,name", [
+        ("cycle", {"n": 6.7}, "n"), ("path", {"n": 4.5}, "n"),
+        ("complete", {"n": 3.2}, "n"), ("erdos_renyi", {"n": 5.9}, "n"),
+        ("planted_clique", {"n": 5.9, "q": 2, "p": 0.5}, "n"),
+        ("planted_clique", {"n": 5, "q": 2.7, "p": 0.5}, "q"),
+        ("four_gauss_knn", {"n": 12.5, "knn": 3}, "n"),
+        ("four_gauss_knn", {"n": 12, "knn": 3.5}, "knn"),
+        ("cycle", {"n": "6"}, "n"), ("cycle", {"n": float("nan")}, "n"),
+        ("path", {"n": float("inf")}, "n"), ("complete", {"n": None}, "n")])
+    def test_non_integer_sizes_rejected(self, kind, params, name):
+        # int() would truncate 6.7 to a 6-node cycle
+        with pytest.raises(ValueError, match="^%s must be an integer, got " % name):
+            generate(kind, params)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("cycle", {"n": 6}), ("path", {"n": 6}), ("complete", {"n": 6}),
+        ("erdos_renyi", {"n": 12, "p": 0.4}),
+        ("planted_clique", {"n": 12, "q": 4, "p": 0.3}),
+        ("four_gauss_knn", {"n": 16, "knn": 3})])
+    def test_integral_sizes_build_the_same_graph(self, kind, params):
+        want = pickle.dumps(generate(kind, params, seed=4))
+        for cast in (np.int64, np.int32, float, np.float64):
+            sizes = {k: cast(v) for k, v in params.items() if k in ("n", "q", "knn")}
+            assert pickle.dumps(generate(kind, dict(params, **sizes), seed=4)) == want
+
     @pytest.mark.parametrize("params", [{"n": 12, "knn": 3, "std": 0.0},
                                         {"n": 8, "knn": 1, "std": 0.0}])
     def test_zero_bandwidth_raises_before_dividing(self, params):
@@ -618,10 +645,9 @@ class TestProblemInstanceValidation:
                           if name in LAPLACIAN_BUILDS else [])
         probs = [builds[k]() for k in names]
         assert probs[0].meta["psd_check"] == GRID_CERTIFICATES[name]
-        # above DENSE_MAX the three Laplacian builders run one estimate, as
-        # 2L takes L's certificate by doubling; below it L and 2L each take
-        # a dense spectrum, and bisection and segmentation share 2L
-        assert len(spectral_calls) == (1 if big or len(names) == 1 else 2)
+        # the three Laplacian builders run one estimate on both sides of
+        # DENSE_MAX, as 2L takes L's certificate by doubling
+        assert len(spectral_calls) == 1
         # each estimate decides A >= 0 with its one Gershgorin bound
         assert gershgorin_calls == spectral_calls
         for prob in probs:
@@ -630,15 +656,18 @@ class TestProblemInstanceValidation:
 
     @pytest.mark.parametrize("n", [12, 300])
     def test_no_edges_keep_the_lipschitz_floor(self, n):
-        # 2L = 0 takes L's zero bound by doubling above DENSE_MAX, and its
-        # floor is its own, not a doubled 1e-9
+        # 2L = 0 takes L's zero bound by doubling, and the zero-one view's
+        # L / 4 = 0 by quartering; each floor is its own, not a doubled or
+        # quartered 1e-9
         g = Graph(n, ())
-        for prob in (build_mrf(g, np.zeros(n)), build_bisection(g),
-                     build_constrained_segmentation(g, [0], [1])):
-            assert prob.objective.norm_bound == 0.0
-            assert prob.objective.lipschitz == 1e-9
-            assert (certificate_fields(prob.objective.norm_bound)
-                    == certificate_fields(fresh_estimate(prob.objective.A)))
+        mrf = build_mrf(g, np.zeros(n))
+        for obj in (mrf.objective, mrf.solver_view.objective,
+                    build_bisection(g).objective,
+                    build_constrained_segmentation(g, [0], [1]).objective):
+            assert obj.norm_bound == 0.0
+            assert obj.lipschitz == 1e-9
+            assert certificate_fields(obj.norm_bound) == certificate_fields(
+                fresh_estimate(obj.A))
 
     def test_non_dominant_psd_modularity_accepted(self):
         g = generate("four_gauss_knn", {"n": 8, "knn": 3}, seed=2)
@@ -783,6 +812,18 @@ class TestSolverView:
         assert obj.norm_bound == src.norm_bound / 4.0
         assert np.array_equal(obj.A.values, src.A.values / 4.0)
         assert np.array_equal(obj.A.col_indices, src.A.col_indices)
+
+    @pytest.mark.parametrize("kind", sorted(k for k in GRID_BUILDS
+                                            if not k.startswith(("bisection", "segmentation"))))
+    def test_zeroone_view_carries_the_certificate(self, kind):
+        # A / 4 starts with A's certificate quartered, verdict kept, and
+        # that has the bits of a fresh estimate
+        prob = GRID_BUILDS[kind]()
+        src, obj = prob.objective.norm_bound, prob.solver_view.objective.norm_bound
+        assert certificate_fields(obj) == certificate_fields(
+            NormBound(src / 4.0, src.method, src.lam_min / 4.0, src.psd))
+        assert certificate_fields(obj) == certificate_fields(
+            fresh_estimate(prob.solver_view.objective.A))
 
     def test_zeroone_value_identity(self):
         rng = np.random.default_rng(79)

@@ -43,14 +43,13 @@ class TestQuadraticObjective:
         with pytest.raises(ValueError, match="overflows"):
             QuadraticObjective(dense_to_sparse(np.full((2, 2), 1e308)), np.zeros(2))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_lipschitz_rejected(self, bad):
-        # scaled() is the one way a caller sets L; alpha * L must stay finite
-        # and positive, and with no stored entries nothing else checks it
-        empty = QuadraticObjective(SparseMatrix(2, [0, 0, 0], [], []),
-                                   np.zeros(2))
-        with pytest.raises(ValueError, match="finite and positive"):
-            empty.scaled(bad, np.zeros(2))
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_lipschitz_positive_at_any_scale(self, alpha):
+        # L comes from A's certificate alone, so no multiple of A gives an L
+        # that is zero, negative or not finite; with no stored entries even
+        # a nonfinite factor makes a valid matrix, which keeps the floor
+        empty = SparseMatrix(2, [0, 0, 0], [], []).scaled(alpha)
+        assert QuadraticObjective(empty, np.zeros(2)).lipschitz == 1e-9
 
     def test_requires_symmetric_sparse(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -62,10 +61,13 @@ class TestQuadraticObjective:
         with pytest.raises(ValueError):
             QuadraticObjective(identity(2), np.zeros(3))
 
-    def test_scaled_carries_bounds_without_estimating(self):
-        src = QuadraticObjective(dense_to_sparse([[2.0, -1.0], [-1.0, 2.0]]),
-                                 np.zeros(2))
-        obj = src.scaled(0.25, np.array([1.0, 2.0]), c=-3.0)
+    def test_scaled_carries_bounds_without_estimating(self, monkeypatch):
+        # a power-of-two multiple carries A's certificate (SparseMatrix.scaled),
+        # and L is 1.01 times it, at least 1e-9, as for any A
+        A = dense_to_sparse([[2.0, -1.0], [-1.0, 2.0]])
+        src = QuadraticObjective(A, np.zeros(2))
+        monkeypatch.setattr("binmpec.linalg.spectral_norm_estimate", None)
+        obj = QuadraticObjective(A.scaled(0.25), np.array([1.0, 2.0]), c=-3.0)
         assert obj.lipschitz == src.lipschitz / 4.0
         assert obj.norm_bound == src.norm_bound / 4.0
         assert obj.norm_bound.lam_min == src.norm_bound.lam_min / 4.0
@@ -74,20 +76,17 @@ class TestQuadraticObjective:
         x = np.array([0.5, -1.0])
         want = 0.125 * float(x @ src.A.to_dense() @ x) + float(x @ [1.0, 2.0]) - 3.0
         assert obj.value(x) == pytest.approx(want, abs=1e-12)
+        # below 1e-9 the floor is the multiple's own, not a scaled 1e-9
+        assert QuadraticObjective(A.scaled(2.0**-40), np.zeros(2)).lipschitz == 1e-9
 
     def test_scaled_validates(self):
-        src = QuadraticObjective(identity(2), np.zeros(2))
-        with pytest.raises(ValueError, match="positive"):
-            src.scaled(0.0, np.zeros(2))
-        # with no stored entries nothing else stops an infinite L
-        empty = QuadraticObjective(SparseMatrix(2, [0, 0, 0], [], []),
-                                   np.zeros(2))
-        with pytest.raises(ValueError, match="finite and positive"):
-            empty.scaled(np.inf, np.zeros(2))
-        with pytest.raises(ValueError, match="length"):
-            src.scaled(0.5, np.zeros(3))
+        A = identity(2)
         with pytest.raises(ValueError, match="finite"):
-            src.scaled(0.5, [np.nan, 0.0])
+            A.scaled(np.nan)
+        with pytest.raises(ValueError, match="length"):
+            QuadraticObjective(A.scaled(0.5), np.zeros(3))
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticObjective(A.scaled(0.5), [np.nan, 0.0])
 
 
 def solve_over(obj, fs, x0, tol, max_iter, linear=None):
