@@ -124,7 +124,7 @@ def solve_l2box_admm(problem, config=None):
 
     mu = config.penalty0
     x = view.project(np.zeros(n))
-    project = view.warm_projector()
+    project = projector(view.feasible_set, warm=True)
     z = _sphere_step(np.zeros(n))
     u = np.zeros(n)
     trace = []

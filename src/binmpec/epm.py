@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import finish_solve
+from .projections import projector
 from .subsolver import QuadraticModel, check_counts, check_positive, minimize_fista
 
 ALPHA_CAP = 1e6
@@ -74,7 +75,7 @@ def alternate(problem, method, config, seed, rho0, alpha0):
     rho_cap = 2.0 * l_hat
 
     x = view.initial_point(seed)
-    project = view.warm_projector()
+    project = projector(view.feasible_set, warm=True)
     v = np.zeros(n)
     rho = min(rho0, rho_cap)
     alpha = alpha0

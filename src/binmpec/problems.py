@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SparseMatrix, matvec
-from .projections import BINARY_TOL, FeasibleSet, WarmStart, project_feasible, projector
+from .projections import BINARY_TOL, FeasibleSet, as_integer, project_feasible
 from .reformulations import round_sign
 from .report import SolveReport
 from .subsolver import QuadraticObjective
@@ -32,13 +32,13 @@ class Graph:
     edges: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", as_integer(self.n, "node count"))
         if self.n < 0:
             raise ValueError("node count must be nonnegative, got %d" % self.n)
         norm_edges = []
         seen = set()
         for u, v, w in self.edges:
-            u, v, w = int(u), int(v), float(w)
+            u, v, w = as_integer(u, "edge endpoint"), as_integer(v, "edge endpoint"), float(w)
             if u == v:
                 raise ValueError("self-loop at node %d" % u)
             if u > v:
@@ -154,8 +154,8 @@ def build_bisection(g: Graph) -> ProblemInstance:
 
 def build_constrained_segmentation(g: Graph, fg, bg) -> ProblemInstance:
     """Cut objective x'Lx with foreground pinned to +1 and background to -1."""
-    fg = [int(i) for i in fg]
-    bg = [int(i) for i in bg]
+    fg = [as_integer(i, "fg") for i in fg]
+    bg = [as_integer(i, "bg") for i in bg]
     if set(fg) & set(bg):
         raise ValueError("foreground and background seeds overlap")
     A = g._doubled_laplacian
@@ -174,7 +174,7 @@ def build_dense_subgraph(g: Graph, k) -> ProblemInstance:
     positive definite.  On binary feasible points f = lhat*k - y'Wy and
     the minimizer is the densest subset.
     """
-    k = int(k)
+    k = as_integer(k, "k")
     if k > g.n:
         raise ValueError("subset size %d exceeds node count %d" % (k, g.n))
     if k < 0:
@@ -209,7 +209,7 @@ def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
     matrix as its ``factor``; products with A and A's certificate go
     through it.
     """
-    k = int(k_clusters)
+    k = as_integer(k_clusters, "k_clusters")
     if k < 2:
         raise ValueError("need at least 2 clusters, got %d" % k)
     m = g.total_weight()
@@ -264,19 +264,19 @@ def generate(kind, params=None, seed=0) -> Graph:
     params = dict(params or {})
     rng = np.random.default_rng(seed)
     if kind == "cycle":
-        n = _integer(params, "n")
+        n = as_integer(params["n"], "n")
         if n < 3:
             raise ValueError("cycle needs n >= 3, got %d" % n)
         edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
         return Graph(n, tuple(edges))
     if kind == "path":
-        n = _integer(params, "n")
+        n = as_integer(params["n"], "n")
         return Graph(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
     if kind == "complete":
-        n = _integer(params, "n")
+        n = as_integer(params["n"], "n")
         return Graph(n, tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n)))
     if kind == "erdos_renyi":
-        n = _integer(params, "n")
+        n = as_integer(params["n"], "n")
         p = float(params.get("p", 0.3))
         if not 0.0 <= p <= 1.0:
             raise ValueError("erdos_renyi needs 0 <= p <= 1, got p=%r" % p)
@@ -285,8 +285,8 @@ def generate(kind, params=None, seed=0) -> Graph:
         keep = rng.random(u.shape[0]) < p
         return Graph(n, tuple((i, j, 1.0) for i, j in zip(u[keep].tolist(), v[keep].tolist())))
     if kind == "planted_clique":
-        n = _integer(params, "n")
-        q = _integer(params, "q")
+        n = as_integer(params["n"], "n")
+        q = as_integer(params["q"], "q")
         p = float(params.get("p", 0.2))
         if not 0.0 <= p <= 1.0:
             raise ValueError("planted_clique needs 0 <= p <= 1, got p=%r" % p)
@@ -301,11 +301,13 @@ def generate(kind, params=None, seed=0) -> Graph:
                     edges[(i, j)] = 1.0
         return Graph(n, tuple((u, v, w) for (u, v), w in sorted(edges.items())))
     if kind == "four_gauss_knn":
-        n = _integer(params, "n")
-        knn = _integer(params, "knn", 8)
+        n = as_integer(params["n"], "n")
+        knn = as_integer(params.get("knn", 8), "knn")
         std = float(params.get("std", 0.6))
         if not 1 <= knn < n:
             raise ValueError("four_gauss_knn needs 1 <= knn < n, got knn=%d, n=%d" % (knn, n))
+        if not 0.0 <= std < math.inf:
+            raise ValueError("four_gauss_knn needs a finite std >= 0, got std=%r" % std)
         centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]])
         # point i is centre i % 4 plus the i-th pair of normal draws
         pts = centers[np.arange(n) % 4] + std * rng.standard_normal((n, 2))
@@ -326,20 +328,6 @@ def generate(kind, params=None, seed=0) -> Graph:
         w = np.exp(-d2[a, b] / scale)
         return Graph(n, tuple(zip(a.tolist(), b.tolist(), w.tolist())))
     raise ValueError("unknown generator kind: %r" % kind)
-
-
-def _integer(params, name, default=None):
-    """``params[name]`` (``default`` when absent and given) as an int; a
-    ValueError naming the parameter unless it is an integer value, as 6,
-    numpy's 6 or 6.0 are and 6.7, "6" and nan are not."""
-    value = params[name] if default is None else params.get(name, default)
-    try:
-        integral = int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +363,6 @@ class SolverView:
 
     def project(self, z):
         return project_feasible(z, self.feasible_set)
-
-    def warm_projector(self):
-        """``project`` for the x-steps of one solve, built once
-        (``projections.projector``).
-
-        Each sum projection starts from the threshold of the one before
-        (see ``projections.WarmStart``); call once per solve.
-        """
-        return projector(self.feasible_set, WarmStart())
 
     def initial_point(self, seed):
         """Tiny seeded noise, projected.

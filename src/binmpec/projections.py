@@ -20,6 +20,20 @@ except ImportError:
 BINARY_TOL = 1e-9  # how far a pin or a target may sit from a binary value
 
 
+def as_integer(value, name):
+    """``value`` as an int; a ValueError naming it unless it is an integer
+    value, as 6, numpy's 6 or 6.0 are and 6.7, "6" and nan are not."""
+    if type(value) is int:  # graph edges take this path once per endpoint
+        return value
+    try:
+        integral = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FeasibleSet:
     """The n-coordinate binary domain's box plus at most one coupling constraint.
@@ -57,7 +71,8 @@ class FeasibleSet:
             raise ValueError("coordinate count must be nonnegative, got %d" % n)
         lo, hi = domain_bounds(self.domain)
         span = hi - lo
-        object.__setattr__(self, "pinned", tuple((int(i), float(v)) for i, v in self.pinned))
+        object.__setattr__(self, "pinned", tuple((as_integer(i, "pinned index"), float(v))
+                                                 for i, v in self.pinned))
         # slack scales with the box, so SolverView's image under 2x - 1 passes too
         slack = 1e-12 * span
         seen = set()
@@ -95,7 +110,7 @@ class FeasibleSet:
             target = (k - pinned_total - m * lo) / span if m else 0.0
             prep.update(sum_target=target, sum_ones=int(_ones(target, m)))
         if self.simplex_blocks is not None:
-            r = prep["simplex_blocks"] = int(self.simplex_blocks)
+            r = prep["simplex_blocks"] = as_integer(self.simplex_blocks, "simplex_blocks")
             if r < 1 or n % r != 0:
                 raise ValueError("block size %d does not partition %d coordinates" % (r, n))
             pinned_at = np.zeros(n)
@@ -172,26 +187,10 @@ def _box_projector(fset):
     return project
 
 
-class WarmStart:
-    """The threshold of the last capped-simplex projection of one solve.
-
-    Passed to ``project_capped_simplex`` (through ``project_feasible``)
-    or to ``projector``, it lets the next 1-D call start Newton from that
-    threshold instead of sorting.  A fresh instance holds no threshold,
-    so its first call sorts.  One instance belongs to one solve; nothing
-    else shares it.
-    """
-
-    __slots__ = ("tau",)
-
-    def __init__(self):
-        self.tau = None
-
-
 NEWTON_STEPS = 6  # Newton steps before the sorted walk takes over
 
 
-def project_capped_simplex(a, k, warm=None):
+def project_capped_simplex(a, k):
     """Projection onto {0 <= x <= 1, sum(x) = k}: Newton on the threshold.
 
     A 1-D call returns an already feasible ``a`` unchanged, so its own
@@ -199,18 +198,16 @@ def project_capped_simplex(a, k, warm=None):
     within 1e-13 of k, or within four ulps of k once that is wider
     (k >= 512), since a float sum there lands no closer.  Otherwise the
     threshold comes from Newton (see ``_newton_tau``), started at the
-    ``WarmStart``'s last threshold when there is one, else at the sorted
-    walk's: the 2n break points are sorted once, O(n log n), and a single
-    walk locates the crossing of the piecewise-linear coordinate-sum
-    function.  The walk also runs when Newton from the last threshold does
-    not settle, and its threshold stands unrefined only when Newton from
-    it does not settle either.  There is no correction step.
+    sorted walk's: the 2n break points are sorted once, O(n log n), and a
+    single walk locates the crossing of the piecewise-linear
+    coordinate-sum function.  The walk's threshold stands unrefined only
+    when Newton from it does not settle.  There is no correction step.
 
     A 2-D ``a`` projects each row onto its own capped simplex, with ``k``
-    one target per row (or one for all rows), and ignores ``warm``.  Each
-    row target must lie in [0, 1], where the cap never binds: a row is
-    sorted once and its threshold comes from the sorted prefix sums.  A
-    target that is not finite is infeasible.
+    one target per row (or one for all rows).  Each row target must lie
+    in [0, 1], where the cap never binds: a row is sorted once and its
+    threshold comes from the sorted prefix sums.  A target that is not
+    finite is infeasible.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 2:
@@ -220,7 +217,7 @@ def project_capped_simplex(a, k, warm=None):
     fixed = _fixed_point(n, k)
     if fixed is not None:
         return fixed
-    return _capped_vector(a, n, k, tol, warm)
+    return _capped_vector(a, n, k, tol, None)[1]
 
 
 def _checked_target(k, n):
@@ -243,23 +240,24 @@ def _fixed_point(n, k):
     return None
 
 
-def _capped_vector(a, n, k, tol, warm):
-    """The 1-D projection of ``a`` once its target k is checked and not fixed."""
+def _capped_vector(a, n, k, tol, tau):
+    """(tau, x): the 1-D projection x of ``a`` once its target k is
+    checked and not fixed, and its threshold.
+
+    Newton starts at ``tau`` (None: cold) and falls back to the sorted
+    walk when it does not settle from there.  An already feasible ``a``
+    comes back as a copy, with ``tau`` as passed.
+    """
     if (abs(np.add.reduce(a) - k) <= tol
             and np.minimum.reduce(a) >= 0.0 and np.maximum.reduce(a) <= 1.0):
-        return a.copy()
-    found = None
-    if warm is not None and warm.tau is not None:
-        found = _newton_tau(a, k, warm.tau)
+        return tau, a.copy()
+    found = None if tau is None else _newton_tau(a, k, tau)
     if found is None:
         walk = _sorted_tau(a, n, k)
         found = _newton_tau(a, k, walk)
         if found is None:
             found = walk, _clip(a - walk, 0.0, 1.0)
-    tau, x = found
-    if warm is not None:
-        warm.tau = tau
-    return x
+    return found
 
 
 def _sorted_tau(a, n, k):
@@ -345,16 +343,14 @@ def _capped_rows(a, n, k):
     return _clip(x, 0.0, 1.0, out=x)
 
 
-def project_feasible(a, fset, warm=None):
+def project_feasible(a, fset):
     """Exact projection dispatcher for a full FeasibleSet; ``a`` must have
     shape (n,).
 
     The checked entry for one-shot calls; a solve's x-steps project
     through one ``projector`` instead.  With nothing pinned, ``a``'s image
     in [0, 1] is projected whole, the blocks as its rows, with no gather
-    or scatter.  ``warm``, a ``WarmStart``, is handed to the
-    capped-simplex projection of a sum constraint; box and block sets
-    ignore it.
+    or scatter.
     """
     a = np.asarray(a, dtype=np.float64)
     _check_shape(a, fset)
@@ -364,7 +360,7 @@ def project_feasible(a, fset, warm=None):
     if not fset.pinned:
         y = _to_unit(a, lo, span)
         if fset.sum_constraint is not None:
-            return _from_unit(project_capped_simplex(y, fset.sum_target, warm), lo, span)
+            return _from_unit(project_capped_simplex(y, fset.sum_target), lo, span)
         for _, free_idx, target in fset.block_groups:  # one group; none when n = 0
             y = project_capped_simplex(y.reshape(free_idx.shape), target)
         return _from_unit(y, lo, span).reshape(-1)
@@ -372,7 +368,7 @@ def project_feasible(a, fset, warm=None):
     x[fset.pin_index] = fset.pin_value
     if fset.sum_constraint is not None:
         y = _to_unit(a[fset.free], lo, span)
-        x[fset.free] = _from_unit(project_capped_simplex(y, fset.sum_target, warm), lo, span)
+        x[fset.free] = _from_unit(project_capped_simplex(y, fset.sum_target), lo, span)
         return x
     # simplex blocks: one row-wise projection per count of free coordinates
     for _, free_idx, target in fset.block_groups:
@@ -381,12 +377,15 @@ def project_feasible(a, fset, warm=None):
     return x
 
 
-def projector(fset, warm=None):
+def projector(fset, warm=False):
     """The projection onto ``fset`` as one callable, built once per solve.
 
-    ``projector(fset, warm)(a)`` gives the bytes of
-    ``project_feasible(a, fset, warm)`` for a float64 ``a`` of shape (n,),
-    which it does not check.  What depends only on the set is settled
+    ``projector(fset)(a)`` gives the bytes of ``project_feasible(a, fset)``
+    for a float64 ``a`` of shape (n,), which it does not check.  With
+    ``warm``, a sum set's projector keeps the threshold of its last
+    capped-simplex projection and starts Newton there, so the 2n break
+    points are sorted only on its first call or when Newton falls back;
+    one solve's x-steps share one.  What depends only on the set is settled
     here: its kind and pins, the unit map's lo and span, a sum target's
     fixed points and tolerance, and the block groups with their targets.
     A call runs only the floating-point work, through the same helpers
@@ -414,15 +413,21 @@ def _sum_projector(fset, warm):
             x[pin_index] = pin_value
             x[free] = y
         return lambda a: x.copy()
+    tau = None  # the last threshold, kept only when warm
+
+    def capped(y):
+        nonlocal tau
+        last, x = _capped_vector(y, m, k, tol, tau)
+        if warm:
+            tau = last
+        return x
     if not fset.pinned:
-        return lambda a: _from_unit(_capped_vector(_to_unit(a, lo, span), m, k, tol, warm),
-                                    lo, span)
+        return lambda a: _from_unit(capped(_to_unit(a, lo, span)), lo, span)
 
     def project(a):
         x = np.empty_like(a)
         x[pin_index] = pin_value
-        y = _capped_vector(_to_unit(a[free], lo, span), m, k, tol, warm)
-        x[free] = _from_unit(y, lo, span)
+        x[free] = _from_unit(capped(_to_unit(a[free], lo, span)), lo, span)
         return x
     return project
 

@@ -21,6 +21,9 @@ overhead was cut, kept verbatim so the tests can ask for equal bytes;
 ``project_capped_rows`` and ``simplex_walk_rows`` are the block
 projection and its kernel as they were before the rows went
 column-major, kept for the same reason.
+``project_feasible_scatter`` and ``project_conjugated`` take a sum
+projection's start threshold and return the one it ends at, and
+``threaded`` carries it from call to call, as a warm projector does.
 ``laplacian_loop`` builds the Laplacian's triplets one edge at a time, as
 ``problems.laplacian`` did before it took edge arrays, and
 ``adjacency_loop`` and ``degrees_loop`` do the same for ``Graph.adjacency``
@@ -423,14 +426,13 @@ def minimize_fista_callbacks(value, grad, lipschitz, project, x0, tol=1e-5,
     return x, fx, iterations, converged
 
 
-def project_conjugated(z, fset, warm=None):
+def project_conjugated(z, fset, tau=None):
     """Projection of a {-1, +1}-domain point onto a zero-one set, through
     the zero-one set itself: y = (z + 1) / 2 is projected and mapped back
-    by 2y - 1, which commutes with Euclidean projection."""
-    from binmpec.projections import project_feasible
-
-    y = project_feasible((z + 1.0) / 2.0, fset, warm)
-    return 2.0 * y - 1.0
+    by 2y - 1, which commutes with Euclidean projection.  Returns
+    (tau, x), threshold as ``project_feasible_scatter``."""
+    tau, y = project_feasible_scatter((z + 1.0) / 2.0, fset, tau)
+    return tau, 2.0 * y - 1.0
 
 
 def minimize_fista_norms(model, project, x0, tol=1e-5, max_iter=2000):
@@ -463,27 +465,50 @@ def minimize_fista_norms(model, project, x0, tol=1e-5, max_iter=2000):
     return x, fx, iterations, converged
 
 
-def project_feasible_scatter(a, fset, warm=None):
+def project_feasible_scatter(a, fset, tau=None):
     """``projections.project_feasible`` that fills a fresh vector through
-    the pin scatter and index gathers and scatters, pins or none."""
-    from binmpec.projections import project_box, project_capped_simplex
+    the pin scatter and index gathers and scatters, pins or none.
+
+    Returns (tau, x).  A sum set's projection starts Newton at ``tau``
+    (None: cold, as ``project_feasible`` does) and returns the threshold
+    it ends at; other sets return ``tau`` as passed."""
+    from binmpec.projections import (_capped_vector, _checked_target, _fixed_point,
+                                     project_box, project_capped_simplex)
 
     a = np.asarray(a, dtype=np.float64)
     if a.shape[0] != fset.n:
         raise ValueError("dimension mismatch")
     if fset.sum_constraint is None and fset.simplex_blocks is None:
-        return project_box(a, fset)
+        return tau, project_box(a, fset)
     x = np.empty_like(a)
     x[fset.pin_index] = fset.pin_value
     lo, span = fset.lo, fset.span
     if fset.sum_constraint is not None:
-        y = project_capped_simplex((a[fset.free] - lo) / span, fset.sum_target, warm)
-        x[fset.free] = lo + span * y
-        return x
+        y = (a[fset.free] - lo) / span
+        m = y.shape[0]
+        k, tol = _checked_target(fset.sum_target, m)
+        fixed = _fixed_point(m, k)
+        if fixed is None:
+            tau, fixed = _capped_vector(y, m, k, tol, tau)
+        x[fset.free] = lo + span * fixed
+        return tau, x
     # simplex blocks: one row-wise projection per count of free coordinates
     for _, free_idx, target in fset.block_groups:
         x[free_idx] = lo + span * project_capped_simplex((a[free_idx] - lo) / span, target)
-    return x
+    return tau, x
+
+
+def threaded(project, fset):
+    """z -> x through ``project(z, fset, tau)``, which returns (tau, x),
+    each call starting from the last one's threshold: the reference for
+    ``projections.projector(fset, warm=True)``."""
+    tau = None
+
+    def call(z):
+        nonlocal tau
+        tau, x = project(z, fset, tau)
+        return x
+    return call
 
 
 def newton_tau_compare(a, k, tau, steps=6):

@@ -1,3 +1,5 @@
+import inspect
+
 import binmpec
 import binmpec.adm
 
@@ -48,3 +50,14 @@ def test_one_scaling_rule_for_certificates():
     assert not hasattr(binmpec.QuadraticObjective, "_set_terms")
     assert not hasattr(binmpec.subsolver, "NormBound")
     assert not hasattr(binmpec.problems, "DENSE_MAX")
+
+
+def test_projector_keeps_its_own_threshold():
+    # a warm projector holds the last threshold itself; no object carries
+    # it between calls, and the one-shot entries are always cold
+    for module in (binmpec.projections, binmpec.problems):
+        assert not hasattr(module, "WarmStart")
+    assert not hasattr(binmpec.SolverView, "warm_projector")
+    for fn in (binmpec.project_feasible, binmpec.project_capped_simplex):
+        assert "warm" not in inspect.signature(fn).parameters
+    assert inspect.signature(binmpec.projections.projector).parameters["warm"].default is False

@@ -1,6 +1,7 @@
 import itertools
 import json
 import pickle
+import re
 import sys
 import warnings
 
@@ -23,13 +24,14 @@ from binmpec.problems import (Graph, ProblemInstance, SolverView,
                               build_mrf, check_binary_feasible, generate,
                               laplacian, modularity_value, round_feasible,
                               subgraph_weight)
-from binmpec.projections import FeasibleSet, WarmStart
+from binmpec.projections import FeasibleSet, projector
 from binmpec.report import SolveReport
 from binmpec.subsolver import QuadraticObjective
 
 from reference import (adjacency_loop, degrees_loop, erdos_renyi_loop,
                        four_gauss_knn_loop, identity, laplacian_loop,
-                       modularity_triplets_loop, project_conjugated, round_blocks_loop)
+                       modularity_triplets_loop, project_conjugated, round_blocks_loop,
+                       threaded)
 
 P3 = Graph(3, ((0, 1, 1.0), (1, 2, 1.0)))
 C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
@@ -151,6 +153,35 @@ class TestGraph:
     def test_adjacency_symmetric(self):
         W = P3.adjacency()
         assert W.to_dense().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+
+
+class TestIntegerArguments:
+    """Graph and the builders take integer values by generate's rule: a
+    value that int() would truncate is rejected, naming the argument."""
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda: Graph(3, ((0, 1.5, 1.0),)), "edge endpoint"),  # edge (0, 1)
+        (lambda: Graph(3, ((float("nan"), 1, 1.0),)), "edge endpoint"),
+        (lambda: Graph(3.5, ()), "node count"),
+        (lambda: Graph("3", ()), "node count"),
+        (lambda: build_constrained_segmentation(C4, [0.7], [3]), "fg"),  # pins 0
+        (lambda: build_constrained_segmentation(C4, [0], [3.2]), "bg"),  # pins 3
+        (lambda: build_dense_subgraph(C4, 2.5), "k"),  # k = 2
+        (lambda: build_dense_subgraph(C4, "2"), "k"),
+        (lambda: build_modularity(C4, 2.7), "k_clusters")],  # k = 2
+        ids=["edge-float", "edge-nan", "n-float", "n-str", "fg", "bg", "densesub-k-float",
+             "densesub-k-str", "modularity-k"])
+    def test_non_integer_rejected(self, make, name):
+        with pytest.raises(ValueError, match="^%s must be an integer, got " % name):
+            make()
+
+    @pytest.mark.parametrize("cast", [np.int64, np.int32, float, np.float64])
+    def test_integral_values_build_the_same_objects(self, cast):
+        def build(c):
+            g = Graph(c(4), tuple((c(u), c(v), w) for u, v, w in C4.edges))
+            return (g, build_constrained_segmentation(g, [c(0)], [c(3)]),
+                    build_dense_subgraph(g, c(2)), build_modularity(g, c(2)))
+        assert pickle.dumps(build(cast)) == pickle.dumps(build(int))
 
 
 class TestLaplacian:
@@ -553,6 +584,15 @@ class TestGenerate:
             with pytest.raises(ValueError, match="positive kNN bandwidth, got 0"):
                 generate("four_gauss_knn", params)
 
+    @pytest.mark.parametrize("std", [-0.6, -1e-300, float("nan"), float("inf"), -float("inf")])
+    def test_bad_std_rejected_before_drawing(self, std):
+        # -0.6 would build another graph than 0.6; nan and inf would reach
+        # the distances, inf with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=re.escape("finite std >= 0, got std=%r" % std)):
+                generate("four_gauss_knn", {"n": 12, "knn": 3, "std": std})
+
     def test_smallest_valid_parameters(self):
         assert generate("cycle", {"n": 3}).edges == ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0))
         g = generate("four_gauss_knn", {"n": 2, "knn": 1}, seed=3)
@@ -585,6 +625,9 @@ class TestGeneratorsMatchLoops:
         for seed in [*range(6), [1001, 2, 3], [1, 3, 4, 4]]:
             assert_same_graph(generate("four_gauss_knn", {"n": n, "knn": knn}, seed=seed),
                               four_gauss_knn_loop(n, knn, 0.6, seed))
+        for std in (1e-3, 2, 7.5):  # any finite std >= 0, an int too
+            g = generate("four_gauss_knn", {"n": n, "knn": knn, "std": std}, seed=5)
+            assert_same_graph(g, four_gauss_knn_loop(n, knn, std, 5))
 
     @pytest.mark.parametrize("n,knn", [(8, 3), (8, 7), (12, 5), (12, 11), (16, 7), (40, 19),
                                        (48, 23)])
@@ -768,7 +811,7 @@ class TestSolverView:
                              ids=["pm1", "zeroone"])
     def test_warm_projector_returns_own_output(self, build):
         view = SolverView(build())
-        project = view.warm_projector()
+        project = projector(view.feasible_set, warm=True)
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = project(rng.uniform(-2.0, 2.0, view.n))
@@ -850,12 +893,10 @@ class TestSolverView:
     def test_projection_matches_conjugated_reference(self, build):
         # one solve's x-steps, warm: the same bytes
         prob = VIEW_SETS[build]()
-        project = SolverView(prob).warm_projector()
-        warm_ref = WarmStart()
+        project = projector(SolverView(prob).feasible_set, warm=True)
+        ref = threaded(project_conjugated, prob.feasible_set)
         for z in fista_like(np.random.default_rng(5), prob.n, 40):
-            got = project(z)
-            want = project_conjugated(z, prob.feasible_set, warm_ref)
-            assert got.tobytes() == want.tobytes()
+            assert project(z).tobytes() == ref(z).tobytes()
 
     def test_image_constructs_at_the_tolerance_edges(self):
         # a pin and a sum just outside the zero-one box, within its slack
@@ -870,7 +911,7 @@ class TestSolverView:
         view = SolverView(prob)
         for z in fista_like(np.random.default_rng(6), prob.n, 40):
             got = view.project(z)
-            want = project_conjugated(z, prob.feasible_set)
+            _, want = project_conjugated(z, prob.feasible_set)
             assert np.max(np.abs(got - want)) <= np.spacing(1.0)
             assert np.array_equal(got, np.clip(got, -1.0, 1.0))
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ from binmpec.projections import (FeasibleSet, project_box, project_capped_simple
 
 from reference import (newton_tau_compare, project_blocks_loop, project_capped_rows,
                        project_capped_rows_broadcast, project_feasible_scatter,
-                       simplex_projection_oracle)
+                       simplex_projection_oracle, threaded)
 
 
 def box_set(n, domain="pm1", **kw):
@@ -59,6 +60,23 @@ class TestFeasibleSetValidation:
     def test_blocks_must_partition(self):
         with pytest.raises(ValueError):
             box_set(4, "zeroone", simplex_blocks=3)
+
+    @pytest.mark.parametrize("kw,name", [
+        ({"pinned": ((1.5, 1.0),)}, "pinned index"),  # int() pins index 1
+        ({"pinned": (("1", 1.0),)}, "pinned index"),
+        ({"pinned": ((float("nan"), 1.0),)}, "pinned index"),
+        ({"simplex_blocks": 2.5}, "simplex_blocks"),  # int() makes blocks of 2
+        ({"simplex_blocks": "2"}, "simplex_blocks")])
+    def test_non_integer_arguments_rejected(self, kw, name):
+        with pytest.raises(ValueError, match="^%s must be an integer, got " % name):
+            FeasibleSet(4, "pm1", **kw)
+
+    @pytest.mark.parametrize("cast", [np.int64, np.int32, float, np.float64])
+    def test_integral_arguments_build_the_same_set(self, cast):
+        want = FeasibleSet(6, "pm1", pinned=((2, 1.0), (5, -1.0)), simplex_blocks=3)
+        got = FeasibleSet(6, "pm1", pinned=((cast(2), 1.0), (cast(5), -1.0)),
+                          simplex_blocks=cast(3))
+        assert pickle.dumps(got) == pickle.dumps(want)
 
     def test_blocks_on_any_uniform_box(self):
         # one-hot on [-1, 1]: one coordinate per block at 1, the rest at -1
@@ -469,14 +487,19 @@ def assert_projection(a, p, k, rng, tol=1e-9):
         assert float(np.dot(a - p, y - p)) <= tol
 
 
+def capped_projector(n, k, warm=True):
+    """The projector of the zero-one set {sum(x) = k}: the capped simplex."""
+    return projections.projector(box_set(n, "zeroone", sum_constraint=k), warm)
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("n,k", [(7, 3.0), (60, 17.25), (324, 162.0),
                                      (900, 450.0), (900, 123.4567)])
     def test_warm_agrees_with_cold(self, n, k):
         rng = np.random.default_rng(n + int(k))
-        warm = projections.WarmStart()
+        project = capped_projector(n, k)
         for a in fista_like(rng, n, 40):
-            got = project_capped_simplex(a, k, warm)
+            got = project(a)
             want = project_capped_simplex(a, k)
             assert np.max(np.abs(got - want)) <= 1e-13
             assert_projection(a, got, k, rng)
@@ -489,9 +512,9 @@ class TestWarmStart:
         pins = tuple((int(i), 1.0) for i in rng.choice(n, 9, replace=False))
         fs = box_set(n, domain, pinned=pins,
                      sum_constraint=9.0 + (150.5 if lo == 0.0 else 0.0))
-        warm = projections.WarmStart()
+        project = projections.projector(fs, warm=True)
         for a in fista_like(rng, n, 40, lo=lo - 0.5, hi=1.5):
-            got = project_feasible(a, fs, warm)
+            got = project(a)
             want = project_feasible(a, fs)
             assert np.max(np.abs(got - want)) <= 1e-13
             assert abs(got.sum() - fs.sum_constraint) <= 1e-12
@@ -503,25 +526,28 @@ class TestWarmStart:
     def test_first_call_sorts_and_later_calls_do_not(self, monkeypatch):
         calls = counted_walks(monkeypatch)
         rng = np.random.default_rng(12)
-        warm = projections.WarmStart()
+        project = capped_projector(300, 150.0)
         seq = fista_like(rng, 300, 10)
-        project_capped_simplex(seq[0], 150.0, warm)
-        assert len(calls) == 1 and warm.tau is not None
+        project(seq[0])
+        assert len(calls) == 1
         for a in seq[1:]:
-            project_capped_simplex(a, 150.0, warm)
+            project(a)
         assert len(calls) == 1
 
     def test_stale_threshold_falls_back_to_sorted_walk(self, monkeypatch):
         calls = counted_walks(monkeypatch)
         rng = np.random.default_rng(13)
         a = rng.uniform(-0.5, 1.5, 500)
-        warm = projections.WarmStart()
-        # every a - tau is below 0: g is flat at 0 and misses k
-        warm.tau = 1e6
-        got = project_capped_simplex(a, 200.0, warm)
-        assert len(calls) == 1
+        project = capped_projector(500, 200.0)
+        # the kept threshold is a's shifted by 1e6, so every a - tau is
+        # below 0: g is flat at 0 and misses k
+        project(a + 1e6)
+        got = project(a)
+        assert len(calls) == 2
+        # the threshold found for a is kept: projecting a again sorts nothing
+        assert same_bits(project(a), got)
+        assert len(calls) == 2
         assert np.max(np.abs(got - project_capped_simplex(a, 200.0))) <= 1e-13
-        assert warm.tau < 1e6
 
     def test_walk_refined_when_nothing_is_left_free(self):
         # the target's fraction is below the walk's rounding, so the walk's
@@ -529,33 +555,46 @@ class TestWarmStart:
         n = 1100
         fs = box_set(n, sum_constraint=-1099.9999999999995)
         a = np.random.default_rng(0).uniform(-3.0, 3.0, n)
-        for warm in (projections.WarmStart(), None):
-            x = project_feasible(a, fs, warm)
+        for project in (projections.projector(fs, warm=True), lambda z: project_feasible(z, fs)):
+            x = project(a)
             assert x.max() > -1.0
             miss = ((x + 1.0) / 2.0).sum() - fs.sum_target
             assert abs(miss) <= 4 * math.ulp(fs.sum_target)
-            assert same_bits(project_feasible(x, fs, warm), x)
+            assert same_bits(project(x), x)
 
     def test_feasible_input_returned_unchanged(self, monkeypatch):
         calls = counted_walks(monkeypatch)
         a = np.array([0.25, 0.5, 0.75, 0.5])
-        for warm in (projections.WarmStart(), None):
-            got = project_capped_simplex(a, 2.0, warm)
+        for project in (capped_projector(4, 2.0), lambda z: project_capped_simplex(z, 2.0)):
+            got = project(a)
             assert same_bits(got, a) and got is not a
         assert calls == []
 
     def test_rows_ignore_warm(self):
+        # a block set keeps no threshold: its warm projector is the cold one
         rng = np.random.default_rng(14)
-        a = rng.uniform(-1.0, 2.0, (6, 5))
-        warm = projections.WarmStart()
-        assert same_bits(project_capped_simplex(a, 1.0, warm),
-                         project_capped_simplex(a, 1.0))
-        assert warm.tau is None
+        fs = box_set(30, "zeroone", simplex_blocks=5)
+        warm, cold = projections.projector(fs, warm=True), projections.projector(fs)
+        for _ in range(3):
+            a = rng.uniform(-1.0, 2.0, 30)
+            want = project_capped_simplex(a.reshape(6, 5), 1.0).reshape(-1)
+            assert np.array_equal(warm(a), want)
+            assert same_bits(warm(a), cold(a))
+
+    def test_zeroone_sum_projector_is_the_capped_simplex(self):
+        # lo = 0 and span = 1: the unit map leaves the bits alone
+        rng = np.random.default_rng(15)
+        for n, k in ((7, 3.0), (60, 17.25), (900, 123.4567)):
+            cold = capped_projector(n, k, warm=False)
+            for a in fista_like(rng, n, 5):
+                want = project_capped_simplex(a, k)
+                assert same_bits(cold(a), want)
+                assert same_bits(capped_projector(n, k)(a), want)  # a warm first call
 
 
 class TestColdPath:
-    # a call without a WarmStart takes the same path as a warm call's
-    # first: Newton from the sorted walk's threshold
+    # a one-shot call takes the same path as a warm projector's first:
+    # Newton from the sorted walk's threshold
     @pytest.mark.parametrize("n,k", [(600, 512.5), (1500, 1234.5678), (3000, 2047.0)])
     def test_large_k_within_four_ulps(self, n, k):
         # past k = 512 one ulp of k exceeds Newton's 1e-13 stop
@@ -565,9 +604,11 @@ class TestColdPath:
             x = project_capped_simplex(a, k)
             assert abs(x.sum() - k) <= 4 * math.ulp(k)
             # a clipped threshold and nothing more: no correction step
-            warm = projections.WarmStart()
-            assert same_bits(project_capped_simplex(a, k, warm), x)
-            assert same_bits(np.clip(a - warm.tau, 0.0, 1.0), x)
+            assert same_bits(capped_projector(n, k)(a), x)
+            tol = projections._checked_target(k, n)[1]
+            tau, got = projections._capped_vector(a, n, k, tol, None)
+            assert same_bits(got, x)
+            assert same_bits(np.clip(a - tau, 0.0, 1.0), x)
             assert same_bits(project_capped_simplex(x, k), x)
 
 
@@ -590,12 +631,13 @@ class TestWarmIdempotence:
     @given(sum_sets())
     def test_own_output_returns_same_bytes(self, case):
         fs, a = case
-        for warm in (projections.WarmStart(), None):  # warm and cold calls
-            x = project_feasible(a, fs, warm)
-            assert same_bits(project_feasible(x, fs, warm), x)
+        # warm and one-shot calls
+        for project in (projections.projector(fs, warm=True), lambda z: project_feasible(z, fs)):
+            x = project(a)
+            assert same_bits(project(x), x)
             # also after the threshold has moved on
-            project_feasible(a[::-1].copy(), fs, warm)
-            assert same_bits(project_feasible(x, fs, warm), x)
+            project(a[::-1].copy())
+            assert same_bits(project(x), x)
 
 
 @st.composite
@@ -616,19 +658,19 @@ class TestSameBytes:
     def test_project_feasible_warm_and_cold(self, case):
         fs, a = case
         try:
-            want = project_feasible_scatter(a, fs)
+            _, want = project_feasible_scatter(a, fs)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
                 project_feasible(a, fs)
             assert str(got.value) == str(exc)
             return
         assert same_bits(project_feasible(a, fs), want)
-        # a drifting sequence through one WarmStart each
-        warm, warm_ref = projections.WarmStart(), projections.WarmStart()
+        # a drifting sequence through one warm projector, and the
+        # reference carrying its threshold
+        project, ref = projections.projector(fs, warm=True), threaded(project_feasible_scatter, fs)
         for z in fista_like(np.random.default_rng(fs.n), fs.n, 6, fs.lo - 0.5, fs.hi + 0.5):
             z = z + a
-            assert same_bits(project_feasible(z, fs, warm), project_feasible_scatter(z, fs, warm_ref))
-            assert warm.tau == warm_ref.tau
+            assert same_bits(project(z), ref(z))
 
     @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
            st.floats(-3.0, 3.0))
@@ -718,8 +760,9 @@ PROJECTOR_CASES = {"box": box_sets(), "sum": sum_sets(), "sum-image": pm1_images
 
 
 class TestProjector:
-    """A solve's prepared projector gives project_feasible's bytes, warm
-    and cold, and raises its error for a set it always rejects."""
+    """A solve's prepared projector gives project_feasible's bytes cold,
+    and the threshold-carrying reference's warm, and raises
+    project_feasible's error for a set it always rejects."""
 
     @pytest.mark.parametrize("family", sorted(PROJECTOR_CASES))
     @given(data=st.data())
@@ -728,26 +771,24 @@ class TestProjector:
         try:
             project_feasible(a, fs)
         except ValueError as exc:
-            for warm in (None, projections.WarmStart()):
+            for warm in (False, True):
                 with pytest.raises(ValueError) as got:
                     projections.projector(fs, warm)
                 assert str(got.value) == str(exc)
             return
-        warm, warm_ref = projections.WarmStart(), projections.WarmStart()
-        project, cold = projections.projector(fs, warm), projections.projector(fs)
+        project, cold = projections.projector(fs, warm=True), projections.projector(fs)
+        ref = threaded(project_feasible_scatter, fs)
         seen = set()
         for z in fista_like(np.random.default_rng(fs.n), fs.n, 6, fs.lo - 0.5, fs.hi + 0.5):
             z = z + a
             before = z.copy()
             got = project(z)
-            assert same_bits(got, project_feasible(z, fs, warm_ref))
-            assert warm.tau == warm_ref.tau
+            assert same_bits(got, ref(z))
             assert same_bits(z, before)  # the input is not written
             assert same_bits(cold(z), project_feasible(z, fs))
             # its own output, which a 1-D sum projection returns as is
             again = project(got.copy())
-            assert same_bits(again, project_feasible(got, fs, warm_ref))
-            assert warm.tau == warm_ref.tau
+            assert same_bits(again, ref(got))
             seen.add(got.tobytes())
             # an output is the caller's: writing it changes no later call
             got.fill(np.nan)

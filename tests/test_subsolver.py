@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from binmpec.linalg import SparseMatrix, matvec
-from binmpec.projections import FeasibleSet, WarmStart, project_feasible
+from binmpec.projections import FeasibleSet, project_feasible, projector
 from binmpec.subsolver import QuadraticModel, QuadraticObjective, minimize_fista
 
 from reference import (identity, minimize_fista_callbacks, minimize_fista_norms,
-                       objective_grad, qp_face_reference)
+                       objective_grad, project_feasible_scatter, qp_face_reference, threaded)
 
 
 def dense_to_sparse(dense):
@@ -412,13 +412,12 @@ class TestMinimizeFista:
             x0 = rng.uniform(-1.0, 1.0, n)
             for name, model, _, _, _, _ in model_shapes(obj, rng):
                 for tol in (1e-5, 1e-12):
-                    warm, warm_ref = WarmStart(), WarmStart()
                     evaluations.clear()
-                    got = minimize_fista(model, lambda z: project_feasible(z, fs, warm), x0,
+                    got = minimize_fista(model, projector(fs, warm=True), x0,
                                          tol=tol, max_iter=400)
                     restarts[name] = restarts.get(name, 0) + len(evaluations) - 1 - got[2]
                     want = minimize_fista_norms(
-                        model, lambda z: project_feasible(z, fs, warm_ref), x0,
+                        model, threaded(project_feasible_scatter, fs), x0,
                         tol=tol, max_iter=400)
                     assert got[0].tobytes() == want[0].tobytes(), name
                     assert got[1:] == want[1:], name
