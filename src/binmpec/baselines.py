@@ -114,7 +114,13 @@ def solve_l2box_admm(problem, config=None):
     """Splitting x (box) against z (radius-sqrt(n) sphere) with scaled duals.
 
     The sphere is the l2 surrogate for the binary vertex set; the gap
-    column records n - <x, z>.
+    column records n - <x, z>.  mu rises by ``sigma`` at the end of each
+    round of ``inner_T`` outer iterations.  Two tests stop the run: the
+    residual ||x - z|| <= ``tol``, which alone sets ``converged``, and a
+    settled answer, when the rounding ``finish_solve`` applies gives the
+    same point at a round's end as at the one before.  A settled stop
+    reports ``converged=False`` after a multiple of ``inner_T`` outer
+    iterations.
     """
     config = config or BaselineConfig()
     start = time.perf_counter()
@@ -131,6 +137,7 @@ def solve_l2box_admm(problem, config=None):
     converged = False
     it = 0
     gap = float(n)
+    settled = None  # the rounded answer at the last round's end
     for it in range(1, config.max_iter + 1):
         model = QuadraticModel(obj, mu=mu, w=z - u)
         x, _, _, _ = minimize_fista(model, project, x, tol=1e-7, max_iter=2000)
@@ -142,6 +149,10 @@ def solve_l2box_admm(problem, config=None):
             converged = True
             break
         if it % config.inner_T == 0:
+            rounded, _ = round_feasible(view.to_original(x), problem.feasible_set)
+            if settled is not None and np.array_equal(rounded, settled):
+                break
+            settled = rounded
             mu = min(mu * config.sigma, MU_CAP)
 
     return finish_solve(problem, "l2box", view.to_original(x), start, gap, it, trace,

@@ -1,7 +1,6 @@
 """Exact Euclidean projections onto the feasible sets used by the solvers."""
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +65,7 @@ class FeasibleSet:
     simplex_blocks: int | None = None
 
     def __post_init__(self):
-        n = operator.index(self.n)
+        n = as_integer(self.n, "n")
         if n < 0:
             raise ValueError("coordinate count must be nonnegative, got %d" % n)
         lo, hi = domain_bounds(self.domain)

@@ -179,24 +179,30 @@ class TestL2BoxAdmm:
 
     def test_fully_symmetric_instance_stalls_honestly(self):
         # 0.5 ||x||^2 gives the splitting no reason to leave the first
-        # axis, so x and z flip signs forever; the rounded answer is still
-        # a (trivially optimal) vertex but the run reports no convergence
+        # axis, so x and z flip signs forever and the residual test never
+        # passes; the rounded answer, a (trivially optimal) vertex, settles
+        # at once, so the run stops after two rounds (20 of 500 outer
+        # iterations) and reports no convergence
         rep = solve_l2box_admm(identity_instance(2))
         assert not rep.converged
+        assert rep.outer_iterations == 2 * BaselineConfig().inner_T
         assert rep.objective_binary == pytest.approx(1.0, abs=1e-9)
 
     def test_tilted_quadratic_reaches_corner(self):
-        # recorded behavior: converges to the (-1, 1) vertex at f = 1.5,
-        # not the enumeration optimum 0.5 at (1, -1); attainment is a
-        # known weakness of the sphere splitting, binarization is not.
-        # The vertex flips with the last bits of L: 0.9 at
-        # L = 1.0099999999999998 or 1.0100000000000002, 1.5 at 1.01 and at
-        # the certified 1.0100000000000007 this objective now gets
-        rep = solve_l2box_admm(identity_instance(2, b=[-0.2, 0.3]))
-        assert rep.converged
-        assert rep.objective_binary == pytest.approx(1.5, abs=1e-9)
-        xr = np.array(rep.x_relaxed)
-        assert np.max(np.abs(np.abs(xr) - 1.0)) <= 1e-5
+        # the rounded answer settles on the enumeration optimum 0.5 at
+        # (1, -1) after two rounds, whatever the last bits of L; run on to
+        # the residual test, the splitting ended at 0.9 or 1.5 depending
+        # on them.  The last value is the certified one this objective gets
+        for lipschitz in (1.0099999999999998, 1.01, 1.0100000000000002,
+                          1.0100000000000007):
+            prob = identity_instance(2, b=[-0.2, 0.3])
+            prob.objective.lipschitz = lipschitz
+            rep = solve_l2box_admm(prob)
+            assert rep.x_binary == (1.0, -1.0)
+            assert rep.objective_binary == pytest.approx(0.5, abs=1e-12)
+            assert rep.objective_binary == pytest.approx(brute_force(prob)[1], abs=1e-12)
+            assert rep.outer_iterations == 2 * BaselineConfig().inner_T
+            assert not rep.converged
 
     def test_c4_regression_value(self):
         # recorded behavior: the splitting settles on the 4-cut balanced
@@ -213,7 +219,20 @@ class TestL2BoxAdmm:
         prob = build_constrained_segmentation(g, fg=[0], bg=[2])
         rep = solve_l2box_admm(prob)
         assert not rep.converged
-        assert rep.outer_iterations == BaselineConfig().max_iter
+        # the rounded answer, the optimum, settles after two rounds
+        assert rep.outer_iterations == 2 * BaselineConfig().inner_T
+        assert rep.objective_binary == pytest.approx(4.0, abs=1e-9)
+        assert rep.objective_binary == pytest.approx(brute_force(prob)[1], abs=1e-9)
+
+    def test_edgeless_dense_subgraph_settles(self):
+        # every k-subset of an edgeless graph is optimal: the rounding
+        # settles at the first round ends instead of running all 500
+        # outer iterations against the residual test
+        prob = build_dense_subgraph(Graph(12, ()), 4)
+        rep = solve_l2box_admm(prob)
+        assert rep.feasible
+        assert rep.outer_iterations == 2 * BaselineConfig().inner_T
+        assert not rep.converged
 
     def test_penalty_schedule_capped(self):
         prob = build_bisection(C4)

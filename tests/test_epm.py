@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from binmpec.adm import solve_adm
+from binmpec.baselines import solve_l2box_admm
 from binmpec.epm import ALPHA_CAP, PenaltyConfig, epm_v_update, solve_epm
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, ProblemInstance, build_bisection,
@@ -223,11 +224,13 @@ class TestSchedule:
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):
-        # modularity products go through BLAS (W @ X), bisection's through bincount
+        # modularity products go through BLAS (W @ X), bisection's through
+        # bincount; l2box's settled stop compares roundings exactly
         modularity = build_modularity(generate("four_gauss_knn", {"n": 24, "knn": 3},
                                                seed=5), 3)
         for prob, solve in ((build_bisection(C4), solve_epm),
-                            (modularity, solve_epm), (modularity, solve_adm)):
+                            (modularity, solve_epm), (modularity, solve_adm),
+                            (modularity, lambda prob, seed: solve_l2box_admm(prob))):
             a = solve(prob, seed=7)
             b = solve(prob, seed=7)
             assert a.trace == b.trace

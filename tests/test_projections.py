@@ -28,7 +28,7 @@ class TestFeasibleSetValidation:
     def test_negative_n(self):
         with pytest.raises(ValueError, match="nonnegative"):
             FeasibleSet(-1, "pm1")
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^n must be an integer, got 2.5"):
             FeasibleSet(2.5, "pm1")
 
     def test_domain_sets_the_box(self):
@@ -74,7 +74,7 @@ class TestFeasibleSetValidation:
     @pytest.mark.parametrize("cast", [np.int64, np.int32, float, np.float64])
     def test_integral_arguments_build_the_same_set(self, cast):
         want = FeasibleSet(6, "pm1", pinned=((2, 1.0), (5, -1.0)), simplex_blocks=3)
-        got = FeasibleSet(6, "pm1", pinned=((cast(2), 1.0), (cast(5), -1.0)),
+        got = FeasibleSet(cast(6), "pm1", pinned=((cast(2), 1.0), (cast(5), -1.0)),
                           simplex_blocks=cast(3))
         assert pickle.dumps(got) == pickle.dumps(want)
 
