@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from .projections import as_integer
+
 DENSE_MAX = 256   # up to this order the norm bound comes from the dense spectrum
 CW_STEPS = 50     # Collatz-Wielandt steps above it
 PSD_RTOL = 1e-7   # lambda_min >= -PSD_RTOL max(1, norm bound) shows M >= 0
@@ -36,7 +38,7 @@ class SparseMatrix:
                  "_product", "_certificate")
 
     def __init__(self, n, row_offsets, col_indices, values):
-        self.n_rows = int(n)
+        self.n_rows = as_integer(n, "n")
         self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
@@ -83,6 +85,7 @@ class SparseMatrix:
     @classmethod
     def from_coo(cls, n, rows, cols, vals):
         """Build from coordinate triplets; duplicate entries are summed."""
+        n = as_integer(n, "n")
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -121,7 +124,7 @@ class SparseMatrix:
         j*k + c of W's row i in W's row order: the CSR arrays are written
         in that order, with no sort, and validated as any other."""
         W = np.array(W, dtype=np.float64)
-        k = int(k)
+        k = as_integer(k, "k")
         if W.ndim != 2 or W.shape[0] != W.shape[1] or not W.size or k < 1:
             raise ValueError("kron_identity needs a nonempty square W and k >= 1")
         nodes = W.shape[0]

@@ -52,10 +52,9 @@ def brute_force(problem, limit_n=22):
         if k_ones < 0:
             raise ValueError("sum constraint admits no binary point")
     elif fset.simplex_blocks is not None:
-        # a block with no binary completion (target -1) leaves no point
         mode = 2
-        block_id = (np.arange(n, dtype=np.int64) // fset.simplex_blocks)[free]
-        block_target = fset.block_ones
+        block_id = np.arange(n, dtype=np.int64) // fset.simplex_blocks
+        block_target = np.ones(n // fset.simplex_blocks, dtype=np.int64)
 
     best_idx, count = kernels.binary_scan(
         A_ff, b_f, c0, lo, hi, mode, k_ones, block_id, block_target)

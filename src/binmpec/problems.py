@@ -193,8 +193,16 @@ def build_dense_subgraph(g: Graph, k) -> ProblemInstance:
 
 def subgraph_weight(g: Graph, y) -> float:
     """y'Wy, twice the edge weight inside the selected subset."""
-    y = np.asarray(y, dtype=np.float64)
+    y = _node_vector(g, y, np.float64, "subset indicator")
     return float(sum(2.0 * w * y[u] * y[v] for u, v, w in g.edges))
+
+
+def _node_vector(g, a, dtype, name):
+    """``a`` as an array of shape (n,), one entry per node of ``g``."""
+    a = np.asarray(a, dtype=dtype)
+    if a.shape != (g.n,):
+        raise ValueError("%s of shape %r, graph has %d nodes" % (name, a.shape, g.n))
+    return a
 
 
 def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
@@ -235,7 +243,7 @@ def build_modularity(g: Graph, k_clusters) -> ProblemInstance:
 
 def modularity_value(g: Graph, labels) -> float:
     """Achieved modularity of a node-to-cluster labeling."""
-    labels = np.asarray(labels)
+    labels = _node_vector(g, labels, None, "labeling")
     m = g.total_weight()
     if m <= 0.0:
         raise ValueError("modularity undefined for an empty graph")
@@ -404,41 +412,23 @@ def round_feasible(y, fset):
         x[fset.pin_index[:stop]] = fset.pin_value[:stop]
         return x, False
     x[fset.pin_index] = fset.pin_value
-    lo, hi = fset.lo, fset.hi
     if fset.sum_constraint is not None:
         if fset.sum_ones < 0:
             return x, False
-        free = fset.free
-        order = np.lexsort((free, -y[free]))  # by value desc, then index asc
-        chosen = free[order[:fset.sum_ones]]
-        x[free] = lo
-        x[chosen] = hi
+        x[:] = fset.lo
+        x[np.argsort(-y, kind="stable")[:fset.sum_ones]] = fset.hi  # ties to the lower index
         return x, True
-
     r = fset.simplex_blocks
-    if r is None:
-        return x, True
-    nb = fset.n // r
-    X = x.reshape(nb, r)
-    pin2 = fset.pin_mask().reshape(nb, r)
-    free2 = ~pin2
-    bad = fset.block_ones < 0
-    # blocks are repaired in order up to and including the first bad
-    # one, whose free coordinates are cleared before it fails
-    last = int(np.argmax(bad)) if bad.any() else nb - 1
-    X[:last + 1][free2[:last + 1]] = lo
-    # argmax over the free coordinates; lowest index on ties
-    pick = np.argmax(np.where(pin2, -np.inf, y.reshape(nb, r)), axis=1)
-    rows = np.arange(nb)
-    pick = np.where(pin2[rows, pick], np.argmax(free2, axis=1), pick)
-    set_one = np.flatnonzero((fset.block_ones == 1) & (rows <= last))
-    X[set_one, pick[set_one]] = hi
-    return X.reshape(-1), not bad.any()
+    if r is not None:
+        X = x.reshape(-1, r)
+        X[:] = fset.lo
+        X[np.arange(X.shape[0]), np.argmax(y.reshape(-1, r), axis=1)] = fset.hi
+    return x, True
 
 
 def check_binary_feasible(x, fset, tol=BINARY_TOL):
-    """True iff x is binary to ``tol``, meets the pins, and its free
-    coordinates at the upper value match the set's binary targets."""
+    """True iff x is binary to ``tol``, meets the pins, and its coordinates
+    at the upper value number ``sum_ones`` or one per block."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (fset.n,) or fset.nonbinary_pin is not None:
         return False
@@ -447,12 +437,10 @@ def check_binary_feasible(x, fset, tol=BINARY_TOL):
         return False
     if np.any(np.abs(x[fset.pin_index] - fset.pin_value) > tol):
         return False
-    free_hi = at_hi & ~fset.pin_mask()
     if fset.sum_constraint is not None:
-        return int(np.count_nonzero(free_hi)) == fset.sum_ones
+        return int(np.count_nonzero(at_hi)) == fset.sum_ones
     if fset.simplex_blocks is not None:
-        counts = free_hi.reshape(-1, fset.simplex_blocks).sum(axis=1)
-        return bool(np.all(counts == fset.block_ones))
+        return bool(np.all(at_hi.reshape(-1, fset.simplex_blocks).sum(axis=1) == 1))
     return True
 
 

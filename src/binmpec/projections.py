@@ -35,27 +35,24 @@ def as_integer(value, name):
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """The n-coordinate binary domain's box plus at most one coupling constraint.
+    """The n-coordinate binary domain's box plus at most one more constraint.
 
     ``domain`` is ``"pm1"`` or ``"zeroone"`` (see
     ``reformulations.domain_bounds``); every coordinate lies in the box
-    [lo, hi] of its two binary values.  ``sum_constraint`` fixes the
-    coordinate sum to k; ``simplex_blocks`` partitions the coordinates into
-    consecutive one-hot blocks of that size, one coordinate per block at
-    hi.  ``pinned`` freezes coordinates.  At most one of the two coupling
-    constraints may be set.
+    [lo, hi] of its two binary values.  On top of the box a set takes at
+    most one of ``pinned``, which freezes coordinates, ``sum_constraint``,
+    which fixes the coordinate sum to k, and ``simplex_blocks``, which
+    partitions the coordinates into consecutive one-hot blocks of that
+    size, one coordinate per block at hi; any two raise ``ValueError``.
 
     Construction prepares what projection, rounding and the oracle read:
-    the floats ``lo``, ``hi`` and ``span`` = hi - lo, ``free`` (the
-    unpinned coordinates, in index order), whose map y = (x - lo) / span
-    to [0, 1] commutes with projection;
-    ``pin_index``/``pin_value`` (the pins in order, read-only),
-    ``pinned_total``, the pin mask, ``sum_target`` (the free coordinates'
-    mapped sum) or ``block_groups`` (see ``_group_blocks``), and binary
-    targets to ``BINARY_TOL``: ``nonbinary_pin``, the position in
-    ``pinned`` of the first pin at neither bound (or None); ``sum_ones``
-    and ``block_ones``, the free coordinates at hi in every binary point
-    (-1 where there is none).
+    the floats ``lo``, ``hi`` and ``span`` = hi - lo, whose map
+    y = (x - lo) / span to [0, 1] commutes with projection;
+    ``pin_index``/``pin_value`` (the pins in order, read-only), the pin
+    mask, ``sum_target`` (the mapped sum), and binary targets to
+    ``BINARY_TOL``: ``nonbinary_pin``, the position in ``pinned`` of the
+    first pin at neither bound (or None), and ``sum_ones``, the
+    coordinates at hi in every binary point (-1 where there is none).
     """
 
     n: int
@@ -72,6 +69,10 @@ class FeasibleSet:
         span = hi - lo
         object.__setattr__(self, "pinned", tuple((as_integer(i, "pinned index"), float(v))
                                                  for i, v in self.pinned))
+        if (bool(self.pinned) + (self.sum_constraint is not None)
+                + (self.simplex_blocks is not None)) > 1:
+            raise ValueError("a feasible set takes at most one of pins, a sum constraint "
+                             "and simplex blocks")
         # slack scales with the box, so SolverView's image under 2x - 1 passes too
         slack = 1e-12 * span
         seen = set()
@@ -83,46 +84,29 @@ class FeasibleSet:
             seen.add(i)
             if not (lo - slack <= v <= hi + slack):
                 raise ValueError("pinned value %g outside bounds at index %d" % (v, i))
-        if self.sum_constraint is not None and self.simplex_blocks is not None:
-            raise ValueError("sum constraint and simplex blocks are mutually exclusive")
         pin_index = np.array([i for i, _ in self.pinned], dtype=np.int64)
         pin_value = np.array([v for _, v in self.pinned], dtype=np.float64)
         mask = np.zeros(n, dtype=bool)
         mask[pin_index] = True
-        free = np.flatnonzero(~mask)
-        for arr in (pin_index, pin_value, mask, free):
+        for arr in (pin_index, pin_value, mask):
             arr.flags.writeable = False
         at_bound = ((np.abs(pin_value - lo) <= BINARY_TOL)
                     | (np.abs(pin_value - hi) <= BINARY_TOL))
-        pinned_total = sum(v for _, v in self.pinned)
-        prep = {"n": n, "lo": lo, "hi": hi, "span": span, "free": free,
+        prep = {"n": n, "lo": lo, "hi": hi, "span": span,
                 "pin_index": pin_index, "pin_value": pin_value, "_pin_mask": mask,
-                "pinned_total": pinned_total,
                 "nonbinary_pin": None if at_bound.all() else int(np.argmin(at_bound)),
-                "sum_target": None, "sum_ones": None, "block_groups": (), "block_ones": None}
+                "sum_target": None, "sum_ones": None}
         if self.sum_constraint is not None:
             k = prep["sum_constraint"] = float(self.sum_constraint)
-            m = n - pin_index.shape[0]
             slack = 1e-9 * span
-            if not (pinned_total + m * lo - slack <= k <= pinned_total + m * hi + slack):
+            if not (n * lo - slack <= k <= n * hi + slack):
                 raise ValueError("sum constraint %g infeasible for the box" % k)
-            target = (k - pinned_total - m * lo) / span if m else 0.0
-            prep.update(sum_target=target, sum_ones=int(_ones(target, m)))
+            target = (k - n * lo) / span if n else 0.0
+            prep.update(sum_target=target, sum_ones=_ones(target, n))
         if self.simplex_blocks is not None:
             r = prep["simplex_blocks"] = as_integer(self.simplex_blocks, "simplex_blocks")
             if r < 1 or n % r != 0:
                 raise ValueError("block size %d does not partition %d coordinates" % (r, n))
-            pinned_at = np.zeros(n)
-            pinned_at[pin_index] = (pin_value - lo) / span
-            over = np.flatnonzero(np.bincount(pin_index // r, weights=pinned_at[pin_index],
-                                              minlength=n // r) > 1.0 + 1e-12)
-            if over.shape[0]:
-                raise ValueError("pinned values oversubscribe block %d" % over[0])
-            groups = prep["block_groups"] = _group_blocks(mask.reshape(-1, r), pinned_at)
-            ones = prep["block_ones"] = np.empty(n // r, dtype=np.int64)
-            for blocks, free_idx, target in groups:
-                ones[blocks] = _ones(target, free_idx.shape[1])
-            ones.flags.writeable = False
         for name, value in prep.items():
             object.__setattr__(self, name, value)
 
@@ -133,31 +117,8 @@ class FeasibleSet:
 
 def _ones(target, cap):
     """The integer within BINARY_TOL of a mapped target, if in [0, cap]; else -1."""
-    t = np.rint(target)
-    ok = (np.abs(target - t) <= BINARY_TOL) & (t >= 0) & (t <= cap)
-    return np.where(ok, t, -1).astype(np.int64)
-
-
-def _group_blocks(pin2, pinned_at):
-    """Blocks grouped by their number of free coordinates.
-
-    One (blocks, free_idx, target) triple per count f, ascending: the
-    block numbers, a (blocks x f) array of the coordinates that are free
-    in each, in index order, and each block's free target, 1 minus the
-    sum of its mapped pins (summed in index order), read-only.
-    """
-    nb, r = pin2.shape
-    coords = np.arange(nb * r, dtype=np.int64).reshape(nb, r)
-    n_free = r - pin2.sum(axis=1)
-    groups = []
-    for f in np.unique(n_free):
-        rows = np.flatnonzero(n_free == f)
-        sub, sub_pin = coords[rows], pin2[rows]
-        pin_idx = sub[sub_pin].reshape(rows.shape[0], r - f)
-        target = 1.0 - pinned_at[pin_idx].sum(axis=1)
-        target.flags.writeable = False
-        groups.append((rows, sub[~sub_pin].reshape(rows.shape[0], f), target))
-    return tuple(groups)
+    t = round(target)
+    return t if abs(target - t) <= BINARY_TOL and 0 <= t <= cap else -1
 
 
 def _check_shape(a, fset):
@@ -347,33 +308,19 @@ def project_feasible(a, fset):
     shape (n,).
 
     The checked entry for one-shot calls; a solve's x-steps project
-    through one ``projector`` instead.  With nothing pinned, ``a``'s image
-    in [0, 1] is projected whole, the blocks as its rows, with no gather
-    or scatter.
+    through one ``projector`` instead.  A sum or block set projects
+    ``a``'s image in [0, 1] whole, the blocks as its rows.
     """
     a = np.asarray(a, dtype=np.float64)
     _check_shape(a, fset)
     if fset.sum_constraint is None and fset.simplex_blocks is None:
-        return project_box(a, fset)
-    lo, span = fset.lo, fset.span
-    if not fset.pinned:
-        y = _to_unit(a, lo, span)
-        if fset.sum_constraint is not None:
-            return _from_unit(project_capped_simplex(y, fset.sum_target), lo, span)
-        for _, free_idx, target in fset.block_groups:  # one group; none when n = 0
-            y = project_capped_simplex(y.reshape(free_idx.shape), target)
-        return _from_unit(y, lo, span).reshape(-1)
-    x = np.empty_like(a)
-    x[fset.pin_index] = fset.pin_value
+        return _box_projector(fset)(a)
+    y = _to_unit(a, fset.lo, fset.span)
     if fset.sum_constraint is not None:
-        y = _to_unit(a[fset.free], lo, span)
-        x[fset.free] = _from_unit(project_capped_simplex(y, fset.sum_target), lo, span)
-        return x
-    # simplex blocks: one row-wise projection per count of free coordinates
-    for _, free_idx, target in fset.block_groups:
-        y = project_capped_simplex(_to_unit(a[free_idx], lo, span), target)
-        x[free_idx] = _from_unit(y, lo, span)
-    return x
+        y = project_capped_simplex(y, fset.sum_target)
+    else:
+        y = project_capped_simplex(y.reshape(-1, fset.simplex_blocks), 1.0).reshape(-1)
+    return _from_unit(y, fset.lo, fset.span)
 
 
 def projector(fset, warm=False):
@@ -385,12 +332,10 @@ def projector(fset, warm=False):
     capped-simplex projection and starts Newton there, so the 2n break
     points are sorted only on its first call or when Newton falls back;
     one solve's x-steps share one.  What depends only on the set is settled
-    here: its kind and pins, the unit map's lo and span, a sum target's
-    fixed points and tolerance, and the block groups with their targets.
-    A call runs only the floating-point work, through the same helpers
-    as ``project_capped_simplex``.  A set that ``project_feasible``
-    rejects on every call (a fully pinned block off its target) is
-    rejected here, with the same error.
+    here: its kind and pins, the unit map's lo and span, and a sum
+    target's fixed points and tolerance.  A call runs only the
+    floating-point work, through the same helpers as
+    ``project_capped_simplex``.
     """
     if fset.sum_constraint is not None:
         return _sum_projector(fset, warm)
@@ -400,60 +345,27 @@ def projector(fset, warm=False):
 
 
 def _sum_projector(fset, warm):
-    lo, span, free = fset.lo, fset.span, fset.free
-    pin_index, pin_value = fset.pin_index, fset.pin_value
-    m = free.shape[0]
-    k, tol = _checked_target(fset.sum_target, m)
-    fixed = _fixed_point(m, k)
+    lo, span, n = fset.lo, fset.span, fset.n
+    k, tol = _checked_target(fset.sum_target, n)
+    fixed = _fixed_point(n, k)
     if fixed is not None:  # one point for every input
-        x = y = _from_unit(fixed, lo, span)
-        if fset.pinned:
-            x = np.empty(fset.n)
-            x[pin_index] = pin_value
-            x[free] = y
+        x = _from_unit(fixed, lo, span)
         return lambda a: x.copy()
     tau = None  # the last threshold, kept only when warm
 
-    def capped(y):
+    def project(a):
         nonlocal tau
-        last, x = _capped_vector(y, m, k, tol, tau)
+        last, y = _capped_vector(_to_unit(a, lo, span), n, k, tol, tau)
         if warm:
             tau = last
-        return x
-    if not fset.pinned:
-        return lambda a: _from_unit(capped(_to_unit(a, lo, span)), lo, span)
-
-    def project(a):
-        x = np.empty_like(a)
-        x[pin_index] = pin_value
-        x[free] = _from_unit(capped(_to_unit(a[free], lo, span)), lo, span)
-        return x
+        return _from_unit(y, lo, span)
     return project
 
 
 def _block_projector(fset):
-    lo, span = fset.lo, fset.span
-    pin_index, pin_value = fset.pin_index, fset.pin_value
-    # (coordinates, free count, targets) per group; a group with no free
-    # coordinate holds pins only
-    groups = []
-    for _, free_idx, target in fset.block_groups:
-        nb, f = free_idx.shape
-        target = _checked_row_targets(target, nb, f)
-        if f:
-            groups.append((free_idx, f, target))
-    if fset.pinned or not groups:  # n = 0 has no group
-        def project(a):
-            x = np.empty_like(a)
-            x[pin_index] = pin_value
-            for free_idx, f, target in groups:
-                y = _capped_rows(_to_unit(a[free_idx], lo, span), f, target)
-                x[free_idx] = _from_unit(y, lo, span)
-            return x
-        return project
-    [(free_idx, f, target)] = groups
-    shape = free_idx.shape
-    return lambda a: _from_unit(_capped_rows(_to_unit(a, lo, span).reshape(shape), f, target),
+    lo, span, r = fset.lo, fset.span, fset.simplex_blocks
+    shape, ones = (-1, r), np.ones(fset.n // r)
+    return lambda a: _from_unit(_capped_rows(_to_unit(a, lo, span).reshape(shape), r, ones),
                                 lo, span).reshape(-1)
 
 

@@ -216,51 +216,20 @@ def project_blocks_loop(a, fset, project=None):
     a = np.asarray(a, dtype=np.float64)
     r = fset.simplex_blocks
     x = np.empty_like(a)
-    pin = np.zeros(fset.n, dtype=bool)
-    for i, v in fset.pinned:
-        x[i] = v
-        pin[i] = True
     for q in range(fset.n // r):
-        sl = slice(q * r, (q + 1) * r)
-        block_pin = pin[sl]
-        target = 1.0 - x[sl][block_pin].sum()
-        if not block_pin.any():
-            x[sl] = project(a[sl], target)
-        else:
-            free_in_block = ~block_pin
-            seg = project(a[sl][free_in_block], target)
-            tmp = x[sl]
-            tmp[free_in_block] = seg
-            x[sl] = tmp
+        x[q * r:(q + 1) * r] = project(a[q * r:(q + 1) * r], 1.0)
     return x
 
 
 def round_blocks_loop(y, fset):
-    """Binary rounding of a simplex-block set, one block at a time: pins
-    first, then a per-block argmax over the free coordinates."""
+    """Binary rounding of a zero-one simplex-block set, one block at a
+    time: the block's first largest entry goes to 1, the rest to 0."""
     y = np.asarray(y, dtype=np.float64)
-    pm1 = fset.domain == "pm1"
-    lo, hi = (-1.0, 1.0) if pm1 else (0.0, 1.0)
-    x = np.where(y >= 0.0, 1.0, -1.0) if pm1 else np.where(y >= 0.5, 1.0, 0.0)
-    pin = np.zeros(fset.n, dtype=bool)
-    for i, v in fset.pinned:
-        pin[i] = True
-        x[i] = v
-        if abs(v - lo) > 1e-9 and abs(v - hi) > 1e-9:
-            return x, False
     r = fset.simplex_blocks
+    x = np.zeros(fset.n)
     for q in range(fset.n // r):
-        sl = np.arange(q * r, (q + 1) * r)
-        blk_pin = pin[sl]
-        need = 1.0 - x[sl[blk_pin]].sum()
-        free_idx = sl[~blk_pin]
-        x[free_idx] = 0.0
-        if abs(need - 1.0) < 1e-9:
-            if free_idx.shape[0] == 0:
-                return x, False
-            x[free_idx[np.argmax(y[free_idx])]] = 1.0
-        elif abs(need) > 1e-9:
-            return x, False
+        block = y[q * r:(q + 1) * r].tolist()
+        x[q * r + block.index(max(block))] = 1.0
     return x, True
 
 
@@ -466,8 +435,9 @@ def minimize_fista_norms(model, project, x0, tol=1e-5, max_iter=2000):
 
 
 def project_feasible_scatter(a, fset, tau=None):
-    """``projections.project_feasible`` that fills a fresh vector through
-    the pin scatter and index gathers and scatters, pins or none.
+    """``projections.project_feasible`` that fills a fresh vector: a box
+    set through ``project_box``'s clip and pin scatter, a sum or block set
+    through the unit map written out, lo + span * y.
 
     Returns (tau, x).  A sum set's projection starts Newton at ``tau``
     (None: cold, as ``project_feasible`` does) and returns the threshold
@@ -480,22 +450,17 @@ def project_feasible_scatter(a, fset, tau=None):
         raise ValueError("dimension mismatch")
     if fset.sum_constraint is None and fset.simplex_blocks is None:
         return tau, project_box(a, fset)
-    x = np.empty_like(a)
-    x[fset.pin_index] = fset.pin_value
-    lo, span = fset.lo, fset.span
+    lo, span, n = fset.lo, fset.span, fset.n
+    y = (a - lo) / span
     if fset.sum_constraint is not None:
-        y = (a[fset.free] - lo) / span
-        m = y.shape[0]
-        k, tol = _checked_target(fset.sum_target, m)
-        fixed = _fixed_point(m, k)
+        k, tol = _checked_target(fset.sum_target, n)
+        fixed = _fixed_point(n, k)
         if fixed is None:
-            tau, fixed = _capped_vector(y, m, k, tol, tau)
-        x[fset.free] = lo + span * fixed
-        return tau, x
-    # simplex blocks: one row-wise projection per count of free coordinates
-    for _, free_idx, target in fset.block_groups:
-        x[free_idx] = lo + span * project_capped_simplex((a[free_idx] - lo) / span, target)
-    return tau, x
+            tau, fixed = _capped_vector(y, n, k, tol, tau)
+        return tau, lo + span * fixed
+    # simplex blocks: one row-wise projection, one row per block
+    r = fset.simplex_blocks
+    return tau, lo + span * project_capped_simplex(y.reshape(-1, r), np.ones(n // r)).reshape(-1)
 
 
 def threaded(project, fset):

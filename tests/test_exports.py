@@ -61,3 +61,12 @@ def test_projector_keeps_its_own_threshold():
     for fn in (binmpec.project_feasible, binmpec.project_capped_simplex):
         assert "warm" not in inspect.signature(fn).parameters
     assert inspect.signature(binmpec.projections.projector).parameters["warm"].default is False
+
+
+def test_one_constraint_per_set():
+    # a set takes at most one of pins, a sum and blocks, so the free-subset
+    # bookkeeping for pinned sums and pinned blocks has no use left
+    fs = binmpec.FeasibleSet(6, "zeroone", simplex_blocks=3)
+    assert not hasattr(binmpec.projections, "_group_blocks")
+    for name in ("free", "pinned_total", "block_groups", "block_ones"):
+        assert not hasattr(fs, name)

@@ -60,6 +60,30 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(1, [0, 1], [0], [float("nan")])
 
+    @pytest.mark.parametrize("make,name", [
+        (lambda: SparseMatrix(2.5, [0, 0, 0], [], []), "n"),  # int() builds order 2
+        (lambda: SparseMatrix("2", [0, 0, 0], [], []), "n"),
+        (lambda: SparseMatrix.from_coo(2.5, [], [], []), "n"),
+        (lambda: SparseMatrix.from_coo(float("nan"), [], [], []), "n"),
+        (lambda: SparseMatrix.kron_identity(np.eye(2), 2.7), "k")],  # int() gives W kron I_2
+        ids=["init-float", "init-str", "coo-float", "coo-nan", "kron-k-float"])
+    def test_non_integer_order_rejected(self, make, name):
+        with pytest.raises(ValueError, match="^%s must be an integer, got " % name):
+            make()
+
+    @pytest.mark.parametrize("cast", [np.int64, np.int32, float, np.float64])
+    def test_integral_order_builds_the_same_matrix(self, cast):
+        for got, want in ((SparseMatrix(cast(2), [0, 1, 2], [0, 1], [1.0, 2.0]),
+                           SparseMatrix(2, [0, 1, 2], [0, 1], [1.0, 2.0])),
+                          (SparseMatrix.from_coo(cast(2), [0, 1], [1, 0], [3.0, 3.0]),
+                           SparseMatrix.from_coo(2, [0, 1], [1, 0], [3.0, 3.0])),
+                          (SparseMatrix.kron_identity(np.eye(2), cast(3)),
+                           SparseMatrix.kron_identity(np.eye(2), 3))):
+            assert type(got.n_rows) is int and got.n_rows == want.n_rows
+            assert np.array_equal(got.row_offsets, want.row_offsets)
+            assert np.array_equal(got.col_indices, want.col_indices)
+            assert np.array_equal(got.values, want.values)
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="pattern"):
             SparseMatrix(2, [0, 1, 1], [1], [1.0])

@@ -120,13 +120,6 @@ class TestNonBinaryPins:
         with pytest.raises(ValueError, match="pinned value 0.5 at index 0"):
             brute_force(prob)
 
-    def test_simplex_blocks(self):
-        fs = FeasibleSet(4, "zeroone", simplex_blocks=2,
-                         pinned=((0, 0.5),))
-        prob = quadratic_instance(np.eye(4), np.zeros(4), 0.0, fs)
-        with pytest.raises(ValueError, match="pinned value 0.5 at index 0"):
-            brute_force(prob)
-
     def test_pm1_pin_at_zero(self):
         fs = FeasibleSet(3, "pm1", pinned=((2, 0.0),))
         prob = quadratic_instance(np.eye(3), np.zeros(3), 0.0, fs)
@@ -207,23 +200,3 @@ class TestCrossCheck:
             assert count == want_count == 2 ** (n - 1)
             assert f == pytest.approx(want_f, abs=1e-9)
 
-    def test_pinned_blocks(self):
-        # pins at hi lower their block's target to 0, pins at lo shrink it
-        rng = np.random.default_rng(107)
-        for _ in range(12):
-            r = int(rng.integers(2, 4))
-            n = r * int(rng.integers(2, 4))
-            halfm = rng.standard_normal((n, n))
-            pins = {}
-            for q in range(n // r):
-                if rng.uniform() < 0.6:
-                    i = q * r + int(rng.integers(0, r))
-                    pins[i] = float(rng.integers(0, 2))
-            fs = FeasibleSet(n, "zeroone", simplex_blocks=r,
-                             pinned=tuple(sorted(pins.items())))
-            prob = quadratic_instance(halfm @ halfm.T, rng.standard_normal(n), 0.0, fs)
-            x, f, count = brute_force(prob)
-            _, want_f, want_count = enumerate_reference(prob)
-            assert count == want_count
-            assert f == pytest.approx(want_f, abs=1e-9)
-            assert check_binary_feasible(x, fs)

@@ -38,6 +38,7 @@ C4 = Graph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
 K3 = Graph(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
 STAR4 = Graph(4, ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
 TWO_K2 = Graph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+C6 = generate("cycle", {"n": 6})
 
 
 def grid_graph(rows, cols):
@@ -387,6 +388,16 @@ class TestDenseSubgraph:
         assert len(chosen) == 5
 
 
+class TestSubgraphWeight:
+    @pytest.mark.parametrize("y", [np.ones(7), np.ones(5), np.ones((2, 3))],
+                             ids=["long", "short", "2-d"])
+    def test_indicator_of_another_shape_rejected(self, y):
+        # a 7-entry indicator on a 6-node cycle gave 2.0, reading 6 entries
+        with pytest.raises(ValueError, match=r"subset indicator of shape %s, graph has 6 "
+                           r"nodes" % re.escape(repr(y.shape))):
+            subgraph_weight(C6, y)
+
+
 class TestModularity:
     def test_structure(self):
         prob = build_modularity(TWO_K2, 2)
@@ -407,6 +418,14 @@ class TestModularity:
         assert modularity_value(TWO_K2, [0, 0, 0, 0]) == pytest.approx(0.0)
         g2 = Graph(2, ((0, 1, 1.0),))
         assert modularity_value(g2, [0, 1]) == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 0, 1, 0, 1, 0], [0, 1], [[0, 1, 0], [1, 0, 1]]],
+                             ids=["long", "short", "2-d"])
+    def test_labeling_of_another_shape_rejected(self, labels):
+        # a 7-entry labeling of a 6-node cycle raised a bare IndexError
+        with pytest.raises(ValueError, match=r"labeling of shape %s, graph has 6 nodes"
+                           % re.escape(repr(np.shape(labels)))):
+            modularity_value(C6, labels)
 
     def test_oracle_matches_best_labeling(self):
         prob = build_modularity(TWO_K2, 2)
@@ -783,10 +802,6 @@ VIEW_SETS = {
         generate("erdos_renyi", {"n": 60, "p": 0.2}, seed=2), 17),
     "modularity": lambda: build_modularity(
         generate("four_gauss_knn", {"n": 24}, seed=5), 4),
-    "pinned-sum": lambda: identity_instance(FeasibleSet(
-        40, "zeroone", sum_constraint=15.0, pinned=((30, 1.0), (3, 1.0), (7, 0.0)))),
-    "pinned-blocks": lambda: identity_instance(FeasibleSet(
-        24, "zeroone", simplex_blocks=4, pinned=((5, 1.0), (0, 0.0), (9, 0.0), (10, 0.0)))),
 }
 VIEW_BOX_SETS = {
     "mrf": lambda: build_mrf(GRID34, np.linspace(-1.0, 1.0, 12)),
@@ -899,11 +914,14 @@ class TestSolverView:
             assert project(z).tobytes() == ref(z).tobytes()
 
     def test_image_constructs_at_the_tolerance_edges(self):
-        # a pin and a sum just outside the zero-one box, within its slack
-        fs = FeasibleSet(3, "zeroone", sum_constraint=-0.9e-9,
-                         pinned=((0, -0.9e-12),))
+        # a sum and a pin just outside the zero-one box, within its slack
+        fs = FeasibleSet(3, "zeroone", sum_constraint=-0.9e-9)
         view = SolverView(identity_instance(fs))
         assert view.feasible_set.sum_ones == fs.sum_ones == 0
+        fs = FeasibleSet(3, "zeroone", pinned=((0, -0.9e-12),))
+        view = SolverView(identity_instance(fs))
+        assert view.feasible_set.pin_value.tolist() == [-1.0 - 1.8e-12]
+        assert view.feasible_set.nonbinary_pin is fs.nonbinary_pin is None
 
     @pytest.mark.parametrize("build", sorted(VIEW_BOX_SETS))
     def test_box_projection_within_an_ulp_of_reference(self, build):
@@ -957,6 +975,22 @@ class TestWarmStateStaysInOneSolve:
         assert without_wall_time(solve_epm(b)) == fresh
         assert without_wall_time(solve_epm(b)) == fresh
         assert fset_state(a.feasible_set) == before
+
+
+class TestOneConstraintPerSet:
+    """Every builder's set, and its {-1, +1} image, takes at most one of
+    pins, a sum and one-hot blocks, the rule FeasibleSet enforces."""
+
+    @pytest.mark.parametrize("kind", sorted(grid_builds(GRID34)))
+    def test_builders_and_views(self, kind):
+        prob = grid_builds(GRID34)[kind]()
+        want = {"bisection": "sum", "densesub": "sum", "segmentation": "pins",
+                "modularity": "blocks", "mrf": None}[kind]
+        for fs in (prob.feasible_set, prob.solver_view.feasible_set):
+            have = [name for name, on in (("pins", bool(fs.pinned)),
+                                          ("sum", fs.sum_constraint is not None),
+                                          ("blocks", fs.simplex_blocks is not None)) if on]
+            assert have == ([want] if want else [])
 
 
 class TestRoundFeasible:
@@ -1025,8 +1059,8 @@ class TestRoundFeasible:
             FeasibleSet(5, "pm1"),
             FeasibleSet(6, "zeroone", sum_constraint=2.0),
             FeasibleSet(6, "zeroone", simplex_blocks=3),
-            FeasibleSet(4, "pm1", sum_constraint=0.0,
-                        pinned=((0, 1.0),)),
+            FeasibleSet(4, "pm1", sum_constraint=0.0),
+            FeasibleSet(4, "pm1", pinned=((0, 1.0),)),
         ]
         for fs in sets:
             for _ in range(50):
@@ -1053,50 +1087,23 @@ class TestRoundBlocks:
         rng = np.random.default_rng(99)
         for trial in range(300):
             r = int(rng.integers(1, 6))
-            nb = int(rng.integers(1, 7))
-            n = r * nb
-            pins = []
-            for q in range(nb):
-                kind = rng.integers(0, 4)
-                cols = rng.permutation(r)[:int(rng.integers(1, r + 1))]
-                if kind == 1:  # some pinned to zero
-                    pins += [(q * r + int(c), 0.0) for c in cols[:r - 1]]
-                elif kind == 2:  # one pinned hot
-                    pins.append((q * r + int(cols[0]), 1.0))
-                elif kind == 3:  # all pinned, maybe none hot
-                    hot = int(rng.integers(-1, r))
-                    pins += [(q * r + c, float(c == hot)) for c in range(r)]
-            pins = [pins[i] for i in rng.permutation(len(pins))]
-            if trial % 10 == 0 and n > 1:  # a non-binary pin in the mix
-                hot = {i // r for i, v in pins if v}
-                free = sorted(set(range(n)) - {i for i, _ in pins}
-                              - {i for i in range(n) if i // r in hot})
-                if free:
-                    pins.insert(len(pins) // 2, (free[0], 1e-3))
-            fs = FeasibleSet(n, "zeroone", simplex_blocks=r, pinned=pins)
+            n = r * int(rng.integers(1, 7))
+            fs = FeasibleSet(n, "zeroone", simplex_blocks=r)
             y = rng.choice([0.0, 0.5, 0.7, -np.inf], n) if trial % 3 == 0 \
                 else rng.uniform(-1.0, 2.0, n)
             self.check(y, fs)
 
     def test_ties_take_lowest_free_index(self):
-        fs = FeasibleSet(6, "zeroone", simplex_blocks=3, pinned=((3, 0.0),))
-        x, ok = self.check(np.array([0.4, 0.4, 0.4, 0.9, 0.2, 0.2]), fs)
+        fs = FeasibleSet(6, "zeroone", simplex_blocks=3)
+        x, ok = self.check(np.array([0.4, 0.4, 0.4, 0.2, 0.9, 0.9]), fs)
         assert ok
         assert x.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
     def test_all_free_minus_inf_picks_first_free(self):
-        fs = FeasibleSet(3, "zeroone", simplex_blocks=3, pinned=((0, 0.0),))
-        x, ok = self.check(np.array([-np.inf, -np.inf, -np.inf]), fs)
+        fs = FeasibleSet(6, "zeroone", simplex_blocks=3)
+        x, ok = self.check(np.array([0.1, -np.inf, 0.2, -np.inf, -np.inf, -np.inf]), fs)
         assert ok
-        assert x.tolist() == [0.0, 1.0, 0.0]
-
-    def test_unsatisfiable_block_stops_repair(self):
-        # block 1 is pinned all-zero; block 2 is left as rounded
-        fs = FeasibleSet(6, "zeroone", simplex_blocks=2,
-                         pinned=((2, 0.0), (3, 0.0)))
-        x, ok = self.check(np.array([0.9, 0.8, 0.1, 0.1, 0.7, 0.6]), fs)
-        assert not ok
-        assert x.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+        assert x.tolist() == [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]
 
 
 class TestCheckBinaryFeasible:
@@ -1125,39 +1132,28 @@ class TestCheckBinaryFeasible:
 
 @st.composite
 def small_sets(draw):
-    """A small set of either domain (a box, a sum or one-hot blocks) with
-    binary and now and then non-binary pins, and a point to round."""
+    """A small set of either domain (a box, a sum or one-hot blocks), the
+    box with binary and now and then non-binary pins, and a point to round."""
     domain = draw(st.sampled_from(["pm1", "zeroone"]))
     lo, hi = (-1.0, 1.0) if domain == "pm1" else (0.0, 1.0)
     kind = draw(st.sampled_from(["box", "sum", "blocks"]))
     n = draw(st.integers(1, 8))
-    # pin values as fractions of the way from lo to hi; two sit a hair
-    # outside the box, which the set tolerates
-    unit = st.sampled_from([0.0, 1.0, 0.0, 1.0, 0.25, -9e-13, 1.0 + 9e-13])
-    r = n
     pins = []
-    if kind == "blocks":
-        r = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
-        for q in range(n // r):
-            left = 1.0
-            cols = st.lists(st.integers(0, r - 1), unique=True, max_size=r)
-            for c in draw(st.one_of(cols, st.permutations(range(r)))):
-                u = draw(unit)
-                u = u if u <= left else 0.0
-                left -= u
-                pins.append((q * r + c, lo + u * (hi - lo)))
-    else:
+    if kind == "box":
+        # pin values as fractions of the way from lo to hi; two sit a hair
+        # outside the box, which the set tolerates
+        unit = st.sampled_from([0.0, 1.0, 0.0, 1.0, 0.25, -9e-13, 1.0 + 9e-13])
         for i in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
             pins.append((i, lo + draw(unit) * (hi - lo)))
     pins = draw(st.permutations(pins))
-    k = None
+    k = r = None
     if kind == "sum":
-        m = n - len(pins)
-        ones = draw(st.integers(0, m))
-        frac = draw(st.sampled_from([0.0, 0.0, 0.5, 5e-7, 1e-10])) if ones < m else 0.0
-        k = sum(v for _, v in pins) + m * lo + (ones + frac) * (hi - lo)
-    fs = FeasibleSet(n, domain, sum_constraint=k, pinned=pins,
-                     simplex_blocks=r if kind == "blocks" else None)
+        ones = draw(st.integers(0, n))
+        frac = draw(st.sampled_from([0.0, 0.0, 0.5, 5e-7, 1e-10])) if ones < n else 0.0
+        k = n * lo + (ones + frac) * (hi - lo)
+    if kind == "blocks":
+        r = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    fs = FeasibleSet(n, domain, sum_constraint=k, pinned=pins, simplex_blocks=r)
     y = np.array(draw(st.lists(st.floats(lo - 0.5, hi + 0.5), min_size=n, max_size=n)))
     nonbinary = any(1e-9 < v - lo and 1e-9 < hi - v for _, v in pins)
     return fs, y, nonbinary

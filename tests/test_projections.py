@@ -50,8 +50,18 @@ class TestFeasibleSetValidation:
             box_set(2, pinned=((0, 3.0),))
 
     def test_sum_and_blocks_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
+        with pytest.raises(ValueError, match="at most one of pins, a sum constraint and "
+                                             "simplex blocks"):
             box_set(4, "zeroone", sum_constraint=2.0, simplex_blocks=2)
+
+    @pytest.mark.parametrize("kw", [{"sum_constraint": 1.0}, {"simplex_blocks": 2}],
+                             ids=["sum", "blocks"])
+    def test_pins_exclude_sum_and_blocks(self, kw):
+        # pins go on a box set only: no builder pins a sum or a block set
+        with pytest.raises(ValueError, match="at most one of pins, a sum constraint and "
+                                             "simplex blocks"):
+            box_set(4, "zeroone", pinned=((0, 1.0),), **kw)
+        assert box_set(4, "zeroone", pinned=(), **kw).pinned == ()  # no pin at all
 
     def test_sum_infeasible_for_box(self):
         with pytest.raises(ValueError, match="infeasible"):
@@ -73,9 +83,11 @@ class TestFeasibleSetValidation:
 
     @pytest.mark.parametrize("cast", [np.int64, np.int32, float, np.float64])
     def test_integral_arguments_build_the_same_set(self, cast):
-        want = FeasibleSet(6, "pm1", pinned=((2, 1.0), (5, -1.0)), simplex_blocks=3)
-        got = FeasibleSet(cast(6), "pm1", pinned=((cast(2), 1.0), (cast(5), -1.0)),
-                          simplex_blocks=cast(3))
+        want = FeasibleSet(6, "pm1", pinned=((2, 1.0), (5, -1.0)))
+        got = FeasibleSet(cast(6), "pm1", pinned=((cast(2), 1.0), (cast(5), -1.0)))
+        assert pickle.dumps(got) == pickle.dumps(want)
+        want = FeasibleSet(6, "pm1", simplex_blocks=3)
+        got = FeasibleSet(cast(6), "pm1", simplex_blocks=cast(3))
         assert pickle.dumps(got) == pickle.dumps(want)
 
     def test_blocks_on_any_uniform_box(self):
@@ -83,11 +95,6 @@ class TestFeasibleSetValidation:
         fs = box_set(6, simplex_blocks=3)
         x = project_feasible([0.2, 3.0, -0.4, 2.5, -2.0, 0.1], fs)
         assert x.tolist() == [-1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
-
-    def test_blocks_pin_oversubscription(self):
-        with pytest.raises(ValueError, match="oversubscribe"):
-            box_set(2, "zeroone", simplex_blocks=2,
-                    pinned=((0, 0.8), (1, 0.8)))
 
 
 class TestProjectBox:
@@ -173,42 +180,25 @@ class TestProjectFeasible:
         out = project_feasible([0.8, 0.8, 0.0, 0.0], fs)
         assert np.allclose(out, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
-    def test_pins_with_sum(self):
-        fs = box_set(3, sum_constraint=1.0, pinned=((0, 1.0),))
-        out = project_feasible([0.9, 0.6, -0.6], fs)
-        assert out[0] == 1.0
-        assert out.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_all_pinned_sum_must_match(self):
-        fs = box_set(2, sum_constraint=0.0, pinned=((0, 1.0), (1, -1.0)))
-        out = project_feasible([0.2, 0.2], fs)
-        assert out.tolist() == [1.0, -1.0]
-        # a contradictory combination is rejected at construction
-        with pytest.raises(ValueError, match="infeasible"):
-            box_set(2, sum_constraint=1.0, pinned=((0, 1.0), (1, -1.0)))
-
-    def test_blocks_with_pin(self):
-        fs = box_set(2, "zeroone", simplex_blocks=2, pinned=((0, 1.0),))
-        out = project_feasible([0.3, 0.9], fs)
-        assert np.allclose(out, [1.0, 0.0], atol=1e-12)
-
 
 SHAPE_SETS = {
     "box": lambda pins: box_set(6, pinned=pins),
-    "sum": lambda pins: box_set(6, sum_constraint=0.0, pinned=pins),
-    "blocks": lambda pins: box_set(6, "zeroone", simplex_blocks=3,
-                                   pinned=tuple((i, 0.0) for i, _ in pins)),
+    "sum": lambda pins: box_set(6, sum_constraint=0.0),
+    "blocks": lambda pins: box_set(6, "zeroone", simplex_blocks=3),
 }
+# every input shape with every set; only a box set takes pins
+SHAPE_CASES = [pytest.param(shape, pins, kind, id="shape%d-pins%d-%s" % (i, j, kind))
+               for i, shape in enumerate([(), (6, 2), (2, 3)])
+               for j, pins in enumerate([(), ((1, 1.0),)])
+               for kind in sorted(SHAPE_SETS) if kind == "box" or not pins]
 
 
 class TestInputShape:
     # a pinless set skips the pin scatter that once made an (n, 2) input
     # fail, so every input not of shape (n,) is refused up front
     @pytest.mark.parametrize("project", [project_box, project_feasible])
-    @pytest.mark.parametrize("kind", sorted(SHAPE_SETS))
-    @pytest.mark.parametrize("pins", [(), ((1, 1.0),)])
-    @pytest.mark.parametrize("shape", [(), (6, 2), (2, 3)])
-    def test_rejects_inputs_not_of_shape_n(self, project, kind, pins, shape):
+    @pytest.mark.parametrize("shape,pins,kind", SHAPE_CASES)
+    def test_rejects_inputs_not_of_shape_n(self, project, shape, pins, kind):
         fs = SHAPE_SETS[kind](pins)
         with pytest.raises(ValueError, match=r"input has shape %s" % re.escape(repr(shape))):
             project(np.full(shape, 0.5), fs)
@@ -274,7 +264,6 @@ class TestFeasibleSetCache:
         fs = box_set(5, pinned=((3, 0.5), (0, -1.0)))
         assert fs.pin_index.tolist() == [3, 0]
         assert fs.pin_value.tolist() == [0.5, -1.0]
-        assert fs.pinned_total == -0.5
         assert fs.pin_mask().tolist() == [True, False, False, True, False]
 
     def test_cached_arrays_read_only(self):
@@ -287,29 +276,6 @@ class TestFeasibleSetCache:
         fs = box_set(3)
         assert fs.pin_index.shape == (0,)
         assert not fs.pin_mask().any()
-        assert fs.pinned_total == 0
-
-    def test_block_groups_by_free_count(self):
-        fs = box_set(9, "zeroone", simplex_blocks=3,
-                     pinned=((4, 0.0), (6, 1.0), (7, 0.0), (8, 0.0)))
-        groups = [(b.tolist(), f.tolist(), t.tolist()) for b, f, t in fs.block_groups]
-        assert groups == [([2], [[]], [0.0]),
-                          ([1], [[3, 5]], [1.0]),
-                          ([0], [[0, 1, 2]], [1.0])]
-        assert not any(t.flags.writeable for _, _, t in fs.block_groups)
-
-    def test_block_targets_subtract_pins_in_index_order(self):
-        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit
-        fs = box_set(8, "zeroone", simplex_blocks=4,
-                     pinned=((2, 0.3), (1, 0.2), (0, 0.1), (5, 0.25)))
-        got = {int(b[0]): float(t[0]) for b, _, t in fs.block_groups}
-        assert got == {0: 1.0 - ((0.1 + 0.2) + 0.3), 1: 0.75}
-        assert got[0] != 1.0 - ((0.3 + 0.2) + 0.1)
-
-    def test_oversubscription_names_first_block(self):
-        with pytest.raises(ValueError, match="block 1"):
-            box_set(6, "zeroone", simplex_blocks=2,
-                    pinned=((5, 0.7), (2, 0.6), (3, 0.6)))
 
     def test_project_box_matches_pin_loop(self):
         rng = np.random.default_rng(8)
@@ -388,55 +354,27 @@ class TestCappedSimplexRows:
 
 @st.composite
 def block_sets(draw):
-    """A simplex-block set with free, partly pinned and fully pinned
-    blocks, and a point to project with ties and far-out values."""
+    """A simplex-block set and a point to project with ties and far-out values."""
     r = draw(st.integers(1, 6))
     nb = draw(st.integers(1, 8))
-    pins = []
-    for q in range(nb):
-        kind = draw(st.sampled_from(["free", "free", "some", "full"]))
-        if kind == "free":
-            continue
-        if kind == "full":
-            hot = draw(st.integers(-1, r - 1))  # -1: all zero, infeasible
-            pins.extend((q * r + c, 1.0 if c == hot else 0.0) for c in range(r))
-            continue
-        cols = draw(st.lists(st.integers(0, r - 1), unique=True, max_size=r - 1))
-        left = 1.0
-        for c in cols:
-            v = draw(st.sampled_from([0.0, 0.0, 1.0, 0.25, 0.5, 1.0 / 3.0]))
-            v = v if v <= left else 0.0
-            left -= v
-            pins.append((q * r + c, v))
-    pins = draw(st.permutations(pins))
     value = st.one_of(st.sampled_from([-40.0, -1.0, 0.0, 0.25, 0.5, 1.0, 3.0, 1e4]),
                       st.floats(-1e4, 1e4, allow_nan=False))
     a = np.array(draw(st.lists(value, min_size=r * nb, max_size=r * nb)))
-    fs = FeasibleSet(r * nb, "zeroone", simplex_blocks=r, pinned=pins)
-    return fs, a
+    return FeasibleSet(r * nb, "zeroone", simplex_blocks=r), a
 
 
 class TestBatchedBlocks:
     @given(block_sets())
     def test_matches_per_block_loop(self, case):
-        # errors match the loop of 1-D calls; points match the loop of
-        # oracle calls, one per block
+        # points match the loop of oracle calls, one per block
         fs, a = case
-        try:
-            project_blocks_loop(a, fs)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                project_feasible(a, fs)
-            assert str(got.value) == str(exc)
-            return
         got = project_feasible(a, fs)
         want = project_blocks_loop(a, fs, simplex_projection_oracle)
         assert np.max(np.abs(got - want)) <= 1e-9
         assert got.min() >= 0.0 and got.max() <= 1.0
-        assert same_bits(got[fs.pin_index], fs.pin_value)
         scale = max(1.0, np.abs(a).max())
-        for _, free_idx, target in fs.block_groups:
-            assert np.all(np.abs(got[free_idx].sum(axis=1) - target) <= 1e-12 * scale)
+        sums = got.reshape(-1, fs.simplex_blocks).sum(axis=1)
+        assert np.all(np.abs(sums - 1.0) <= 1e-12 * scale)
 
     def test_unpinned_blocks_one_call_each(self, monkeypatch):
         calls = {"capped": 0, "walk": 0}
@@ -505,20 +443,17 @@ class TestWarmStart:
             assert_projection(a, got, k, rng)
 
     @pytest.mark.parametrize("domain", ["pm1", "zeroone"])
-    def test_warm_agrees_with_cold_with_pins(self, domain):
+    def test_warm_agrees_with_cold_on_either_domain(self, domain):
         rng = np.random.default_rng(11)
         lo = -1.0 if domain == "pm1" else 0.0
         n = 400
-        pins = tuple((int(i), 1.0) for i in rng.choice(n, 9, replace=False))
-        fs = box_set(n, domain, pinned=pins,
-                     sum_constraint=9.0 + (150.5 if lo == 0.0 else 0.0))
+        fs = box_set(n, domain, sum_constraint=9.0 + (150.5 if lo == 0.0 else 0.0))
         project = projections.projector(fs, warm=True)
         for a in fista_like(rng, n, 40, lo=lo - 0.5, hi=1.5):
             got = project(a)
             want = project_feasible(a, fs)
             assert np.max(np.abs(got - want)) <= 1e-13
             assert abs(got.sum() - fs.sum_constraint) <= 1e-12
-            assert np.all(got[fs.pin_index] == 1.0)
             for _ in range(20):
                 y = project_feasible(rng.uniform(-2.0, 2.0, n), fs)
                 assert float(np.dot(a - got, y - got)) <= 1e-9
@@ -617,12 +552,8 @@ def sum_sets(draw):
     # past k = 512 one ulp of the sum exceeds 1e-13
     n = draw(st.one_of(st.integers(2, 40), st.integers(1100, 1400)))
     domain, lo = draw(st.sampled_from([("pm1", -1.0), ("zeroone", 0.0)]))
-    pinned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n // 2))
-    pins = tuple((i, draw(st.sampled_from([lo, 1.0]))) for i in pinned)
-    nf = n - len(pins)
     frac = draw(st.floats(0.0, 1.0))
-    k = sum(v for _, v in pins) + nf * lo + frac * nf * (1.0 - lo)
-    fs = box_set(n, domain, pinned=pins, sum_constraint=k)
+    fs = box_set(n, domain, sum_constraint=n * lo + frac * n * (1.0 - lo))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     return fs, np.random.default_rng(seed).uniform(lo - 2.0, 3.0, n)
 
@@ -657,13 +588,7 @@ class TestSameBytes:
     @given(st.one_of(box_sets(), sum_sets(), block_sets()))
     def test_project_feasible_warm_and_cold(self, case):
         fs, a = case
-        try:
-            _, want = project_feasible_scatter(a, fs)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                project_feasible(a, fs)
-            assert str(got.value) == str(exc)
-            return
+        _, want = project_feasible_scatter(a, fs)
         assert same_bits(project_feasible(a, fs), want)
         # a drifting sequence through one warm projector, and the
         # reference carrying its threshold
@@ -735,7 +660,7 @@ def pm1_images(draw, zeroone_sets):
 @st.composite
 def fixed_sets(draw):
     """Sets whose projection is one point: n = 0, and sum targets within
-    1e-13 of either end of the free coordinates' range."""
+    1e-13 of either end of the coordinates' range."""
     domain, lo = draw(st.sampled_from([("pm1", -1.0), ("zeroone", 0.0)]))
     if draw(st.booleans()):
         kind = draw(st.sampled_from(["box", "sum", "blocks"]))
@@ -743,12 +668,9 @@ def fixed_sets(draw):
         fs = FeasibleSet(0, domain, 0.0 if kind == "sum" else None, simplex_blocks=blocks)
         return fs, np.zeros(0)
     n = draw(st.integers(1, 30))
-    pinned = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-    pins = tuple((i, draw(st.sampled_from([lo, 1.0]))) for i in pinned)
-    nf = n - len(pins)
     nudge = draw(st.sampled_from([0.0, 5e-14, -5e-14])) * (1.0 - lo)
-    k = sum(v for _, v in pins) + nf * draw(st.sampled_from([lo, 1.0])) + nudge
-    fs = box_set(n, domain, pinned=pins, sum_constraint=k)  # within the 1e-9 slack
+    k = n * draw(st.sampled_from([lo, 1.0])) + nudge
+    fs = box_set(n, domain, sum_constraint=k)  # within the 1e-9 slack
     seed = draw(st.integers(0, 2 ** 32 - 1))
     return fs, np.random.default_rng(seed).uniform(lo - 2.0, 3.0, n)
 
@@ -761,21 +683,12 @@ PROJECTOR_CASES = {"box": box_sets(), "sum": sum_sets(), "sum-image": pm1_images
 
 class TestProjector:
     """A solve's prepared projector gives project_feasible's bytes cold,
-    and the threshold-carrying reference's warm, and raises
-    project_feasible's error for a set it always rejects."""
+    and the threshold-carrying reference's warm."""
 
     @pytest.mark.parametrize("family", sorted(PROJECTOR_CASES))
     @given(data=st.data())
     def test_same_bytes_as_project_feasible(self, family, data):
         fs, a = data.draw(PROJECTOR_CASES[family])
-        try:
-            project_feasible(a, fs)
-        except ValueError as exc:
-            for warm in (False, True):
-                with pytest.raises(ValueError) as got:
-                    projections.projector(fs, warm)
-                assert str(got.value) == str(exc)
-            return
         project, cold = projections.projector(fs, warm=True), projections.projector(fs)
         ref = threaded(project_feasible_scatter, fs)
         seen = set()

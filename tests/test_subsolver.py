@@ -392,7 +392,7 @@ class TestMinimizeFista:
         # the loop before the step difference was shared and the norms
         # taken as sqrt(v'v): equal bytes, values, counts and verdicts, on
         # every model shape (mu > 0 for l2box, alpha > 0 for adm), with
-        # restarts that run, through pinned and pinless sum and box sets
+        # restarts that run, through sum sets and pinned and pinless box sets
         evaluations = []
         evaluate = QuadraticModel.evaluate
 
@@ -407,8 +407,7 @@ class TestMinimizeFista:
             n = int(rng.integers(3, 12))
             obj = random_objective(rng, n)
             pins = ((0, 1.0),) if trial % 4 > 1 else ()
-            fs = box_set(n, pinned=pins) if trial % 2 else box_set(n, sum_constraint=0.5,
-                                                                   pinned=pins)
+            fs = box_set(n, pinned=pins) if trial % 2 else box_set(n, sum_constraint=0.5)
             x0 = rng.uniform(-1.0, 1.0, n)
             for name, model, _, _, _, _ in model_shapes(obj, rng):
                 for tol in (1e-5, 1e-12):
