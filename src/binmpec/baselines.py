@@ -120,7 +120,9 @@ def solve_l2box_admm(problem, config=None):
     settled answer, when the rounding ``finish_solve`` applies gives the
     same point at a round's end as at the one before.  A settled stop
     reports ``converged=False`` after a multiple of ``inner_T`` outer
-    iterations.
+    iterations.  Each x-step runs FISTA at its defaults
+    (``subsolver.INNER_TOL``, ``INNER_MAX_ITER``), the tolerance and
+    budget of ``epm``'s and ``adm``'s x-steps.
     """
     config = config or BaselineConfig()
     start = time.perf_counter()
@@ -140,7 +142,7 @@ def solve_l2box_admm(problem, config=None):
     settled = None  # the rounded answer at the last round's end
     for it in range(1, config.max_iter + 1):
         model = QuadraticModel(obj, mu=mu, w=z - u)
-        x, _, _, _ = minimize_fista(model, project, x, tol=1e-7, max_iter=2000)
+        x, _, _, _ = minimize_fista(model, project, x)
         z = _sphere_step(x + u)
         u = u + x - z
         gap = float(n) - float(np.dot(x, z))

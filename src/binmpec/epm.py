@@ -20,7 +20,8 @@ import numpy as np
 
 from .problems import finish_solve
 from .projections import projector
-from .subsolver import QuadraticModel, check_counts, check_positive, minimize_fista
+from .subsolver import (INNER_MAX_ITER, INNER_TOL, QuadraticModel, check_counts,
+                        check_positive, minimize_fista)
 
 ALPHA_CAP = 1e6
 
@@ -33,8 +34,8 @@ class PenaltyConfig:
     inner_T: int = 10
     feas_tol: float = 1e-8
     max_outer: int = 100
-    inner_tol: float = 1e-5
-    inner_max_iter: int = 2000
+    inner_tol: float = INNER_TOL
+    inner_max_iter: int = INNER_MAX_ITER
 
     def __post_init__(self):
         check_positive(self, "rho0", "alpha0", "sigma", "feas_tol", "inner_tol")

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SparseMatrix, matvec
-from .projections import BINARY_TOL, FeasibleSet, as_integer, project_feasible
+from .projections import (BINARY_TOL, FeasibleSet, as_integer, is_text_array,
+                          project_feasible)
 from .reformulations import round_sign
 from .report import SolveReport
 from .subsolver import QuadraticObjective
@@ -198,7 +199,11 @@ def subgraph_weight(g: Graph, y) -> float:
 
 
 def _node_vector(g, a, dtype, name):
-    """``a`` as an array of shape (n,), one entry per node of ``g``."""
+    """``a`` as an array of shape (n,), one entry per node of ``g``; text,
+    which numpy would parse, raises ValueError."""
+    a = np.asarray(a)
+    if is_text_array(a):
+        raise ValueError("%s must be numeric, got an array of %s" % (name, a.dtype))
     a = np.asarray(a, dtype=dtype)
     if a.shape != (g.n,):
         raise ValueError("%s of shape %r, graph has %d nodes" % (name, a.shape, g.n))
@@ -259,10 +264,7 @@ def modularity_value(g: Graph, labels) -> float:
 
 def build_mrf(g: Graph, unary) -> ProblemInstance:
     """Pairwise binary MRF energy: f(y) = 0.5 y'Ly + unary'y over {0,1}^n."""
-    b = np.array(unary, dtype=np.float64).reshape(-1)
-    if b.shape[0] != g.n:
-        raise ValueError("unary term length %d, graph has %d nodes" % (b.shape[0], g.n))
-    obj = QuadraticObjective(laplacian(g), b)
+    obj = QuadraticObjective(laplacian(g), _node_vector(g, unary, np.float64, "unary term"))
     fset = FeasibleSet(g.n, "zeroone")
     return ProblemInstance(obj, fset, {"name": "mrf", "n": g.n, "provenance": "graph"})
 

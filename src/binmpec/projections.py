@@ -33,6 +33,22 @@ def as_integer(value, name):
     return int(value)
 
 
+def as_real(value, name):
+    """``value`` as a float; a ValueError naming it for text, which
+    ``float`` would parse, so "1" and b"1" are refused as as_integer does."""
+    if isinstance(value, (str, bytes, bytearray)) or is_text_array(value):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    return float(value)
+
+
+def is_text_array(a):
+    """Whether ``a`` is an array of strings or bytes, which numpy casts to
+    floats without complaint."""
+    kind = getattr(getattr(a, "dtype", None), "kind", None)
+    return kind in ("U", "S") or (
+        kind == "O" and any(isinstance(v, (str, bytes, bytearray)) for v in a.flat))
+
+
 @dataclass(frozen=True)
 class FeasibleSet:
     """The n-coordinate binary domain's box plus at most one more constraint.
@@ -67,8 +83,9 @@ class FeasibleSet:
             raise ValueError("coordinate count must be nonnegative, got %d" % n)
         lo, hi = domain_bounds(self.domain)
         span = hi - lo
-        object.__setattr__(self, "pinned", tuple((as_integer(i, "pinned index"), float(v))
-                                                 for i, v in self.pinned))
+        pinned = tuple((as_integer(i, "pinned index"), as_real(v, "pinned value"))
+                       for i, v in self.pinned)
+        object.__setattr__(self, "pinned", pinned)
         if (bool(self.pinned) + (self.sum_constraint is not None)
                 + (self.simplex_blocks is not None)) > 1:
             raise ValueError("a feasible set takes at most one of pins, a sum constraint "
@@ -97,7 +114,7 @@ class FeasibleSet:
                 "nonbinary_pin": None if at_bound.all() else int(np.argmin(at_bound)),
                 "sum_target": None, "sum_ones": None}
         if self.sum_constraint is not None:
-            k = prep["sum_constraint"] = float(self.sum_constraint)
+            k = prep["sum_constraint"] = as_real(self.sum_constraint, "sum_constraint")
             slack = 1e-9 * span
             if not (n * lo - slack <= k <= n * hi + slack):
                 raise ValueError("sum constraint %g infeasible for the box" % k)

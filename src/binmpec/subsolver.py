@@ -7,6 +7,11 @@ import numpy as np
 
 from .linalg import SparseMatrix, check_dimension, matvec
 
+# every x-step's FISTA tolerance and iteration budget: epm's and adm's
+# (PenaltyConfig.inner_tol, inner_max_iter) and l2box's
+INNER_TOL = 1e-5
+INNER_MAX_ITER = 2000
+
 
 class QuadraticObjective:
     """f(x) = 0.5 x'Ax + b'x + c with a certified gradient Lipschitz bound.
@@ -137,7 +142,7 @@ class QuadraticModel:
         return self._Ax if x is self._x else self._product(x)
 
 
-def minimize_fista(model, project, x0, tol=1e-5, max_iter=2000):
+def minimize_fista(model, project, x0, tol=INNER_TOL, max_iter=INNER_MAX_ITER):
     """FISTA with a monotone restart on a QuadraticModel.
 
     Whenever the accelerated candidate raises the objective, the momentum

@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from binmpec import kernels, projections
+from binmpec import baselines, epm, kernels, projections
 from binmpec.baselines import (BaselineConfig, _sphere_step,
                                solve_iht, solve_l2box_admm, solve_lp_round)
+from binmpec.epm import PenaltyConfig, solve_epm
 from binmpec.linalg import SparseMatrix
 from binmpec.oracle import brute_force
 from binmpec.problems import (Graph, ProblemInstance, build_bisection,
@@ -11,7 +14,7 @@ from binmpec.problems import (Graph, ProblemInstance, build_bisection,
                               build_dense_subgraph, build_modularity,
                               build_mrf, generate, subgraph_weight)
 from binmpec.projections import FeasibleSet
-from binmpec.subsolver import QuadraticObjective
+from binmpec.subsolver import QuadraticObjective, minimize_fista
 
 from reference import identity
 
@@ -271,6 +274,31 @@ class TestL2BoxAdmm:
         assert rep.feasible
         assert calls["projections"] >= 1000
         assert calls["walks"] <= calls["projections"] // 100
+
+    def test_x_steps_run_at_the_epm_tolerance(self, monkeypatch):
+        # l2box's x-steps are box-constrained QPs of the kind epm's and
+        # adm's are; the baseline gets no tighter tolerance, no larger budget
+        signature = inspect.signature(minimize_fista)
+
+        def recorded(module):
+            seen = []
+
+            def wrapped(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                seen.append((bound.arguments["tol"], bound.arguments["max_iter"]))
+                return minimize_fista(*args, **kwargs)
+
+            monkeypatch.setattr(module, "minimize_fista", wrapped)
+            return seen
+
+        l2box_steps, epm_steps = recorded(baselines), recorded(epm)
+        prob = build_bisection(C4)
+        solve_l2box_admm(prob)
+        solve_epm(prob)
+        config = PenaltyConfig()
+        assert set(epm_steps) == {(config.inner_tol, config.inner_max_iter)}
+        assert len(l2box_steps) >= 20 and set(l2box_steps) == set(epm_steps)
 
     def test_mrf_zeroone_domain(self):
         g = Graph(2, ((0, 1, 1.0),))

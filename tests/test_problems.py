@@ -397,6 +397,11 @@ class TestSubgraphWeight:
                            r"nodes" % re.escape(repr(y.shape))):
             subgraph_weight(C6, y)
 
+    def test_text_indicator_rejected(self):
+        # numpy parsed the strings, so six of them gave a weight
+        with pytest.raises(ValueError, match="^subset indicator must be numeric"):
+            subgraph_weight(C6, ["1"] * 6)
+
 
 class TestModularity:
     def test_structure(self):
@@ -426,6 +431,10 @@ class TestModularity:
         with pytest.raises(ValueError, match=r"labeling of shape %s, graph has 6 nodes"
                            % re.escape(repr(np.shape(labels)))):
             modularity_value(C6, labels)
+
+    def test_text_labeling_rejected(self):
+        with pytest.raises(ValueError, match="^labeling must be numeric"):
+            modularity_value(C6, ["0", "1"] * 3)
 
     def test_oracle_matches_best_labeling(self):
         prob = build_modularity(TWO_K2, 2)
@@ -511,6 +520,22 @@ class TestMrf:
     def test_unary_length_checked(self):
         with pytest.raises(ValueError):
             build_mrf(P3, [0.0, 0.0])
+
+    @pytest.mark.parametrize("unary", [np.zeros((2, 3)), np.zeros((6, 1))],
+                             ids=["2x3", "6x1"])
+    def test_unary_of_another_shape_rejected(self, unary):
+        # reshape(-1) took any six entries as the unary term of a 6-node graph
+        with pytest.raises(ValueError, match=r"unary term of shape %s, graph has 6 nodes"
+                           % re.escape(repr(unary.shape))):
+            build_mrf(C6, unary)
+
+    @pytest.mark.parametrize("unary", [["0.5"] * 6, [b"0.5"] * 6,
+                                       np.array([0.5] * 5 + ["0.5"], dtype=object)],
+                             ids=["str", "bytes", "object"])
+    def test_text_unary_rejected(self, unary):
+        # numpy parsed the strings, so six of them built a problem
+        with pytest.raises(ValueError, match="^unary term must be numeric"):
+            build_mrf(C6, unary)
 
 
 class TestGenerate:

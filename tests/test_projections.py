@@ -90,6 +90,23 @@ class TestFeasibleSetValidation:
         got = FeasibleSet(cast(6), "pm1", simplex_blocks=cast(3))
         assert pickle.dumps(got) == pickle.dumps(want)
 
+    @pytest.mark.parametrize("kw,name", [
+        ({"sum_constraint": "0"}, "sum_constraint"),  # float() made a sum set
+        ({"sum_constraint": b"0"}, "sum_constraint"),
+        ({"sum_constraint": np.str_("0")}, "sum_constraint"),
+        ({"pinned": ((0, "1"),)}, "pinned value"),  # float() pinned at 1.0
+        ({"pinned": ((0, b"-1"),)}, "pinned value")])
+    def test_text_real_arguments_rejected(self, kw, name):
+        with pytest.raises(ValueError, match="^%s must be a number, got " % name):
+            FeasibleSet(4, "pm1", **kw)
+
+    def test_real_arguments_build_the_same_set(self):
+        for sum_constraint in (0, np.int64(0), np.float32(0.0)):
+            got = FeasibleSet(4, "pm1", sum_constraint=sum_constraint)
+            assert got.sum_constraint == 0.0 and type(got.sum_constraint) is float
+        got = FeasibleSet(4, "pm1", pinned=((0, np.float32(1.0)), (1, -1)))
+        assert got.pinned == ((0, 1.0), (1, -1.0))
+
     def test_blocks_on_any_uniform_box(self):
         # one-hot on [-1, 1]: one coordinate per block at 1, the rest at -1
         fs = box_set(6, simplex_blocks=3)
